@@ -22,65 +22,18 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, WeylSimError
-from .evolve import TimeGrid
-from .fockspace import SpaceSpec
-from .model import SimParams
 from .scenarios import (
+    FIELDS,
     RUNNERS,
     SCENARIO_NAMES,
     ScenarioConfig,
     ScenarioResult,
-    config_dict,
-    default_config,
+    build_config,
 )
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_tau(text: str) -> float:
-    value = float(text)  # float("inf") handles the noiseless sentinel
-    return value
-
-
-def _parse_sweep(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-# key -> parser; every key is optional and overrides the scenario default
-_SCHEMA = {
-    "omega_khz": float,
-    "omega_probe_khz": float,
-    "r": float,
-    "tau_d_x_ms": _parse_tau,
-    "tau_d_y_ms": _parse_tau,
-    "n_max_x": int,
-    "n_max_y": int,
-    "t_start_us": float,
-    "t_end_us": float,
-    "n_samples": int,
-    "dt_max_us": float,
-    "noise": _parse_bool,
-    "initial_spin": str,
-    "alpha_x": complex,
-    "alpha_y": complex,
-    "sweep": _parse_sweep,
-}
-
-
-def load_config(path, name: str) -> ScenarioConfig:
-    """Resolve a scenario config from an INI-style file.
-
-    The file holds one optional section per scenario; keys are listed in
-    the schema above.  An empty or absent section yields the scenario's
-    defaults.  Unknown sections or keys are errors.
-    """
+def _read_overrides(path, name: str) -> dict:
+    """Parsed keys of one scenario's section of an INI-style file."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -97,92 +50,40 @@ def load_config(path, name: str) -> ScenarioConfig:
     overrides = {}
     if parser.has_section(name):
         for key, raw in parser.items(name):
-            if key not in _SCHEMA:
+            if key not in FIELDS:
                 raise ConfigError(f"unknown key [{name}] {key}")
             try:
-                overrides[key] = _SCHEMA[key](raw)
+                overrides[key] = FIELDS[key].parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{name}] {key}: {exc}") from exc
-    return build_config(name, overrides)
+    return overrides
 
 
-def build_config(name: str, overrides: dict) -> ScenarioConfig:
-    """Apply schema-level overrides on top of a scenario's defaults."""
-    if name not in SCENARIO_NAMES:
-        raise ConfigError(f"unknown scenario {name!r}")
-    noise = overrides.get("noise")
-    n_max = overrides.get("n_max_x")
-    base = default_config(name, n_max=n_max, noise_on=noise)
+def load_config(path, name: str) -> ScenarioConfig:
+    """Resolve a scenario config from an INI-style file.
 
-    omega_khz = overrides.get("omega_khz", base.params.omega / (2 * math.pi))
-    probe_khz = overrides.get("omega_probe_khz", base.params.omega_probe / (2 * math.pi))
-    try:
-        params = SimParams.from_khz(
-            omega_khz,
-            r=overrides.get("r", base.params.r),
-            omega_probe_khz=probe_khz,
-            tau_d_x=overrides.get("tau_d_x_ms", base.params.tau_d_x),
-            tau_d_y=overrides.get("tau_d_y_ms", base.params.tau_d_y),
-        )
-        space = SpaceSpec(
-            overrides.get("n_max_x", base.space.n_max_x),
-            overrides.get("n_max_y", base.space.n_max_y),
-        )
-        grid = base.grid
-        grid_keys = {"t_start_us", "t_end_us", "n_samples", "dt_max_us"}
-        if grid is not None and grid_keys & overrides.keys():
-            grid = TimeGrid(
-                overrides.get("t_start_us", grid.t_start * 1e3) / 1e3,
-                overrides.get("t_end_us", grid.t_end * 1e3) / 1e3,
-                overrides.get("n_samples", grid.n_samples),
-                overrides.get("dt_max_us", grid.dt_max * 1e3) / 1e3,
-            )
-        return ScenarioConfig(
-            name=name,
-            params=params,
-            space=space,
-            grid=grid,
-            sweep=overrides.get("sweep", base.sweep),
-            initial_spin=overrides.get("initial_spin", base.initial_spin),
-            alpha_x=overrides.get("alpha_x", base.alpha_x),
-            alpha_y=overrides.get("alpha_y", base.alpha_y),
-            noise_on=noise if noise is not None else base.noise_on,
-        )
-    except WeylSimError as exc:
-        raise ConfigError(f"invalid configuration for {name}: {exc}") from exc
+    The file holds one optional section per scenario; its keys are those
+    of `scenarios.FIELDS`.  An empty or absent section yields the
+    scenario's defaults.  Unknown sections or keys are errors.
+    """
+    return build_config(name, _read_overrides(path, name))
+
+
+def _ini_value(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, tuple):
+        return ", ".join(f"{v:.12g}" for v in value)
+    return str(value)
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
     """INI text of a fully resolved config; load_config round-trips it."""
-    d = config_dict(cfg)
     lines = [f"[{cfg.name}]"]
-    key_map = {
-        "omega_khz": "omega_khz",
-        "omega_probe_khz": "omega_probe_khz",
-        "r": "r",
-        "tau_d_x_ms": "tau_d_x_ms",
-        "tau_d_y_ms": "tau_d_y_ms",
-        "n_max_x": "n_max_x",
-        "n_max_y": "n_max_y",
-        "t_start_us": "t_start_us",
-        "t_end_us": "t_end_us",
-        "n_samples": "n_samples",
-        "dt_max_us": "dt_max_us",
-        "noise_on": "noise",
-        "initial_spin": "initial_spin",
-        "alpha_x": "alpha_x",
-        "alpha_y": "alpha_y",
-        "sweep": "sweep",
-    }
-    for src, dst in key_map.items():
-        if src not in d:
-            continue
-        value = d[src]
-        if isinstance(value, list):
-            value = ", ".join(f"{v:.9g}" for v in value)
-        elif isinstance(value, float):
-            value = f"{value:.12g}"
-        lines.append(f"{dst} = {value}")
+    for key, field in FIELDS.items():
+        value = field.read(cfg)
+        if value is not None:
+            lines.append(f"{key} = {_ini_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -310,57 +211,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="INI config file")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument(
-        "--no-noise", action="store_true", help="disable the dephasing channel"
+        "--no-noise", action="store_true", help="same as the config key noise = false"
     )
-    parser.add_argument("--n-max", type=int, help="truncation for both modes")
+    parser.add_argument(
+        "--n-max",
+        type=int,
+        metavar="N",
+        help="same as the config keys n_max_x = n_max_y = N",
+    )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--quiet", action="store_true", help="suppress check lines")
     return parser
 
 
 def _resolve(name: str, args) -> ScenarioConfig:
-    if args.config is not None:
-        cfg = load_config(args.config, name)
-    else:
-        cfg = build_config(name, {})
-    overrides = {}
+    """The config file's keys, then the flags, as one set of overrides."""
+    overrides = {} if args.config is None else _read_overrides(args.config, name)
     if args.no_noise:
         overrides["noise"] = False
     if args.n_max is not None:
-        overrides["n_max_x"] = args.n_max
-        overrides["n_max_y"] = args.n_max
-    if overrides:
-        merged = _config_overrides(cfg) | overrides
-        cfg = build_config(name, merged)
-    return cfg
-
-
-def _config_overrides(cfg: ScenarioConfig) -> dict:
-    """Express a resolved config as a full override map."""
-    d = config_dict(cfg)
-    out = {
-        "omega_khz": d["omega_khz"],
-        "omega_probe_khz": d["omega_probe_khz"],
-        "r": d["r"],
-        "tau_d_x_ms": float(d["tau_d_x_ms"]),
-        "tau_d_y_ms": float(d["tau_d_y_ms"]),
-        "n_max_x": d["n_max_x"],
-        "n_max_y": d["n_max_y"],
-        "noise": d["noise_on"],
-        "initial_spin": d["initial_spin"],
-        "alpha_x": complex(d["alpha_x"]),
-        "alpha_y": complex(d["alpha_y"]),
-    }
-    if "t_end_us" in d:
-        out.update(
-            t_start_us=d["t_start_us"],
-            t_end_us=d["t_end_us"],
-            n_samples=d["n_samples"],
-            dt_max_us=d["dt_max_us"],
-        )
-    if "sweep" in d:
-        out["sweep"] = tuple(d["sweep"])
-    return out
+        overrides["n_max_x"] = overrides["n_max_y"] = args.n_max
+    return build_config(name, overrides)
 
 
 def main(argv=None) -> int:

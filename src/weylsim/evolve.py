@@ -83,22 +83,6 @@ def evolve_unitary(h: LinOp, psi0: QState, grid: TimeGrid) -> list[QState]:
     return out
 
 
-def evolve_unitary_density(h: LinOp, rho0: QState, grid: TimeGrid) -> list[QState]:
-    """Unitary propagation of a (possibly mixed) state as a density matrix."""
-    _check_hamiltonian(h)
-    if rho0.space != h.space:
-        raise DomainError("state and Hamiltonian live on different spaces")
-    evals, evecs = h.eigh()
-    rho_eig = evecs.conj().T @ rho0.to_density() @ evecs
-    out = []
-    for t in grid.times - grid.t_start:
-        ph = np.exp(-1j * evals * t)
-        rho_t = evecs @ (np.outer(ph, ph.conj()) * rho_eig) @ evecs.conj().T
-        rho_t = (rho_t + rho_t.conj().T) / 2
-        out.append(QState("mixed", rho_t / np.trace(rho_t).real, rho0.space))
-    return out
-
-
 def expectation_series_density(
     h: LinOp, rho0: QState, obs: LinOp, grid: TimeGrid, label: str = ""
 ) -> TimeSeries:

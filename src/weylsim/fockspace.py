@@ -290,21 +290,24 @@ def spin_vector(spin: str) -> np.ndarray:
     return np.array(_SPIN_VECS[spin])
 
 
-def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Truncated, renormalized coherent-state Fock amplitudes."""
+def _coherent_fock(alpha: complex, dim: int) -> np.ndarray:
+    """Exact coherent-state amplitudes on Fock levels 0 .. dim - 1."""
     c = np.zeros(dim, dtype=complex)
     c[0] = np.exp(-abs(alpha) ** 2 / 2)
     for n in range(1, dim):
         c[n] = c[n - 1] * alpha / np.sqrt(n)
+    return c
+
+
+def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
+    """Truncated, renormalized coherent-state Fock amplitudes."""
+    c = _coherent_fock(alpha, dim)
     return c / np.linalg.norm(c)
 
 
 def coherent_leakage(alpha: complex, n_max: int) -> float:
     """Squared-norm weight of a coherent state beyond Fock level n_max."""
-    c = np.zeros(n_max + 1, dtype=complex)
-    c[0] = np.exp(-abs(alpha) ** 2 / 2)
-    for n in range(1, n_max + 1):
-        c[n] = c[n - 1] * alpha / np.sqrt(n)
+    c = _coherent_fock(alpha, n_max + 1)
     return float(max(0.0, 1.0 - np.sum(np.abs(c) ** 2)))
 
 

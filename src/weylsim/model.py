@@ -118,19 +118,25 @@ def weyl_hamiltonian(space: SpaceSpec, params: SimParams) -> LinOp:
     return (params.omega / math.sqrt(2)) * (sx @ px + sy @ (py - params.r * x))
 
 
+_QUADRATURE_TARGETS = {
+    "x": ("x", "position"),
+    "px": ("x", "momentum"),
+    "y": ("y", "position"),
+    "py": ("y", "momentum"),
+}
+
+
+def quadrature_target(space: SpaceSpec, target: str) -> LinOp:
+    """The quadrature a probe target names: "x", "px", "y" or "py"."""
+    if target not in _QUADRATURE_TARGETS:
+        raise DomainError(f"unknown quadrature target {target!r}")
+    return fs.quadrature(space, *_QUADRATURE_TARGETS[target])
+
+
 @lru_cache(maxsize=64)
 def probe_hamiltonian(space: SpaceSpec, params: SimParams, target: str) -> LinOp:
     """(omega_probe/sqrt(2)) sigma_y Q for the chosen quadrature Q."""
-    quads = {
-        "x": ("x", "position"),
-        "px": ("x", "momentum"),
-        "y": ("y", "position"),
-        "py": ("y", "momentum"),
-    }
-    if target not in quads:
-        raise DomainError(f"unknown quadrature target {target!r}")
-    mode, which = quads[target]
-    q = fs.quadrature(space, mode, which)
+    q = quadrature_target(space, target)
     return (params.omega_probe / math.sqrt(2)) * (fs.pauli(space, "y") @ q)
 
 
@@ -254,9 +260,7 @@ def _frame_basis(pad: int, r: float, n_keep: int, n_guide: int):
     padded two-mode phonon space.
     """
     d = pad + 1
-    a1 = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a1[n - 1, n] = np.sqrt(n)
+    a1 = fs._lowering_1m(d)
     ax = np.kron(a1, np.eye(d))
     ay = np.kron(np.eye(d), a1)
     sr = math.sqrt(r)

@@ -35,18 +35,6 @@ PROBE_PHASE_BUDGET = 0.25  # max sqrt(2) omega_probe t |<Q>| over the window
 FIT_RESIDUAL_LIMIT = 0.01
 
 
-def _quadrature_operator(space: SpaceSpec, target: str) -> LinOp:
-    ops = {
-        "x": ("x", "position"),
-        "px": ("x", "momentum"),
-        "y": ("y", "position"),
-        "py": ("y", "momentum"),
-    }
-    if target not in ops:
-        raise DomainError(f"unknown quadrature target {target!r}")
-    return fs.quadrature(space, *ops[target])
-
-
 def _default_probe_grid(params, q_estimate: float) -> ev.TimeGrid:
     t_end = PROBE_PHASE_BUDGET / (
         math.sqrt(2) * params.omega_probe * max(1.0, abs(q_estimate))
@@ -71,7 +59,7 @@ def measure_quadrature(
     dephasing channel during probing.
     """
     space = state.space
-    q_op = _quadrature_operator(space, target)
+    q_op = md.quadrature_target(space, target)
     q_direct = fs.expectation(q_op, state)  # window sizing only
     if probe_grid is None:
         probe_grid = _default_probe_grid(params, q_direct)

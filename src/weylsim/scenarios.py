@@ -10,12 +10,14 @@ expected value rests on), and a manifest of the resolved run.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,20 +27,15 @@ from . import evolve as ev
 from . import fockspace as fs
 from . import model as md
 from . import probe as pr
-from .errors import DomainError
+from .errors import ConfigError, DomainError, WeylSimError
 from .evolve import NoiseSpec, TimeGrid
 from .fockspace import SingleModeSpec, SpaceSpec
 from .model import SimParams
 
 SCENARIO_NAMES = ("dispersion", "landau", "helicity", "trajectory")
 
-# scenario defaults; frequencies in kHz, times in ms
-DISPERSION_OMEGA_KHZ = 4.75
-LANDAU_OMEGA_KHZ = 4.2
-TRAJECTORY_OMEGA_KHZ = 5.0
-TAU_D_X_MS = 4.0
+TAU_D_X_MS = 4.0  # dephasing times wherever noise is on
 TAU_D_Y_MS = 3.5
-DEFAULT_SWEEP = (0.59, 1.19, 1.78, 2.38)
 
 PEAK_FRAC_MAIN = 0.15
 PEAK_FRAC_FINE = 0.02
@@ -67,6 +64,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise DomainError(f"unknown scenario {self.name!r}")
+        if self.initial_spin not in fs.SPIN_LABELS:
+            raise DomainError(
+                f"initial_spin must be one of {', '.join(fs.SPIN_LABELS)}, "
+                f"got {self.initial_spin!r}"
+            )
         if self.name == "dispersion":
             if not self.sweep:
                 raise DomainError("dispersion requires a non-empty sweep")
@@ -81,79 +83,162 @@ class ScenarioConfig:
                 raise DomainError(f"{self.name} requires a time grid")
 
 
+# ---------------------------------------------------------------------------
+# config schema: one table of keys, one table of per-scenario defaults
+# ---------------------------------------------------------------------------
+
+
+def _number(kind, allow_inf: bool = False):
+    """Parser for a float or complex key; refuses NaN, and inf unless allowed."""
+
+    def parse(text: str):
+        value = kind(text)
+        if cmath.isnan(value) or (cmath.isinf(value) and not allow_inf):
+            raise ValueError(f"not a finite number: {text.strip()!r}")
+        return value
+
+    return parse
+
+
+_float = _number(float)
+_tau = _number(float, allow_inf=True)  # inf switches a dephasing channel off
+
+
+def _parse_bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_sweep(text: str) -> tuple[float, ...]:
+    return tuple(_float(tok) for tok in text.replace(",", " ").split())
+
+
+def _grid_us(attr: str):
+    return lambda c: None if c.grid is None else getattr(c.grid, attr) * 1e3
+
+
+class Field(NamedTuple):
+    """One config key: its parser, and its value read back from a config.
+
+    Values are in config-file units (kHz, us, ms); `read` gives None for a
+    key the scenario does not have.
+    """
+
+    parse: Callable[[str], object]
+    read: Callable[[ScenarioConfig], object]
+
+
+# every settable key, by its config-file name
+FIELDS = {
+    "omega_khz": Field(_float, lambda c: c.params.omega / (2 * math.pi)),
+    "r": Field(_float, lambda c: c.params.r),
+    "tau_d_x_ms": Field(_tau, lambda c: c.params.tau_d_x),
+    "tau_d_y_ms": Field(_tau, lambda c: c.params.tau_d_y),
+    "n_max_x": Field(int, lambda c: c.space.n_max_x),
+    "n_max_y": Field(int, lambda c: c.space.n_max_y),
+    "t_start_us": Field(_float, _grid_us("t_start")),
+    "t_end_us": Field(_float, _grid_us("t_end")),
+    "n_samples": Field(int, lambda c: None if c.grid is None else c.grid.n_samples),
+    "dt_max_us": Field(_float, _grid_us("dt_max")),
+    "noise": Field(_parse_bool, lambda c: c.noise_on),
+    "initial_spin": Field(str, lambda c: c.initial_spin),
+    "alpha_x": Field(_number(complex), lambda c: complex(c.alpha_x)),
+    "alpha_y": Field(_number(complex), lambda c: complex(c.alpha_y)),
+    "sweep": Field(_parse_sweep, lambda c: c.sweep),
+}
+
+# per-scenario defaults; "n_max" is (noiseless, noisy), and a scenario
+# without "t_end_us" has no time grid
+_DEFAULTS = {
+    "dispersion": dict(
+        omega_khz=4.75, r=0.0, noise=False, n_max=(18, 18),
+        initial_spin="plus_z", alpha_x=0j, sweep=(0.59, 1.19, 1.78, 2.38),
+    ),
+    "landau": dict(
+        omega_khz=4.2, r=1.0, noise=True, n_max=(40, 10),
+        initial_spin="plus_z", alpha_x=1j, t_end_us=600.0,
+    ),
+    "helicity": dict(
+        omega_khz=4.2, r=1.0, noise=False, n_max=(15, 15),
+        initial_spin="plus_x", alpha_x=1j, t_end_us=800.0,
+    ),
+    "trajectory": dict(
+        omega_khz=5.0, r=1.0, noise=False, n_max=(15, 15),
+        initial_spin="plus_x", alpha_x=1j, t_end_us=600.0,
+    ),
+}
+
+
+def _default_values(name: str, n_max: int | None, noise_on: bool | None) -> dict:
+    """A scenario's default value for each of its keys."""
+    if name not in _DEFAULTS:
+        raise DomainError(f"unknown scenario {name!r}")
+    values = dict(_DEFAULTS[name], alpha_y=0j)
+    noise = values["noise"] if noise_on is None else bool(noise_on)
+    n_max_by_noise = values.pop("n_max")
+    nm = n_max_by_noise[noise] if n_max is None else n_max
+    values.update(
+        noise=noise,
+        n_max_x=nm,
+        n_max_y=nm,
+        tau_d_x_ms=TAU_D_X_MS if noise else math.inf,
+        tau_d_y_ms=TAU_D_Y_MS if noise else math.inf,
+    )
+    if "t_end_us" in values:
+        values.update(t_start_us=0.0, n_samples=201, dt_max_us=ev.DT_MAX_DEFAULT * 1e3)
+    return values
+
+
+def _make(name: str, v: dict) -> ScenarioConfig:
+    grid = None
+    if "t_end_us" in v:
+        grid = TimeGrid(
+            v["t_start_us"] / 1e3,
+            v["t_end_us"] / 1e3,
+            v["n_samples"],
+            v["dt_max_us"] / 1e3,
+        )
+    return ScenarioConfig(
+        name=name,
+        params=SimParams.from_khz(
+            v["omega_khz"], r=v["r"], tau_d_x=v["tau_d_x_ms"], tau_d_y=v["tau_d_y_ms"]
+        ),
+        space=SpaceSpec(v["n_max_x"], v["n_max_y"]),
+        grid=grid,
+        sweep=v.get("sweep"),
+        initial_spin=v["initial_spin"],
+        alpha_x=v["alpha_x"],
+        alpha_y=v["alpha_y"],
+        noise_on=v["noise"],
+    )
+
+
 def default_config(
     name: str, n_max: int | None = None, noise_on: bool | None = None
 ) -> ScenarioConfig:
     """Resolved defaults for a named scenario."""
-    if name == "dispersion":
-        noise = bool(noise_on) if noise_on is not None else False
-        nm = n_max if n_max is not None else 18
-        return ScenarioConfig(
-            name=name,
-            params=SimParams.from_khz(
-                DISPERSION_OMEGA_KHZ,
-                r=0.0,
-                tau_d_x=TAU_D_X_MS if noise else math.inf,
-                tau_d_y=TAU_D_Y_MS if noise else math.inf,
-            ),
-            space=SpaceSpec(nm, nm),
-            grid=None,
-            sweep=DEFAULT_SWEEP,
-            initial_spin="plus_z",
-            noise_on=noise,
-        )
-    if name == "landau":
-        noise = bool(noise_on) if noise_on is not None else True
-        nm = n_max if n_max is not None else (10 if noise else 40)
-        return ScenarioConfig(
-            name=name,
-            params=SimParams.from_khz(
-                LANDAU_OMEGA_KHZ,
-                r=1.0,
-                tau_d_x=TAU_D_X_MS if noise else math.inf,
-                tau_d_y=TAU_D_Y_MS if noise else math.inf,
-            ),
-            space=SpaceSpec(nm, nm),
-            grid=TimeGrid(0.0, 0.6, 201),
-            initial_spin="plus_z",
-            alpha_x=1j,
-            noise_on=noise,
-        )
-    if name == "helicity":
-        noise = bool(noise_on) if noise_on is not None else False
-        nm = n_max if n_max is not None else 15
-        return ScenarioConfig(
-            name=name,
-            params=SimParams.from_khz(
-                LANDAU_OMEGA_KHZ,
-                r=1.0,
-                tau_d_x=TAU_D_X_MS if noise else math.inf,
-                tau_d_y=TAU_D_Y_MS if noise else math.inf,
-            ),
-            space=SpaceSpec(nm, nm),
-            grid=TimeGrid(0.0, 0.8, 201),
-            initial_spin="plus_x",
-            alpha_x=1j,
-            noise_on=noise,
-        )
-    if name == "trajectory":
-        noise = bool(noise_on) if noise_on is not None else False
-        nm = n_max if n_max is not None else 15
-        return ScenarioConfig(
-            name=name,
-            params=SimParams.from_khz(
-                TRAJECTORY_OMEGA_KHZ,
-                r=1.0,
-                tau_d_x=TAU_D_X_MS if noise else math.inf,
-                tau_d_y=TAU_D_Y_MS if noise else math.inf,
-            ),
-            space=SpaceSpec(nm, nm),
-            grid=TimeGrid(0.0, 0.6, 201),
-            initial_spin="plus_x",
-            alpha_x=1j,
-            noise_on=noise,
-        )
-    raise DomainError(f"unknown scenario {name!r}")
+    return _make(name, _default_values(name, n_max, noise_on))
+
+
+def build_config(name: str, overrides: dict) -> ScenarioConfig:
+    """A scenario's defaults with some keys of FIELDS overridden.
+
+    The defaults follow the overrides: `noise` picks the dephasing times
+    and landau's truncation, and `n_max_x` sets `n_max_y` unless that is
+    given too.  Any invalid key or value raises ConfigError.
+    """
+    try:
+        values = _default_values(name, overrides.get("n_max_x"), overrides.get("noise"))
+        stray = sorted(overrides.keys() - values.keys())
+        if stray:
+            raise DomainError(f"no such key: {', '.join(stray)}")
+        return _make(name, values | overrides)
+    except WeylSimError as exc:
+        raise ConfigError(f"invalid configuration for {name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -203,35 +288,18 @@ def _encode(value):
         return str(value)
     if isinstance(value, float) and math.isinf(value):
         return "inf"
+    if isinstance(value, tuple):
+        return list(value)
     return value
 
 
 def config_dict(cfg: ScenarioConfig) -> dict:
     """JSON-safe dictionary of a fully resolved config."""
-    p = cfg.params
-    out = {
-        "scenario": cfg.name,
-        "omega_khz": p.omega / (2 * math.pi),
-        "omega_probe_khz": p.omega_probe / (2 * math.pi),
-        "r": p.r,
-        "tau_d_x_ms": _encode(p.tau_d_x),
-        "tau_d_y_ms": _encode(p.tau_d_y),
-        "n_max_x": cfg.space.n_max_x,
-        "n_max_y": cfg.space.n_max_y,
-        "initial_spin": cfg.initial_spin,
-        "alpha_x": _encode(complex(cfg.alpha_x)),
-        "alpha_y": _encode(complex(cfg.alpha_y)),
-        "noise_on": cfg.noise_on,
-    }
-    if cfg.grid is not None:
-        out.update(
-            t_start_us=cfg.grid.t_start * 1e3,
-            t_end_us=cfg.grid.t_end * 1e3,
-            n_samples=cfg.grid.n_samples,
-            dt_max_us=cfg.grid.dt_max * 1e3,
-        )
-    if cfg.sweep is not None:
-        out["sweep"] = list(cfg.sweep)
+    out = {"scenario": cfg.name}
+    for key, field in FIELDS.items():
+        value = field.read(cfg)
+        if value is not None:
+            out["noise_on" if key == "noise" else key] = _encode(value)
     return out
 
 
@@ -320,9 +388,7 @@ def sigma_z_series_blocked(cfg: ScenarioConfig, grid: TimeGrid) -> np.ndarray:
     value to dense propagation, at a fraction of the cost.
     """
     dy = cfg.space.n_max_y + 1
-    a1 = np.zeros((dy, dy), dtype=complex)
-    for n in range(1, dy):
-        a1[n - 1, n] = math.sqrt(n)
+    a1 = fs._lowering_1m(dy)
     py_mat = 1j * (a1.conj().T - a1) / math.sqrt(2)
     py_vals, py_vecs = np.linalg.eigh(py_mat)
     weights = np.abs(py_vecs.conj().T @ fs.coherent_amplitudes(cfg.alpha_y, dy)) ** 2

@@ -1,12 +1,21 @@
 import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from weylsim import cli
 from weylsim.errors import ConfigError
-from weylsim.scenarios import default_config
+from weylsim.scenarios import (
+    FIELDS,
+    SCENARIO_NAMES,
+    build_config,
+    config_dict,
+    default_config,
+)
 
 
 def run_cli(*argv):
@@ -66,12 +75,93 @@ def test_invalid_value_rejected(tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
-    for name in ("dispersion", "landau", "helicity", "trajectory"):
-        cfg = default_config(name, n_max=9)
-        path = tmp_path / f"{name}.ini"
+    configs = [
+        default_config(name, n_max=9, noise_on=noise)
+        for name in SCENARIO_NAMES
+        for noise in (True, False)
+    ]
+    # every key away from its default
+    configs.append(
+        build_config(
+            "landau",
+            {
+                "omega_khz": 5.5,
+                "r": 0.8,
+                "tau_d_x_ms": 2.5,
+                "tau_d_y_ms": math.inf,
+                "n_max_x": 7,
+                "n_max_y": 6,
+                "t_start_us": 10.0,
+                "t_end_us": 450.0,
+                "n_samples": 151,
+                "dt_max_us": 0.1,
+                "noise": False,
+                "initial_spin": "minus_x",
+                "alpha_x": 0.5 - 0.25j,
+                "alpha_y": 0.3j,
+            },
+        )
+    )
+    configs.append(
+        build_config(
+            "dispersion",
+            {"omega_khz": 3.25, "n_max_x": 8, "alpha_y": 0.1, "sweep": (0.5, 1.25)},
+        )
+    )
+    manifest_keys = set()
+    for i, cfg in enumerate(configs):
+        path = tmp_path / f"{i}.ini"
         path.write_text(cli.dump_config(cfg))
-        again = cli.load_config(path, name)
+        again = cli.load_config(path, cfg.name)
         assert again == cfg
+        manifest_keys |= set(config_dict(cfg))
+    assert len(FIELDS) == 15
+    assert manifest_keys == {"scenario", "noise_on"} | set(FIELDS) - {"noise"}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_cli_flags_equal_config_keys(tmp_path, name):
+    def resolve(ini, *flags):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{name}]\n{ini}")
+        args = cli._build_parser().parse_args([name, "--config", str(path), *flags])
+        return cli._resolve(name, args)
+
+    assert resolve("", "--no-noise") == resolve("noise = false\n")
+    assert resolve("", "--n-max", "9") == resolve("n_max_x = 9\nn_max_y = 9\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "r = nan",
+        "t_end_us = nan",
+        "omega_khz = inf",
+        "initial_spin = up",
+        "alpha_x = nanj",
+    ],
+)
+def test_invalid_values_exit_2(tmp_path, capsys, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[landau]\n{line}\n")
+    code = run_cli("landau", "--config", path, "--out", tmp_path / "run", "--quiet")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_readme_ini_examples_load(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    for i, text in enumerate(blocks):
+        path = tmp_path / f"readme{i}.ini"
+        path.write_text(text)
+        sections = re.findall(r"^\[(\w+)\]", text, re.M)
+        assert sections
+        for name in sections:
+            cli.load_config(path, name)
 
 
 # --- end-to-end runs --------------------------------------------------------------

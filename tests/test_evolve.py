@@ -182,27 +182,6 @@ def test_integrator_blowup_raises(tiny):
         ev.evolve_lindblad(h, NoiseSpec(0.001, 0.001), psi0, grid)
 
 
-def test_mixed_unitary_density_path(tiny):
-    params = SimParams.from_khz(4.2, r=1.0)
-    h = md.weyl_hamiltonian(tiny, params)
-    psi0 = fs.coherent_state(tiny, 0.7j, 0, "plus_z")
-    grid = TimeGrid(0.0, 0.2, 9)
-    sz = fs.pauli(tiny, "z")
-    pure = ev.observable_series(ev.evolve_unitary(h, psi0, grid), sz, grid)
-    dens = ev.observable_series(
-        ev.evolve_unitary_density(h, fs.spin_reset(psi0), grid),
-        fs.quadrature(tiny, "x", "position"),
-        grid,
-    )
-    # sanity: the density path propagates and keeps states valid
-    assert len(dens.values) == grid.n_samples
-    psi_rho = fs.QState("mixed", psi0.to_density(), tiny)
-    dens_sz = ev.observable_series(
-        ev.evolve_unitary_density(h, psi_rho, grid), sz, grid
-    )
-    assert np.abs(dens_sz.values - pure.values).max() < 1e-10
-
-
 def test_grid_validation():
     with pytest.raises(DomainError):
         TimeGrid(0.0, 0.0, 5)
