@@ -42,16 +42,16 @@ class SimParams:
     tau_d_y: float = math.inf
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise DomainError("omega must be positive")
-        if self.r < 0:
-            raise DomainError("r must be non-negative")
-        if self.tau_d_x <= 0 or self.tau_d_y <= 0:
+        if not 0 < self.omega < math.inf:
+            raise DomainError("omega must be positive and finite")
+        if not 0 <= self.r < math.inf:
+            raise DomainError("r must be non-negative and finite")
+        if not (self.tau_d_x > 0 and self.tau_d_y > 0):
             raise DomainError("dephasing times must be positive (inf for none)")
         if self.omega_probe is None:
             object.__setattr__(self, "omega_probe", self.omega)
-        elif self.omega_probe < 0:
-            raise DomainError("omega_probe must be non-negative")
+        elif not 0 <= self.omega_probe < math.inf:
+            raise DomainError("omega_probe must be non-negative and finite")
 
     @classmethod
     def from_khz(
@@ -110,12 +110,18 @@ def weyl_hamiltonian(space: SpaceSpec, params: SimParams) -> LinOp:
     red_x((1-r) omega, pi/2) + blue_x((1+r) omega, pi/2)
     + red_y(omega, pi) + blue_y(omega, 0).
     """
+    pi_x, pi_y = kinetic_momentum(space, params)
+    sx = fs.pauli(space, "x")
+    sy = fs.pauli(space, "y")
+    return (params.omega / math.sqrt(2)) * (sx @ pi_x + sy @ pi_y)
+
+
+def kinetic_momentum(space: SpaceSpec, params: SimParams) -> tuple[LinOp, LinOp]:
+    """Kinetic momenta (pi_x, pi_y) = (p_x, p_y - r x) in the field's gauge."""
     px = fs.quadrature(space, "x", "momentum")
     py = fs.quadrature(space, "y", "momentum")
     x = fs.quadrature(space, "x", "position")
-    sx = fs.pauli(space, "x")
-    sy = fs.pauli(space, "y")
-    return (params.omega / math.sqrt(2)) * (sx @ px + sy @ (py - params.r * x))
+    return px, py - params.r * x
 
 
 _QUADRATURE_TARGETS = {

@@ -17,7 +17,7 @@ from . import analyze as an
 from . import evolve as ev
 from . import fockspace as fs
 from . import model as md
-from .analyze import SlopeFit, TimeSeries
+from .analyze import SlopeFit
 from .errors import DomainError, FitError, RegimeError
 from .fockspace import LinOp, QState, SpaceSpec
 
@@ -25,8 +25,6 @@ __all__ = [
     "SlopeFit",
     "measure_quadrature",
     "measure_energy_slope",
-    "kinetic_momentum_series",
-    "spin_series",
     "sigma_theta_perp",
 ]
 
@@ -70,15 +68,12 @@ def measure_quadrature(
         )
     prepared = fs.spin_rotation(fs.spin_reset(state), "y", -math.pi / 2)
     h_probe = md.probe_hamiltonian(space, params, target)
-    sz_op = fs.pauli(space, "z")
+    sz = {"sigma_z": fs.pauli(space, "z")}
     if noise is None:
-        sz = ev.expectation_series_density(
-            h_probe, prepared, sz_op, probe_grid, "sigma_z"
-        )
+        series = ev.evolve_unitary(h_probe, prepared, probe_grid, sz)
     else:
-        states = ev.evolve_lindblad(h_probe, noise, prepared, probe_grid)
-        sz = ev.observable_series(states, sz_op, probe_grid, "sigma_z")
-    fit = an.fit_polynomial(sz, 3)
+        series = ev.evolve_lindblad(h_probe, noise, prepared, probe_grid, sz)
+    fit = an.fit_polynomial(series["sigma_z"], 3)
     if fit.residual_rms > FIT_RESIDUAL_LIMIT:
         raise FitError(f"probe fit residual {fit.residual_rms:.2e} too large")
     return -fit.slope_at_zero / (math.sqrt(2) * params.omega_probe)
@@ -117,34 +112,10 @@ def measure_energy_slope(
         e_est = params.omega / math.sqrt(2) * max(p, 0.5)
         grid = ev.TimeGrid(0.0, PROBE_PHASE_BUDGET / (2 * e_est), PROBE_SAMPLES)
     h_free = md.weyl_hamiltonian(space, params)
-    states = ev.evolve_unitary(h_free, psi0, grid)
-    series = ev.observable_series(
-        states, sigma_theta_perp(space, theta), grid, "sigma_theta_perp"
-    )
+    series = ev.evolve_unitary(
+        h_free, psi0, grid, {"sigma_theta_perp": sigma_theta_perp(space, theta)}
+    )["sigma_theta_perp"]
     fit = an.fit_polynomial(series, 3)
     if fit.residual_rms > FIT_RESIDUAL_LIMIT:
         raise FitError(f"energy fit residual {fit.residual_rms:.2e} too large")
     return -fit.slope_at_zero / 2
-
-
-def kinetic_momentum_series(
-    states: list[QState], params, grid: ev.TimeGrid
-) -> tuple[TimeSeries, TimeSeries]:
-    """(<pi_x>, <pi_y>)(t) with pi_x = p_x and pi_y = p_y - r x."""
-    space = states[0].space
-    pi_x = fs.quadrature(space, "x", "momentum")
-    pi_y = fs.quadrature(space, "y", "momentum") - params.r * fs.quadrature(
-        space, "x", "position"
-    )
-    return (
-        ev.observable_series(states, pi_x, grid, "pi_x"),
-        ev.observable_series(states, pi_y, grid, "pi_y"),
-    )
-
-
-def spin_series(states: list[QState], axis: str, grid: ev.TimeGrid) -> TimeSeries:
-    """<sigma_axis>(t) over a state sequence."""
-    space = states[0].space
-    return ev.observable_series(
-        states, fs.pauli(space, axis), grid, f"sigma_{axis}"
-    )

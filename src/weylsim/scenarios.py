@@ -74,6 +74,8 @@ class ScenarioConfig:
                 raise DomainError("dispersion requires a non-empty sweep")
             if self.params.r != 0:
                 raise DomainError("dispersion requires r = 0")
+            if self.noise_on:
+                raise DomainError("dispersion is noiseless: noise must be false")
         else:
             if self.sweep is not None:
                 raise DomainError("sweep is only meaningful for dispersion")
@@ -117,8 +119,13 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
     return tuple(_float(tok) for tok in text.replace(",", " ").split())
 
 
-def _grid_us(attr: str):
-    return lambda c: None if c.grid is None else getattr(c.grid, attr) * 1e3
+def _evolving(read):
+    """Read-back of a key only the scenarios with a time grid have.
+
+    Those evolve one prepared state, optionally under dephasing; dispersion
+    prepares its own noiseless wavepackets, so it has none of these keys.
+    """
+    return lambda c: None if c.grid is None else read(c)
 
 
 class Field(NamedTuple):
@@ -136,18 +143,18 @@ class Field(NamedTuple):
 FIELDS = {
     "omega_khz": Field(_float, lambda c: c.params.omega / (2 * math.pi)),
     "r": Field(_float, lambda c: c.params.r),
-    "tau_d_x_ms": Field(_tau, lambda c: c.params.tau_d_x),
-    "tau_d_y_ms": Field(_tau, lambda c: c.params.tau_d_y),
+    "tau_d_x_ms": Field(_tau, _evolving(lambda c: c.params.tau_d_x)),
+    "tau_d_y_ms": Field(_tau, _evolving(lambda c: c.params.tau_d_y)),
     "n_max_x": Field(int, lambda c: c.space.n_max_x),
     "n_max_y": Field(int, lambda c: c.space.n_max_y),
-    "t_start_us": Field(_float, _grid_us("t_start")),
-    "t_end_us": Field(_float, _grid_us("t_end")),
-    "n_samples": Field(int, lambda c: None if c.grid is None else c.grid.n_samples),
-    "dt_max_us": Field(_float, _grid_us("dt_max")),
-    "noise": Field(_parse_bool, lambda c: c.noise_on),
-    "initial_spin": Field(str, lambda c: c.initial_spin),
-    "alpha_x": Field(_number(complex), lambda c: complex(c.alpha_x)),
-    "alpha_y": Field(_number(complex), lambda c: complex(c.alpha_y)),
+    "t_start_us": Field(_float, _evolving(lambda c: c.grid.t_start * 1e3)),
+    "t_end_us": Field(_float, _evolving(lambda c: c.grid.t_end * 1e3)),
+    "n_samples": Field(int, _evolving(lambda c: c.grid.n_samples)),
+    "dt_max_us": Field(_float, _evolving(lambda c: c.grid.dt_max * 1e3)),
+    "noise": Field(_parse_bool, _evolving(lambda c: c.noise_on)),
+    "initial_spin": Field(str, _evolving(lambda c: c.initial_spin)),
+    "alpha_x": Field(_number(complex), _evolving(lambda c: complex(c.alpha_x))),
+    "alpha_y": Field(_number(complex), _evolving(lambda c: complex(c.alpha_y))),
     "sweep": Field(_parse_sweep, lambda c: c.sweep),
 }
 
@@ -156,7 +163,7 @@ FIELDS = {
 _DEFAULTS = {
     "dispersion": dict(
         omega_khz=4.75, r=0.0, noise=False, n_max=(18, 18),
-        initial_spin="plus_z", alpha_x=0j, sweep=(0.59, 1.19, 1.78, 2.38),
+        sweep=(0.59, 1.19, 1.78, 2.38),
     ),
     "landau": dict(
         omega_khz=4.2, r=1.0, noise=True, n_max=(40, 10),
@@ -177,24 +184,25 @@ def _default_values(name: str, n_max: int | None, noise_on: bool | None) -> dict
     """A scenario's default value for each of its keys."""
     if name not in _DEFAULTS:
         raise DomainError(f"unknown scenario {name!r}")
-    values = dict(_DEFAULTS[name], alpha_y=0j)
+    values = dict(_DEFAULTS[name])
     noise = values["noise"] if noise_on is None else bool(noise_on)
     n_max_by_noise = values.pop("n_max")
     nm = n_max_by_noise[noise] if n_max is None else n_max
-    values.update(
-        noise=noise,
-        n_max_x=nm,
-        n_max_y=nm,
-        tau_d_x_ms=TAU_D_X_MS if noise else math.inf,
-        tau_d_y_ms=TAU_D_Y_MS if noise else math.inf,
-    )
+    values.update(noise=noise, n_max_x=nm, n_max_y=nm)
     if "t_end_us" in values:
-        values.update(t_start_us=0.0, n_samples=201, dt_max_us=ev.DT_MAX_DEFAULT * 1e3)
+        values.update(
+            t_start_us=0.0,
+            n_samples=201,
+            dt_max_us=ev.DT_MAX_DEFAULT * 1e3,
+            alpha_y=0j,
+            tau_d_x_ms=TAU_D_X_MS if noise else math.inf,
+            tau_d_y_ms=TAU_D_Y_MS if noise else math.inf,
+        )
     return values
 
 
 def _make(name: str, v: dict) -> ScenarioConfig:
-    grid = None
+    grid, taus, state = None, {}, {}
     if "t_end_us" in v:
         grid = TimeGrid(
             v["t_start_us"] / 1e3,
@@ -202,18 +210,16 @@ def _make(name: str, v: dict) -> ScenarioConfig:
             v["n_samples"],
             v["dt_max_us"] / 1e3,
         )
+        taus = {"tau_d_x": v["tau_d_x_ms"], "tau_d_y": v["tau_d_y_ms"]}
+        state = {k: v[k] for k in ("initial_spin", "alpha_x", "alpha_y")}
     return ScenarioConfig(
         name=name,
-        params=SimParams.from_khz(
-            v["omega_khz"], r=v["r"], tau_d_x=v["tau_d_x_ms"], tau_d_y=v["tau_d_y_ms"]
-        ),
+        params=SimParams.from_khz(v["omega_khz"], r=v["r"], **taus),
         space=SpaceSpec(v["n_max_x"], v["n_max_y"]),
         grid=grid,
         sweep=v.get("sweep"),
-        initial_spin=v["initial_spin"],
-        alpha_x=v["alpha_x"],
-        alpha_y=v["alpha_y"],
         noise_on=v["noise"],
+        **state,
     )
 
 
@@ -313,6 +319,14 @@ def _threads() -> int:
     return os.cpu_count() or 1
 
 
+def _evolve(cfg: ScenarioConfig, h, psi0, observables: dict) -> dict:
+    """Observable series of a scenario run, under dephasing if noise is on."""
+    if cfg.noise_on:
+        noise = NoiseSpec.from_params(cfg.params)
+        return ev.evolve_lindblad(h, noise, psi0, cfg.grid, observables)
+    return ev.evolve_unitary(h, psi0, cfg.grid, observables)
+
+
 def _finish(name, cfg, tables, checks, started, t0) -> ScenarioResult:
     manifest = {
         "scenario": name,
@@ -384,8 +398,8 @@ def sigma_z_series_blocked(cfg: ScenarioConfig, grid: TimeGrid) -> np.ndarray:
 
     The y-momentum commutes with the Hamiltonian even on the truncated
     space, so a product initial state evolves as a classical mixture over
-    p_y eigensectors, each a qubit (x) mode-x problem.  Bit-identical in
-    value to dense propagation, at a fraction of the cost.
+    p_y eigensectors, each a qubit (x) mode-x problem.  Agrees with dense
+    propagation to rounding, at a fraction of the cost.
     """
     dy = cfg.space.n_max_y + 1
     a1 = fs._lowering_1m(dy)
@@ -402,14 +416,13 @@ def sigma_z_series_blocked(cfg: ScenarioConfig, grid: TimeGrid) -> np.ndarray:
         ),
         sm,
     )
-    sz_op = fs.pauli(sm, "z")
+    sz = {"sigma_z": fs.pauli(sm, "z")}
     total = np.zeros(grid.n_samples)
     for w, py in zip(weights, py_vals):
         if w < 1e-16:
             continue
         h_k = md.weyl_block_hamiltonian(sm, cfg.params, float(py))
-        states = ev.evolve_unitary(h_k, psi_x, grid)
-        total += w * ev.observable_series(states, sz_op, grid).values
+        total += w * ev.evolve_unitary(h_k, psi_x, grid, sz)["sigma_z"].values
     return total
 
 
@@ -450,8 +463,7 @@ def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.noise_on:
         psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
         h = md.weyl_hamiltonian(cfg.space, params)
-        states = ev.evolve_lindblad(h, NoiseSpec.from_params(params), psi0, grid)
-        main = ev.observable_series(states, fs.pauli(cfg.space, "z"), grid, "sigma_z")
+        main = _evolve(cfg, h, psi0, {"sigma_z": fs.pauli(cfg.space, "z")})["sigma_z"]
     else:
         main = an.TimeSeries(grid.times, sigma_z_series_blocked(cfg, grid), "sigma_z")
 
@@ -518,17 +530,17 @@ def run_helicity(cfg: ScenarioConfig) -> ScenarioResult:
     grid = cfg.grid
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     h = md.weyl_hamiltonian(cfg.space, cfg.params)
-    if cfg.noise_on:
-        states = ev.evolve_lindblad(h, NoiseSpec.from_params(cfg.params), psi0, grid)
-    else:
-        states = ev.evolve_unitary(h, psi0, grid)
-
-    sx = pr.spin_series(states, "x", grid)
-    sy = pr.spin_series(states, "y", grid)
-    pix, piy = pr.kinetic_momentum_series(states, cfg.params, grid)
-    py_series = ev.observable_series(
-        states, fs.quadrature(cfg.space, "y", "momentum"), grid, "p_y"
-    )
+    pi_x, pi_y = md.kinetic_momentum(cfg.space, cfg.params)
+    observables = {
+        "sigma_x": fs.pauli(cfg.space, "x"),
+        "sigma_y": fs.pauli(cfg.space, "y"),
+        "pi_x": pi_x,
+        "pi_y": pi_y,
+        "p_y": fs.quadrature(cfg.space, "y", "momentum"),
+    }
+    series = _evolve(cfg, h, psi0, observables)
+    sx, sy, pix, piy = (series[k] for k in ("sigma_x", "sigma_y", "pi_x", "pi_y"))
+    py_series = series["p_y"]
     az = an.azimuth_pair_series(sx, sy, pix, piy)
 
     tables = {
@@ -601,16 +613,8 @@ def run_trajectory(cfg: ScenarioConfig) -> ScenarioResult:
 
     def branch(spin):
         psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
-        if cfg.noise_on:
-            states = ev.evolve_lindblad(
-                h, NoiseSpec.from_params(cfg.params), psi0, grid
-            )
-        else:
-            states = ev.evolve_unitary(h, psi0, grid)
-        return (
-            ev.observable_series(states, x_op, grid, "x"),
-            ev.observable_series(states, y_op, grid, "y"),
-        )
+        series = _evolve(cfg, h, psi0, {"x": x_op, "y": y_op})
+        return series["x"], series["y"]
 
     with ThreadPoolExecutor(max_workers=min(_threads(), 2)) as pool:
         fut_p = pool.submit(branch, "plus_x")

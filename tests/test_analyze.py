@@ -99,8 +99,8 @@ def test_predictor_equals_numerical_propagation(sm_space):
     psi0 = fs.single_mode_coherent(sm_space, 1j, "plus_z")
     predicted = an.predict_sigma_z_series(psi0, params, grid)
     h = md.transformed_hamiltonian(sm_space, params)
-    states = ev.evolve_unitary(h, psi0, grid)
-    numeric = ev.observable_series(states, fs.pauli(sm_space, "z"), grid)
+    sz = {"sigma_z": fs.pauli(sm_space, "z")}
+    numeric = ev.evolve_unitary(h, psi0, grid, sz)["sigma_z"]
     assert np.abs(predicted.values - numeric.values).max() < 1e-8
 
 
@@ -130,8 +130,9 @@ def test_predictor_mixed_state_and_phases():
     red = md.cyclotron_frame_state(psi0, params)
     predicted = an.predict_sigma_z_series(red, params, grid)
     h = md.weyl_hamiltonian(space, params)
-    states = ev.evolve_unitary(h, psi0, grid)
-    numeric = ev.observable_series(states, fs.pauli(space, "z"), grid)
+    numeric = ev.evolve_unitary(h, psi0, grid, {"sigma_z": fs.pauli(space, "z")})[
+        "sigma_z"
+    ]
     # agreement is limited by the two-mode truncation, not the predictor
     assert np.abs(predicted.values - numeric.values).max() < 5e-4
 

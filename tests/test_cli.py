@@ -79,6 +79,7 @@ def test_config_roundtrip(tmp_path):
         default_config(name, n_max=9, noise_on=noise)
         for name in SCENARIO_NAMES
         for noise in (True, False)
+        if not (name == "dispersion" and noise)  # dispersion is noiseless
     ]
     # every key away from its default
     configs.append(
@@ -105,7 +106,7 @@ def test_config_roundtrip(tmp_path):
     configs.append(
         build_config(
             "dispersion",
-            {"omega_khz": 3.25, "n_max_x": 8, "alpha_y": 0.1, "sweep": (0.5, 1.25)},
+            {"omega_khz": 3.25, "n_max_x": 8, "n_max_y": 7, "sweep": (0.5, 1.25)},
         )
     )
     manifest_keys = set()
@@ -115,6 +116,10 @@ def test_config_roundtrip(tmp_path):
         again = cli.load_config(path, cfg.name)
         assert again == cfg
         manifest_keys |= set(config_dict(cfg))
+        if cfg.name == "dispersion":  # only the keys its runner reads
+            assert set(config_dict(cfg)) == {
+                "scenario", "omega_khz", "r", "n_max_x", "n_max_y", "sweep"
+            }
     assert len(FIELDS) == 15
     assert manifest_keys == {"scenario", "noise_on"} | set(FIELDS) - {"noise"}
 
@@ -131,20 +136,25 @@ def test_cli_flags_equal_config_keys(tmp_path, name):
     assert resolve("", "--n-max", "9") == resolve("n_max_x = 9\nn_max_y = 9\n")
 
 
+INVALID_VALUES = [
+    ("landau", "r = nan"),
+    ("landau", "t_end_us = nan"),
+    ("landau", "omega_khz = inf"),
+    ("landau", "initial_spin = up"),
+    ("landau", "alpha_x = nanj"),
+    # dispersion prepares its own noiseless wavepackets
+    ("dispersion", "noise = true"),
+    ("dispersion", "alpha_x = 1j"),
+]
+
+
 @pytest.mark.parametrize(
-    "line",
-    [
-        "r = nan",
-        "t_end_us = nan",
-        "omega_khz = inf",
-        "initial_spin = up",
-        "alpha_x = nanj",
-    ],
+    "name, line", INVALID_VALUES, ids=[line for _, line in INVALID_VALUES]
 )
-def test_invalid_values_exit_2(tmp_path, capsys, line):
+def test_invalid_values_exit_2(tmp_path, capsys, name, line):
     path = tmp_path / "bad.ini"
-    path.write_text(f"[landau]\n{line}\n")
-    code = run_cli("landau", "--config", path, "--out", tmp_path / "run", "--quiet")
+    path.write_text(f"[{name}]\n{line}\n")
+    code = run_cli(name, "--config", path, "--out", tmp_path / "run", "--quiet")
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from weylsim import fockspace as fs
 from weylsim import model as md
 from weylsim.errors import ConvergenceError, DomainError
 from weylsim.evolve import NoiseSpec, TimeGrid
-from weylsim.fockspace import SpaceSpec
+from weylsim.fockspace import LinOp, QState, SpaceSpec
 from weylsim.model import SimParams
 
 
@@ -21,12 +22,34 @@ def oracle_propagate(h_matrix, psi, t):
 # --- unitary ------------------------------------------------------------------
 
 
+def oracle_series(h_matrix, psi, ops, times):
+    """Per-sample expectations of each operator on oracle-propagated states."""
+    states = [oracle_propagate(h_matrix, psi, t) for t in times]
+    return {
+        label: np.array([np.vdot(st, op.matrix @ st).real for st in states])
+        for label, op in ops.items()
+    }
+
+
+def observables(space):
+    return {
+        "x": fs.quadrature(space, "x", "position"),
+        "p_x": fs.quadrature(space, "x", "momentum"),
+        "y": fs.quadrature(space, "y", "position"),
+        "p_y": fs.quadrature(space, "y", "momentum"),
+        "sigma_x": fs.pauli(space, "x"),
+        "sigma_z": fs.pauli(space, "z"),
+    }
+
+
 def test_zero_hamiltonian_is_constant(small_space):
     h = 0.0 * fs.identity(small_space)
     psi0 = fs.coherent_state(small_space, 0.5j, 0.2, "plus_x")
-    states = ev.evolve_unitary(h, psi0, TimeGrid(0.0, 1.0, 7))
-    for st in states:
-        assert np.abs(st.data - psi0.data).max() < 1e-12
+    ops = observables(small_space)
+    series = ev.evolve_unitary(h, psi0, TimeGrid(0.0, 1.0, 7), ops)
+    for label, op in ops.items():
+        assert np.abs(series[label].values - fs.expectation(op, psi0)).max() < 1e-12
+    assert series["norm_drift"].values.max() < 1e-12
 
 
 def test_zero_mode_is_stationary(sm_space):
@@ -34,9 +57,8 @@ def test_zero_mode_is_stationary(sm_space):
     h = md.transformed_hamiltonian(sm_space, params)
     psi0 = md.landau_eigenstate(sm_space, 0, "zero")
     grid = TimeGrid(0.0, 0.6, 31)
-    states = ev.evolve_unitary(h, psi0, grid)
-    sz = ev.observable_series(states, fs.pauli(sm_space, "z"), grid)
-    assert np.abs(sz.values - 1.0).max() < 1e-12
+    sz = ev.evolve_unitary(h, psi0, grid, {"sigma_z": fs.pauli(sm_space, "z")})
+    assert np.abs(sz["sigma_z"].values - 1.0).max() < 1e-12
 
 
 def test_early_slope_matches_finite_difference_oracle(space):
@@ -56,11 +78,13 @@ def test_early_slope_matches_finite_difference_oracle(space):
     want = -2 * (omega / math.sqrt(2)) * 1.0
     assert abs(fd - want) < 1e-5 * abs(want)
 
-    # the library propagator reproduces the oracle states sample by sample
+    # the library propagator reproduces the oracle series sample by sample
     grid = TimeGrid(0.0, 2 * eps, 3)
-    states = ev.evolve_unitary(h, psi0, grid)
-    for t, st in zip(grid.times, states):
-        assert np.abs(st.data - oracle_propagate(h.matrix, psi0.data, t)).max() < 1e-12
+    ops = observables(space) | {"sigma_y": fs.pauli(space, "y")}
+    series = ev.evolve_unitary(h, psi0, grid, ops)
+    want = oracle_series(h.matrix, psi0.data, ops, grid.times)
+    for label in ops:
+        assert np.abs(series[label].values - want[label]).max() < 1e-12
 
 
 def test_unitary_norm_and_energy_conserved(space):
@@ -68,24 +92,72 @@ def test_unitary_norm_and_energy_conserved(space):
     h = md.weyl_hamiltonian(space, params)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.6, 61)
-    states = ev.evolve_unitary(h, psi0, grid)
-    e0 = fs.expectation(h, states[0])
-    scale = max(abs(e0), params.omega)
-    for st in states:
-        assert abs(np.linalg.norm(st.data) - 1.0) < 1e-9
-        assert abs(fs.expectation(h, st) - e0) < 1e-8 * scale
+    series = ev.evolve_unitary(h, psi0, grid, {"energy": h})
+    energy = series["energy"].values
+    scale = max(abs(energy[0]), params.omega)
+    assert series["norm_drift"].values.max() < 1e-9
+    assert np.abs(energy - energy[0]).max() < 1e-8 * scale
 
 
-def test_unitary_requires_hermitian_and_pure(small_space):
+def test_unitary_rejects_invalid_inputs(small_space):
     a = fs.mode_lowering(small_space, "x")
     psi0 = fs.coherent_state(small_space, 0.5, 0)
+    grid = TimeGrid(0.0, 1.0, 3)
     from weylsim.errors import NonHermitianError
 
     with pytest.raises(NonHermitianError):
-        ev.evolve_unitary(a, psi0, TimeGrid(0.0, 1.0, 3))
-    mixed = fs.spin_reset(psi0)
+        ev.evolve_unitary(a, psi0, grid, {})
+    h = fs.identity(small_space)
+    with pytest.raises(NonHermitianError):
+        ev.evolve_unitary(h, psi0, grid, {"a": a})
     with pytest.raises(DomainError):
-        ev.evolve_unitary(fs.identity(small_space), mixed, TimeGrid(0.0, 1.0, 3))
+        ev.evolve_unitary(h, fs.coherent_state(SpaceSpec(4, 4), 0.5, 0), grid, {})
+    for monitor in ev.MONITORS:
+        with pytest.raises(DomainError):
+            ev.evolve_unitary(h, psi0, grid, {monitor: h})
+        with pytest.raises(DomainError):
+            ev.evolve_lindblad(h, NoiseSpec(), psi0, grid, {monitor: h})
+
+
+def _random_hermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (m + m.conj().T) / (2 * math.sqrt(d))  # spectrum within about +-2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unitary_series_match_per_sample_oracle(small_space, seed):
+    # random H, random pure and mixed inputs, several observables (most not
+    # conserved): the block and eigenbasis paths against per-sample oracles
+    rng = np.random.default_rng(seed)
+    d = small_space.dim
+    h = LinOp(_random_hermitian(rng, d), small_space)
+    ops = observables(small_space) | {
+        "random": LinOp(_random_hermitian(rng, d), small_space),
+        "energy": h,
+    }
+    grid = TimeGrid(rng.uniform(0, 0.5), rng.uniform(1.0, 2.0), 9)
+    times = grid.times - grid.t_start
+
+    vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi0 = QState("pure", vec / np.linalg.norm(vec), small_space)
+    series = ev.evolve_unitary(h, psi0, grid, ops)
+    want = oracle_series(h.matrix, psi0.data, ops, times)
+    for label in ops:
+        assert np.abs(series[label].values - want[label]).max() < 1e-12
+
+    vecs = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    q = np.linalg.qr(vecs)[0]
+    rho = q @ np.diag([0.5, 0.3, 0.2]) @ q.conj().T
+    mixed = QState("mixed", rho, small_space)
+    series = ev.evolve_unitary(h, mixed, grid, ops)
+    evals, evecs = np.linalg.eigh(h.matrix)
+    for k, t in enumerate(times):
+        u = evecs @ np.diag(np.exp(-1j * evals * t)) @ evecs.conj().T
+        rho_t = u @ rho @ u.conj().T
+        for label, op in ops.items():
+            want = np.trace(op.matrix @ rho_t).real
+            assert abs(series[label].values[k] - want) < 1e-12
+    assert series["norm_drift"].values.max() < 1e-12
 
 
 # --- dephasing master equation ---------------------------------------------------
@@ -101,38 +173,38 @@ def test_lindblad_matches_unitary_without_noise(tiny):
     h = md.weyl_hamiltonian(tiny, params)
     psi0 = fs.coherent_state(tiny, 0.8j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.3, 31)
-    sz = fs.pauli(tiny, "z")
-    unit = ev.observable_series(ev.evolve_unitary(h, psi0, grid), sz, grid)
-    noiseless = ev.observable_series(
-        ev.evolve_lindblad(h, NoiseSpec(), psi0, grid), sz, grid
-    )
+    sz = {"sigma_z": fs.pauli(tiny, "z")}
+    unit = ev.evolve_unitary(h, psi0, grid, sz)["sigma_z"]
+    noiseless = ev.evolve_lindblad(h, NoiseSpec(), psi0, grid, sz)["sigma_z"]
     assert np.abs(unit.values - noiseless.values).max() < 1e-8
     # huge but finite dephasing time behaves the same way
-    weak = ev.observable_series(
-        ev.evolve_lindblad(h, NoiseSpec(1e6, 1e6), psi0, grid), sz, grid
-    )
+    weak = ev.evolve_lindblad(h, NoiseSpec(1e6, 1e6), psi0, grid, sz)["sigma_z"]
     assert np.abs(unit.values - weak.values).max() < 1e-5
 
 
 def test_pure_dephasing_analytic_decay(tiny):
     # with H = 0 the mode average obeys <a>(t) = alpha e^{-t/tau} exactly,
-    # while the occupation stays constant
+    # while the occupation stays constant; <a> = (<x> + i <p>) / sqrt(2)
     tau = 2.0
     alpha = 0.9j
     h = 0.0 * fs.identity(tiny)
     psi0 = fs.coherent_state(tiny, alpha, 0)
     grid = TimeGrid(0.0, 1.0, 21)
-    states = ev.evolve_lindblad(h, NoiseSpec(tau_d_x=tau), psi0, grid)
-    a_op = fs.mode_lowering(tiny, "x").matrix
     n_op = fs.number_operator(tiny, "x")
+    ops = {
+        "x": fs.quadrature(tiny, "x", "position"),
+        "p": fs.quadrature(tiny, "x", "momentum"),
+        "n": n_op,
+    }
+    series = ev.evolve_lindblad(h, NoiseSpec(tau_d_x=tau), psi0, grid, ops)
+    a_op = fs.mode_lowering(tiny, "x").matrix
     n0 = fs.expectation(n_op, psi0)
     mean_a0 = np.trace(psi0.to_density() @ a_op)  # truncation shifts it off alpha
-    mags = []
-    for t, st in zip(grid.times, states):
-        mean_a = np.trace(st.data @ a_op)
-        assert abs(mean_a - mean_a0 * math.exp(-t / tau)) < 1e-9
-        mags.append(abs(mean_a))
-        assert abs(fs.expectation(n_op, st) - n0) < 1e-8
+    mean_a = (series["x"].values + 1j * series["p"].values) / math.sqrt(2)
+    for t, value in zip(grid.times, mean_a):
+        assert abs(value - mean_a0 * math.exp(-t / tau)) < 1e-9
+    assert np.abs(series["n"].values - n0).max() < 1e-8
+    mags = np.abs(mean_a)
     assert all(b - a < 1e-10 for a, b in zip(mags, mags[1:]))
 
 
@@ -140,9 +212,12 @@ def test_fock_state_invariant_under_dephasing(tiny):
     h = 0.0 * fs.identity(tiny)
     psi0 = fs.basis_state(tiny, "minus_z", 3, 1)
     grid = TimeGrid(0.0, 0.5, 6)
-    states = ev.evolve_lindblad(h, NoiseSpec(1.5, 2.5), psi0, grid)
-    rho0 = psi0.to_density()
-    assert np.abs(states[-1].data - rho0).max() < 1e-12
+    projector = LinOp(psi0.to_density(), tiny)
+    series = ev.evolve_lindblad(
+        h, NoiseSpec(1.5, 2.5), psi0, grid, {"projector": projector}
+    )
+    assert np.abs(series["projector"].values - 1.0).max() < 1e-12
+    assert series["trace_drift"].values.max() < 1e-12
 
 
 def test_lindblad_invariants_at_every_sample(tiny):
@@ -150,23 +225,44 @@ def test_lindblad_invariants_at_every_sample(tiny):
     h = md.weyl_hamiltonian(tiny, params)
     psi0 = fs.coherent_state(tiny, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.3, 16)
-    states = ev.evolve_lindblad(h, NoiseSpec.from_params(params), psi0, grid)
-    for st in states:
-        assert abs(np.trace(st.data).real - 1.0) < 1e-8
-        assert np.abs(st.data - st.data.conj().T).max() < 1e-8
-        assert np.linalg.eigvalsh(st.data).min() >= -1e-8
+    series = ev.evolve_lindblad(h, NoiseSpec.from_params(params), psi0, grid, {})
+    assert set(series) == {"trace_drift", "hermiticity", "min_eig"}
+    assert series["trace_drift"].values.max() < 1e-8
+    assert series["hermiticity"].values.max() < 1e-8
+    assert series["min_eig"].values.min() >= -1e-8
+
+
+def test_lindblad_memory_does_not_grow_with_samples(tiny):
+    # only the current density matrix is held, so 201 output samples cost
+    # no more than 21 beyond the series themselves (far below one rho)
+    params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
+    h = md.weyl_hamiltonian(tiny, params)
+    psi0 = fs.coherent_state(tiny, 1j, 0, "plus_z")
+    sz = {"sigma_z": fs.pauli(tiny, "z")}
+    noise = NoiseSpec.from_params(params)
+    peaks = {}
+    for n_samples in (21, 201):
+        grid = TimeGrid(0.0, 0.3, n_samples)
+        tracemalloc.start()
+        try:
+            ev.evolve_lindblad(h, noise, psi0, grid, sz)
+            peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    rho_bytes = tiny.dim**2 * 16
+    assert peaks[201] - peaks[21] < rho_bytes
 
 
 def test_step_halving_convergence(tiny):
     params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
     h = md.weyl_hamiltonian(tiny, params)
     psi0 = fs.coherent_state(tiny, 1j, 0, "plus_z")
-    sz = fs.pauli(tiny, "z")
+    sz = {"sigma_z": fs.pauli(tiny, "z")}
     coarse = TimeGrid(0.0, 0.3, 16, dt_max=2e-4)
     fine = TimeGrid(0.0, 0.3, 16, dt_max=1e-4)
     noise = NoiseSpec.from_params(params)
-    a = ev.observable_series(ev.evolve_lindblad(h, noise, psi0, coarse), sz, coarse)
-    b = ev.observable_series(ev.evolve_lindblad(h, noise, psi0, fine), sz, fine)
+    a = ev.evolve_lindblad(h, noise, psi0, coarse, sz)["sigma_z"]
+    b = ev.evolve_lindblad(h, noise, psi0, fine, sz)["sigma_z"]
     assert np.abs(a.values - b.values).max() < 1e-7
 
 
@@ -179,15 +275,23 @@ def test_integrator_blowup_raises(tiny):
     psi0 = fs.coherent_state(tiny, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 1.0, 3, dt_max=0.5)
     with pytest.raises((ConvergenceError, PositivityError)):
-        ev.evolve_lindblad(h, NoiseSpec(0.001, 0.001), psi0, grid)
+        ev.evolve_lindblad(h, NoiseSpec(0.001, 0.001), psi0, grid, {})
 
 
 def test_grid_validation():
-    with pytest.raises(DomainError):
-        TimeGrid(0.0, 0.0, 5)
-    with pytest.raises(DomainError):
-        TimeGrid(0.0, 1.0, 1)
-    with pytest.raises(DomainError):
-        TimeGrid(0.0, 1.0, 5, dt_max=0.0)
-    with pytest.raises(DomainError):
-        NoiseSpec(tau_d_x=-1.0)
+    nan, inf = math.nan, math.inf
+    for args in [
+        (0.0, 0.0, 5),
+        (0.0, 1.0, 1),
+        (0.0, 1.0, 5, 0.0),
+        (0.0, 1.0, 5, nan),
+        (nan, 1.0, 5),
+        (0.0, nan, 5),
+        (-inf, 1.0, 5),
+        (0.0, inf, 5),
+    ]:
+        with pytest.raises(DomainError):
+            TimeGrid(*args)
+    for taus in [(-1.0, inf), (inf, nan)]:
+        with pytest.raises(DomainError):
+            NoiseSpec(*taus)

@@ -259,6 +259,17 @@ def test_sim_params_validation():
         SimParams(omega=1.0, r=-0.1)
     with pytest.raises(DomainError):
         SimParams(omega=1.0, tau_d_x=0.0)
+    nan, inf = math.nan, math.inf
+    for kwargs in [
+        dict(omega=nan),
+        dict(omega=inf),
+        dict(omega=1.0, r=nan),
+        dict(omega=1.0, r=inf),
+        dict(omega=1.0, tau_d_y=nan),
+        dict(omega=1.0, omega_probe=nan),
+    ]:
+        with pytest.raises(DomainError):
+            SimParams(**kwargs)
     p = SimParams(omega=2.0)
     assert p.omega_probe == 2.0
 

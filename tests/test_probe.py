@@ -159,10 +159,10 @@ def test_kinetic_momentum_reduces_to_momentum_at_zero_field(space):
     h = md.weyl_hamiltonian(space, params)
     psi0 = fs.coherent_state(space, 0.6j, 0.3, "plus_x")
     grid = TimeGrid(0.0, 0.1, 11)
-    states = ev.evolve_unitary(h, psi0, grid)
-    pix, piy = pr.kinetic_momentum_series(states, params, grid)
-    py = ev.observable_series(states, fs.quadrature(space, "y", "momentum"), grid)
-    assert np.abs(piy.values - py.values).max() == 0.0
+    _, pi_y = md.kinetic_momentum(space, params)
+    py = fs.quadrature(space, "y", "momentum")
+    series = ev.evolve_unitary(h, psi0, grid, {"pi_y": pi_y, "p_y": py})
+    assert np.abs(series["pi_y"].values - series["p_y"].values).max() == 0.0
 
 
 def test_kinetic_momentum_initial_values(space):
@@ -172,21 +172,23 @@ def test_kinetic_momentum_initial_values(space):
     h = md.weyl_hamiltonian(space, params)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_x")
     grid = TimeGrid(0.0, 0.05, 6)
-    states = ev.evolve_unitary(h, psi0, grid)
-    pix, piy = pr.kinetic_momentum_series(states, params, grid)
+    pi_x, pi_y = md.kinetic_momentum(space, params)
+    series = ev.evolve_unitary(h, psi0, grid, {"pi_x": pi_x, "pi_y": pi_y})
+    pix, piy = series["pi_x"], series["pi_y"]
     assert abs(pix.values[0] - math.sqrt(2)) < 1e-6
     assert abs(piy.values[0]) < 1e-9
     assert abs(pix.values[0] ** 2 + piy.values[0] ** 2 - 2.0) < 1e-6
 
 
-def test_spin_series_initial_values(space):
+def test_spin_expectations_initial_values(space):
     params = SimParams.from_khz(4.2, r=1.0)
     h = md.weyl_hamiltonian(space, params)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.05, 6)
-    states = ev.evolve_unitary(h, psi0, grid)
-    assert abs(pr.spin_series(states, "z", grid).values[0] - 1.0) < 1e-12
-    assert abs(pr.spin_series(states, "y", grid).values[0]) < 1e-12
+    spins = {f"sigma_{axis}": fs.pauli(space, axis) for axis in ("y", "z")}
+    series = ev.evolve_unitary(h, psi0, grid, spins)
+    assert abs(series["sigma_z"].values[0] - 1.0) < 1e-12
+    assert abs(series["sigma_y"].values[0]) < 1e-12
 
 
 def test_sigma_theta_perp_algebra(space):

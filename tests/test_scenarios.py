@@ -21,8 +21,8 @@ def test_block_split_equals_dense_propagation():
     blocked = sc.sigma_z_series_blocked(cfg, grid)
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     h = md.weyl_hamiltonian(cfg.space, cfg.params)
-    states = ev.evolve_unitary(h, psi0, grid)
-    dense = ev.observable_series(states, fs.pauli(cfg.space, "z"), grid)
+    sz = {"sigma_z": fs.pauli(cfg.space, "z")}
+    dense = ev.evolve_unitary(h, psi0, grid, sz)["sigma_z"]
     assert np.abs(blocked - dense.values).max() < 1e-12
 
 
