@@ -223,7 +223,7 @@ def _lowering_1m(d: int) -> np.ndarray:
     return _frozen(m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # one dense d x d matrix per entry; the four scenarios use 16
 def _embedded(space: AnySpace, which: str, mode: str | None) -> np.ndarray:
     """Operator on one tensor factor, padded with identities elsewhere."""
     dims = space.mode_dims

@@ -145,6 +145,9 @@ INVALID_VALUES = [
     # dispersion prepares its own noiseless wavepackets
     ("dispersion", "noise = true"),
     ("dispersion", "alpha_x = 1j"),
+    # a slope needs non-negative momenta, at least one of them non-zero
+    ("dispersion", "sweep = -0.5, 1.19"),
+    ("dispersion", "sweep = 0"),
 ]
 
 

@@ -258,3 +258,11 @@ def test_values_are_immutable(space):
     op = fs.pauli(space, "x")
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
+
+
+def test_embedded_operator_cache_is_bounded():
+    bound = fs._embedded.cache_info().maxsize
+    assert bound is not None
+    for n_max in range(1, bound + 9):  # more distinct spaces than the bound
+        fs.number_operator(SingleModeSpec(n_max))
+        assert fs._embedded.cache_info().currsize <= bound

@@ -149,10 +149,20 @@ def test_manifest_carries_resolved_config():
     assert all(c.basis in ("analytic", "identity", "oracle") for c in res.checks)
 
 
-def test_threads_env_controls_pool(monkeypatch):
-    monkeypatch.setenv("WEYLSIM_THREADS", "1")
-    assert sc._threads() == 1
-    monkeypatch.setenv("WEYLSIM_THREADS", "junk")
-    assert sc._threads() >= 1
-    monkeypatch.delenv("WEYLSIM_THREADS")
-    assert sc._threads() >= 1
+@pytest.mark.parametrize("name", ["dispersion", "trajectory"])
+def test_one_eigendecomposition_per_hamiltonian(monkeypatch, name):
+    # the sweep points and the trajectory branches share one H, so its
+    # eigendecomposition is computed once and then served from the memo
+    cfg = sc.default_config(name)
+    md.weyl_hamiltonian.cache_clear()  # no H memoized by an earlier test
+    dims = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        dims.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    res = sc.RUNNERS[name](cfg)
+    assert all(c.passed for c in res.checks)
+    assert dims.count(cfg.space.dim) == 1
