@@ -260,7 +260,7 @@ def main(argv=None) -> int:
                     )
             if not args.quiet:
                 print(f"[{name}] wrote {out_dir} in {result.manifest['wall_time_s']}s")
-    except WeylSimError as exc:
+    except (WeylSimError, np.linalg.LinAlgError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -9,6 +9,7 @@ import pytest
 
 from weylsim import cli
 from weylsim.errors import ConfigError
+from weylsim.model import weyl_hamiltonian
 from weylsim.scenarios import (
     FIELDS,
     SCENARIO_NAMES,
@@ -205,6 +206,17 @@ def test_missing_config_exits_2(tmp_path, capsys):
     code = run_cli("landau", "--config", tmp_path / "nope.ini", "--quiet")
     assert code == 2
     assert "nope.ini" in capsys.readouterr().err
+
+
+def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected eigensolver failure")
+
+    weyl_hamiltonian.cache_clear()  # no H with a memoized eigh from earlier tests
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    code = run_cli("trajectory", "--n-max", 4, "--out", tmp_path / "run", "--quiet")
+    assert code == 1
+    assert "run failed: injected eigensolver failure" in capsys.readouterr().err
 
 
 def test_failed_checks_exit_1(tmp_path):

@@ -7,7 +7,12 @@ import pytest
 from weylsim import evolve as ev
 from weylsim import fockspace as fs
 from weylsim import model as md
-from weylsim.errors import ConvergenceError, DomainError
+from weylsim.errors import (
+    ConvergenceError,
+    DomainError,
+    NonHermitianError,
+    PositivityError,
+)
 from weylsim.evolve import NoiseSpec, TimeGrid
 from weylsim.fockspace import LinOp, QState, SpaceSpec
 from weylsim.model import SimParams
@@ -103,8 +108,6 @@ def test_unitary_rejects_invalid_inputs(small_space):
     a = fs.mode_lowering(small_space, "x")
     psi0 = fs.coherent_state(small_space, 0.5, 0)
     grid = TimeGrid(0.0, 1.0, 3)
-    from weylsim.errors import NonHermitianError
-
     with pytest.raises(NonHermitianError):
         ev.evolve_unitary(a, psi0, grid, {})
     h = fs.identity(small_space)
@@ -166,6 +169,118 @@ def test_unitary_series_match_per_sample_oracle(small_space, seed):
 @pytest.fixture(scope="module")
 def tiny():
     return SpaceSpec(6, 6)
+
+
+def _rk4_oracle(h, noise, state, grid, observables):
+    """The classic 4th-order Runge-Kutta master equation on the full rho.
+
+    The reference for the split-step propagator: always stepped at
+    dt_max = 0.2 us, with the same monitors and the same evaluation of the
+    observables on the Hermitian, trace-normalized rho.
+    """
+    hm = h.matrix
+    mask = ev._dephasing_mask(h.space, noise)
+
+    def rhs(r):
+        return -1j * (hm @ r - r @ hm) + mask * r
+
+    rho = state.to_density()
+    times = grid.times
+    seg = times[1] - times[0]
+    n_sub = max(1, math.ceil(seg / 2e-4))
+    dt = seg / n_sub
+
+    values = {label: np.empty(grid.n_samples, dtype=complex) for label in observables}
+    values |= {m: np.empty(grid.n_samples) for m in ev.MONITORS if m != "norm_drift"}
+    for k in range(grid.n_samples):
+        if k:
+            for _ in range(n_sub):
+                k1 = rhs(rho)
+                k2 = rhs(rho + 0.5 * dt * k1)
+                k3 = rhs(rho + 0.5 * dt * k2)
+                k4 = rhs(rho + dt * k3)
+                rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift = abs(np.trace(rho).real - 1.0)
+        if drift > 1e-6:
+            raise ConvergenceError(f"trace drift {drift:.2e} at sample {k}")
+        rho_h = (rho + rho.conj().T) / 2
+        min_eig = np.linalg.eigvalsh(rho_h).min()
+        if min_eig < -1e-6:
+            raise PositivityError(f"eigenvalue {min_eig:.2e} at sample {k}")
+        values["trace_drift"][k] = drift
+        values["hermiticity"][k] = np.abs(rho - rho.conj().T).max()
+        values["min_eig"][k] = min_eig
+        rho_h /= np.trace(rho_h).real
+        for label, obs in observables.items():
+            values[label][k] = np.einsum("ij,ji->", obs.matrix, rho_h)
+    return values
+
+
+def _random_density(rng, space, rank):
+    vecs = rng.normal(size=(space.dim, rank)) + 1j * rng.normal(size=(space.dim, rank))
+    rho = vecs @ np.diag(rng.uniform(0.2, 1.0, rank)) @ vecs.conj().T
+    return QState("mixed", rho / np.trace(rho).real, space)
+
+
+@pytest.mark.parametrize(
+    "seed, r, kind",
+    [(0, 0.5, "pure"), (1, 1.0, "mixed"), (2, 2.0, "pure"), (3, 1.0, "parity-mixing")],
+)
+def test_lindblad_matches_rk4_oracle(seed, r, kind):
+    # the split step at the default substep cap against RK4 at 0.2 us, on a
+    # P-even (sigma_z) and a P-odd (x) observable; the last case adds a
+    # random Hermitian term that couples the P-sectors, so H is one block
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(4, 4)
+    params = SimParams.from_khz(4.2, r=r)
+    h = md.weyl_hamiltonian(space, params)
+    alpha = 0.7 * np.exp(2j * np.pi * rng.uniform())
+    if kind == "pure":
+        state = fs.coherent_state(space, alpha, 0.3 * alpha, "plus_x")
+    else:
+        state = _random_density(rng, space, 3)
+    if kind == "parity-mixing":
+        h = h + LinOp(params.omega * _random_hermitian(rng, space.dim), space)
+    noise = NoiseSpec(*rng.uniform(1.0, 4.0, 2))
+    ops = {"sigma_z": fs.pauli(space, "z"), "x": fs.quadrature(space, "x", "position")}
+    grid = TimeGrid(0.0, 0.1, 11)
+    series = ev.evolve_lindblad(h, noise, state, grid, ops)
+    want = _rk4_oracle(h, noise, state, grid, ops)
+    assert set(series) == set(want)
+    for label, values in want.items():
+        assert np.abs(series[label].values - values).max() < 1e-8, label
+
+
+def test_lindblad_evolves_parity_blocks(monkeypatch):
+    # a Weyl H commutes with P = sigma_z (-1)^(n_x + n_y): with a P-even
+    # observable only the two d/2 sectors are diagonalized and monitored;
+    # a P-odd one also needs the coherences, so min_eig is taken on full d
+    space = SpaceSpec(4, 4)
+    params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
+    h = md.weyl_hamiltonian(space, params)
+    psi0 = fs.coherent_state(space, 0.8j, 0, "plus_z")
+    grid = TimeGrid(0.0, 0.05, 6)
+    dims = {"eigh": [], "eigvalsh": []}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            dims[name].append(len(a))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in dims:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    noise = NoiseSpec.from_params(params)
+    ev.evolve_lindblad(h, noise, psi0, grid, {"sigma_z": fs.pauli(space, "z")})
+    assert set(dims["eigh"]) == set(dims["eigvalsh"]) == {space.dim // 2}
+    for seen in dims.values():
+        seen.clear()
+    ev.evolve_lindblad(h, noise, psi0, grid, {"x": fs.quadrature(space, "x")})
+    assert set(dims["eigh"]) == {space.dim // 2}
+    assert set(dims["eigvalsh"]) == {space.dim}
 
 
 def test_lindblad_matches_unitary_without_noise(tiny):
@@ -268,14 +383,33 @@ def test_step_halving_convergence(tiny):
 
 def test_integrator_blowup_raises(tiny):
     # a wildly oversized step breaks the conservation monitors
-    from weylsim.errors import PositivityError
-
     params = SimParams.from_khz(40.0, r=1.0)
     h = md.weyl_hamiltonian(tiny, params)
     psi0 = fs.coherent_state(tiny, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 1.0, 3, dt_max=0.5)
     with pytest.raises((ConvergenceError, PositivityError)):
         ev.evolve_lindblad(h, NoiseSpec(0.001, 0.001), psi0, grid, {})
+
+
+def test_nan_inputs_are_rejected(tiny):
+    # a NaN compares false against every tolerance, so the checks are
+    # written to fail on it
+    h = md.weyl_hamiltonian(tiny, SimParams.from_khz(4.2, r=1.0))
+    psi0 = fs.coherent_state(tiny, 0.5j, 0, "plus_z")
+    grid = TimeGrid(0.0, 0.01, 3)
+    nan_matrix = np.array(h.matrix)
+    nan_matrix[3, 5] = np.nan
+    nan_op = LinOp(nan_matrix, tiny)
+    sz = {"sigma_z": fs.pauli(tiny, "z")}
+
+    def noisy(h, state, grid, observables):
+        return ev.evolve_lindblad(h, NoiseSpec(4.0, 3.5), state, grid, observables)
+
+    for propagate in (ev.evolve_unitary, noisy):
+        with pytest.raises(NonHermitianError):
+            propagate(nan_op, psi0, grid, sz)
+        with pytest.raises(NonHermitianError):
+            propagate(h, psi0, grid, {"nan": nan_op})
 
 
 def test_grid_validation():
