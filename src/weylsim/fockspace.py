@@ -182,17 +182,17 @@ class QState:
             if arr.shape != (d,):
                 raise DomainError(f"pure state must be a vector of length {d}")
             norm = np.linalg.norm(arr)
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:
                 raise DomainError(f"pure state norm {norm} deviates from 1")
         elif self.kind == "mixed":
             if arr.shape != (d, d):
                 raise DomainError(f"density matrix must be {d}x{d}")
             tr = np.trace(arr)
-            if abs(tr - 1.0) > 1e-9:
+            if not abs(tr - 1.0) <= 1e-9:
                 raise DomainError(f"density matrix trace {tr} deviates from 1")
-            if np.abs(arr - arr.conj().T).max() > 1e-9:
+            if not np.abs(arr - arr.conj().T).max() <= 1e-9:
                 raise DomainError("density matrix is not Hermitian")
-            if np.linalg.eigvalsh(arr).min() < -1e-8:
+            if not np.linalg.eigvalsh(arr).min() >= -1e-8:
                 raise DomainError("density matrix has a negative eigenvalue")
         else:
             raise DomainError(f"unknown state kind {self.kind!r}")
@@ -335,15 +335,6 @@ def coherent_state(
     return QState("pure", vec, space)
 
 
-def single_mode_coherent(
-    space: SingleModeSpec, alpha: complex, spin: str = "plus_z"
-) -> QState:
-    """Product state |spin>|alpha> on the single-mode space."""
-    _guard_alpha(alpha, space.n_max, "x")
-    vec = np.kron(spin_vector(spin), coherent_amplitudes(alpha, space.n_max + 1))
-    return QState("pure", vec, space)
-
-
 def basis_state(space: AnySpace, spin: str, *occupations: int) -> QState:
     """Fock product state |spin>|n_x>(|n_y>)."""
     if len(occupations) != len(space.mode_dims):
@@ -390,13 +381,6 @@ def reduced_motional(state: QState) -> np.ndarray:
     return np.einsum("smsn->mn", rho)
 
 
-def reduced_spin(state: QState) -> np.ndarray:
-    """2x2 density matrix of the qubit, modes traced out."""
-    m = _motional_dim(state.space)
-    rho = state.to_density().reshape(2, m, 2, m)
-    return np.einsum("smtm->st", rho)
-
-
 def spin_reset(state: QState, target: str = "minus_z") -> QState:
     """Discard the qubit and re-prepare it, keeping the motional state.
 
@@ -415,12 +399,12 @@ def expectation(obs: LinOp, state: QState) -> float:
     """<psi|O|psi> or Tr(rho O) for a Hermitian observable."""
     if obs.space != state.space:
         raise DomainError("observable and state live on different spaces")
-    if obs.hermiticity_defect() > 1e-9:
+    if not obs.hermiticity_defect() <= 1e-9:
         raise NonHermitianError("observable is not Hermitian within 1e-9")
     if state.kind == "pure":
         val = np.vdot(state.data, obs.matrix @ state.data)
     else:
         val = np.trace(obs.matrix @ state.data)
-    if abs(val.imag) > 1e-9:
+    if not abs(val.imag) <= 1e-9:
         raise NonHermitianError(f"expectation has imaginary residual {val.imag}")
     return float(val.real)

@@ -187,39 +187,11 @@ def natural_to_simulator(energy: float, params: SimParams) -> float:
     return energy * params.omega / math.sqrt(2)
 
 
-def simulator_to_natural(energy: float, params: SimParams) -> float:
-    return energy * math.sqrt(2) / params.omega
-
-
-def landau_level(
-    n: int,
-    params: SimParams,
-    variant: str = "weyl",
-    mass: float | None = None,
-    units: str = "simulator",
-) -> float:
-    """Energy of level n for the massless, massive, or non-relativistic case.
-
-    In natural units: sqrt(2 n r) (weyl), sqrt(mass^2 + 2 n r) (dirac),
-    n r / mass (nonrel).  Simulator units scale these by omega/sqrt(2),
-    giving omega sqrt(n r) for the massless case.
-    """
+def landau_level(n: int, params: SimParams) -> float:
+    """Energy omega sqrt(n r) of level n, sqrt(2 n r) in natural units."""
     if n < 0:
         raise DomainError("level index must be non-negative")
-    if units not in ("simulator", "natural"):
-        raise DomainError(f"unknown unit system {units!r}")
-    if variant == "weyl":
-        e = math.sqrt(2 * n * params.r)
-    elif variant in ("dirac", "nonrel"):
-        if mass is None or mass <= 0:
-            raise DomainError(f"variant {variant!r} requires mass > 0")
-        if variant == "dirac":
-            e = math.sqrt(mass**2 + 2 * n * params.r)
-        else:
-            e = n * params.r / mass
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    return e if units == "natural" else natural_to_simulator(e, params)
+    return natural_to_simulator(math.sqrt(2 * n * params.r), params)
 
 
 def landau_eigenstate(space: SingleModeSpec, n: int, sign: str = "zero") -> QState:
@@ -250,101 +222,64 @@ def landau_eigenstate(space: SingleModeSpec, n: int, sign: str = "zero") -> QSta
 # reduction to the single-mode frame
 # ---------------------------------------------------------------------------
 #
-# The displacement that maps the two-mode model onto the single-mode form is
-# ill-conditioned as a truncated matrix, so it is never built.  Instead the
-# two normal modes that diagonalize the dynamics are constructed directly:
-# the cyclotron mode a (the mode the single-mode form talks about) and the
-# conserved guiding-centre mode g.  Tracing out g gives the single-mode
-# state whose spin dynamics reproduce the two-mode ones.
+# p_y commutes with the cyclotron operator
+# a_c = mu a_x + nu a_x^dag - p_y / sqrt(2 r),
+# mu = (1 + r) / (2 sqrt r), nu = -(1 - r) / (2 sqrt r), and in each p_y
+# sector the Hamiltonian is omega sqrt(r) (i sigma_+ a_c^dag - i sigma_- a_c).
+# Tracing out the guiding-centre mode is therefore an average over p_y of
+# the input's mode-x state written in that sector's a_c Fock basis.
+
+FRAME_LADDER = 34  # cyclotron Fock levels kept by the reduction
+FRAME_NODES = 80  # Gauss-Hermite nodes over the p_y distribution
 
 
-@lru_cache(maxsize=4)
-def _frame_basis(pad: int, r: float, n_keep: int, n_guide: int):
-    """Fock basis of the (cyclotron, guiding-centre) mode pair.
+def _cyclotron_amplitudes(alpha: complex, r: float, p: np.ndarray) -> np.ndarray:
+    """<n_c|alpha> on the cyclotron ladder of each sector p, n < FRAME_LADDER.
 
-    Returns an (n_keep, n_guide, (pad+1)^2) array of basis vectors on the
-    padded two-mode phonon space.
+    <0_c|alpha> is the Bargmann-space overlap with the a_c vacuum; the rest
+    follow from a_x |alpha> = alpha |alpha> as the three-term recurrence
+    mu sqrt(n+1) c_{n+1} = (alpha - (mu - nu) s) c_n + nu sqrt(n) c_{n-1},
+    s = p / sqrt(2 r).  The amplitudes are exact, so their squared norm is
+    the weight the kept ladder captures.  Returns shape (len(p), FRAME_LADDER).
     """
-    d = pad + 1
-    a1 = fs._lowering_1m(d)
-    ax = np.kron(a1, np.eye(d))
-    ay = np.kron(np.eye(d), a1)
-    sr = math.sqrt(r)
-    adx = ax.conj().T
-    ady = ay.conj().T
-    cyc = (-(1 - r) * adx + (1 + r) * ax + 1j * ay - 1j * ady) / (2 * sr)
-    gui = (1j * ax - 1j * adx + (1 + r) * ay + (r - 1) * ady) / (2 * sr)
-    k = cyc.conj().T @ cyc + gui.conj().T @ gui
-    vals, vecs = np.linalg.eigh(k)
-    vac = vecs[:, 0]
-    # residual ~3e-10 at pad 40 for r = 1; grows towards small r where the
-    # mode pair is more strongly squeezed relative to the bare modes
-    res = max(np.linalg.norm(cyc @ vac), np.linalg.norm(gui @ vac))
-    if res > 1e-4:
-        raise TruncationError(
-            f"mode-pair vacuum residual {res:.2e} too large at pad {pad}"
-        )
-    basis = np.zeros((n_keep, n_guide, d * d), dtype=complex)
-    cdag = cyc.conj().T
-    gdag = gui.conj().T
-    gcol = vac
-    for m in range(n_guide):
-        if m > 0:
-            gcol = gdag @ gcol / math.sqrt(m)
-        col = gcol
-        for n in range(n_keep):
-            if n > 0:
-                col = cdag @ col / math.sqrt(n)
-            basis[n, m] = col
-    basis.setflags(write=False)
-    return basis
+    mu = (1 + r) / (2 * math.sqrt(r))
+    nu = -(1 - r) / (2 * math.sqrt(r))
+    s = p / math.sqrt(2 * r)
+    a, b = s / mu, -nu / mu
+    c = np.zeros((len(p), FRAME_LADDER), dtype=complex)
+    c[:, 0] = np.exp(
+        -0.5 * math.log(mu) - a * a / (2 * (1 - b))
+        - abs(alpha) ** 2 / 2 + a * alpha + b * alpha**2 / 2
+    )
+    drive = alpha - (mu - nu) * s
+    for n in range(FRAME_LADDER - 1):
+        below = nu * math.sqrt(n) * c[:, n - 1] if n else 0.0
+        c[:, n + 1] = (drive * c[:, n] + below) / (mu * math.sqrt(n + 1))
+    return c
 
 
 def cyclotron_frame_state(
-    state: QState,
-    params: SimParams,
-    n_keep: int = 34,
-    n_guide: int = 30,
-    pad: int = 40,
+    spin: str, alpha_x: complex, alpha_y: complex, params: SimParams
 ) -> QState:
-    """Single-mode state equivalent to a two-mode one for spin dynamics.
+    """Single-mode state equivalent to |spin>|alpha_x>|alpha_y> for spin dynamics.
 
-    Traces the guiding-centre mode out of a pure two-mode state and returns
-    the (generally mixed) state of qubit and cyclotron mode, expressed in
-    the Fock basis the single-mode Hamiltonian uses.
+    The guiding-centre mode is traced out by Gauss-Hermite quadrature over
+    the p_y distribution of |alpha_y> (mean sqrt(2) Im alpha_y, variance
+    1/2), giving the mixture sum_k w_k |spin><spin| (x) |c_k><c_k| on the
+    cyclotron ladder the single-mode Hamiltonian uses.
     """
     if params.r <= 0:
         raise DomainError("the single-mode frame requires r > 0")
-    if state.kind != "pure":
-        raise DomainError("only pure two-mode states are supported")
-    if not isinstance(state.space, SpaceSpec):
-        raise DomainError("input must live on the two-mode space")
-    basis = _frame_basis(pad, params.r, n_keep, n_guide)
-    d = pad + 1
-    dx, dy = state.space.mode_dims
-    psi = state.data.reshape(2, dx, dy)
-    big = np.zeros((2, d, d), dtype=complex)
-    nx, ny = min(dx, d), min(dy, d)
-    big[:, :nx, :ny] = psi[:, :nx, :ny]
-    clipped = 1.0 - np.sum(np.abs(big) ** 2)
-    if clipped > 1e-12:
+    sv = fs.spin_vector(spin)
+    nodes, weights = np.polynomial.hermite.hermgauss(FRAME_NODES)
+    p = math.sqrt(2) * complex(alpha_y).imag + nodes
+    c = _cyclotron_amplitudes(alpha_x, params.r, p)
+    rho_c = (c.T * (weights / math.sqrt(math.pi))) @ c.conj()
+    captured = float(np.trace(rho_c).real)
+    if not abs(captured - 1) <= 1e-6:
         raise TruncationError(
-            f"state weight {clipped:.2e} outside the reduction window"
+            f"the {FRAME_LADDER} kept cyclotron levels capture {captured:.9f} "
+            "of the norm"
         )
-    phi = big.reshape(2, d * d)
-    overlaps = np.einsum("nmk,sk->snm", basis.conj(), phi)
-    # captured must sit at 1 from both sides: a deficit means the state
-    # leaks past the retained ladder, an excess means window-edge
-    # corruption amplified the high ladder states into junk (this is what
-    # limits the usable range of r at a fixed window size)
-    captured = float(np.sum(np.abs(overlaps) ** 2))
-    if abs(captured - 1) > 1e-6:
-        raise TruncationError(
-            f"mode-pair expansion captured {captured:.9f} of the norm; "
-            "the reduction window does not support this state or field"
-        )
-    rho = np.einsum("snm,tpm->sntp", overlaps, overlaps.conj())
-    rho = rho.reshape(2 * n_keep, 2 * n_keep)
-    rho = (rho + rho.conj().T) / 2
-    rho /= np.trace(rho).real
-    return QState("mixed", rho, SingleModeSpec(n_keep - 1))
+    rho = np.kron(np.outer(sv, sv.conj()), rho_c / captured)
+    return QState("mixed", rho, SingleModeSpec(FRAME_LADDER - 1))

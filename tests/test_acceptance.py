@@ -120,8 +120,9 @@ def test_criterion_4_analytic_spectrum_oracle():
     cfg = sc.default_config("landau", noise_on=False)
     grid = cfg.grid
     two_mode = sc.sigma_z_series_blocked(cfg, grid)
-    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-    reduced = md.cyclotron_frame_state(psi0, cfg.params)
+    reduced = md.cyclotron_frame_state(
+        cfg.initial_spin, cfg.alpha_x, cfg.alpha_y, cfg.params
+    )
     predicted = an.predict_sigma_z_series(reduced, cfg.params, grid)
     dev = float(np.abs(predicted.values - two_mode).max())
     _report(

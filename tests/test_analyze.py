@@ -78,6 +78,11 @@ def test_nonuniform_grid_rejected():
 # --- analytic spin-z predictor ----------------------------------------------------
 
 
+def _single_mode_coherent(space, alpha, spin):
+    vec = np.kron(fs.spin_vector(spin), fs.coherent_amplitudes(alpha, space.n_max + 1))
+    return fs.QState("pure", vec, space)
+
+
 def test_predictor_stationary_states(sm_space):
     params = SimParams.from_khz(4.2, r=1.0)
     grid = TimeGrid(0.0, 0.6, 101)
@@ -96,7 +101,7 @@ def test_predictor_equals_numerical_propagation(sm_space):
     # Hamiltonian; this pins the level splittings 2 omega sqrt(n r)
     params = SimParams.from_khz(4.2, r=1.0)
     grid = TimeGrid(0.0, 0.6, 201)
-    psi0 = fs.single_mode_coherent(sm_space, 1j, "plus_z")
+    psi0 = _single_mode_coherent(sm_space, 1j, "plus_z")
     predicted = an.predict_sigma_z_series(psi0, params, grid)
     h = md.transformed_hamiltonian(sm_space, params)
     sz = {"sigma_z": fs.pauli(sm_space, "z")}
@@ -110,7 +115,7 @@ def test_predictor_spectrum_sits_on_level_splittings(sm_space):
     # the assertion runs from the expected lines, not from the peak list
     params = SimParams.from_khz(4.2, r=1.0)
     grid = TimeGrid(0.0, 5.0, 501)
-    psi0 = fs.single_mode_coherent(sm_space, 1j, "plus_z")
+    psi0 = _single_mode_coherent(sm_space, 1j, "plus_z")
     series = an.predict_sigma_z_series(psi0, params, grid)
     spec = an.fourier_spectrum(series, pad_factor=8)
     peaks = an.find_peaks(spec, 0.02)
@@ -127,7 +132,7 @@ def test_predictor_mixed_state_and_phases():
     params = SimParams.from_khz(4.2, r=1.0)
     grid = TimeGrid(0.0, 0.6, 101)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_x")
-    red = md.cyclotron_frame_state(psi0, params)
+    red = md.cyclotron_frame_state("plus_x", 1j, 0, params)
     predicted = an.predict_sigma_z_series(red, params, grid)
     h = md.weyl_hamiltonian(space, params)
     numeric = ev.evolve_unitary(h, psi0, grid, {"sigma_z": fs.pauli(space, "z")})[
@@ -142,7 +147,7 @@ def test_predictor_rejects_leaking_state():
     # level, so a spin-down state with weight there must be refused
     space = SingleModeSpec(3)
     params = SimParams.from_khz(4.2, r=1.0)
-    psi0 = fs.single_mode_coherent(space, 0.86, "minus_z")
+    psi0 = _single_mode_coherent(space, 0.86, "minus_z")
     with pytest.raises(TruncationError):
         an.predict_sigma_z_series(psi0, params, TimeGrid(0.0, 0.1, 5))
 

@@ -148,7 +148,9 @@ def test_coherent_guard_and_leakage(space):
 
 
 def test_single_mode_coherent(sm_space):
-    st = fs.single_mode_coherent(sm_space, 1j, "plus_z")
+    amplitudes = fs.coherent_amplitudes(1j, sm_space.n_max + 1)
+    vec = np.kron(fs.spin_vector("plus_z"), amplitudes)
+    st = fs.QState("pure", vec, sm_space)
     n_op = fs.number_operator(sm_space, "x")
     assert abs(fs.expectation(n_op, st) - 1.0) < 1e-9
 
@@ -217,6 +219,10 @@ def test_expectation_rejects_non_hermitian(space):
     st = fs.coherent_state(space, 0.5, 0)
     with pytest.raises(NonHermitianError):
         fs.expectation(a, st)
+    nan_obs = np.array(fs.number_operator(space, "x").matrix)
+    nan_obs[3, 3] = np.nan
+    with pytest.raises(NonHermitianError):
+        fs.expectation(fs.LinOp(nan_obs, space), st)
 
 
 def test_expectation_linearity_and_symmetry(small_space, rng):
@@ -245,6 +251,14 @@ def test_state_validation():
         fs.QState("pure", np.ones(space.dim), space)  # unnormalized
     with pytest.raises(DomainError):
         fs.QState("mixed", np.eye(space.dim), space)  # trace != 1
+    nan_vec = np.full(space.dim, np.nan)
+    with pytest.raises(DomainError):
+        fs.QState("pure", nan_vec, space)
+    for entry in ((0, 0), (0, 1)):  # on and off the diagonal
+        rho = np.eye(space.dim) / space.dim
+        rho[entry] = np.nan
+        with pytest.raises(DomainError):
+            fs.QState("mixed", rho, space)
     with pytest.raises(DomainError):
         SpaceSpec(0, 3)
     with pytest.raises(DomainError):

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from weylsim import analyze as an
 from weylsim import fockspace as fs
 from weylsim import model as md
-from weylsim.errors import DomainError
+from weylsim import scenarios as sc
+from weylsim.errors import DomainError, TruncationError
 from weylsim.fockspace import SpaceSpec
 from weylsim.model import SimParams, ToneSpec
 
@@ -220,28 +223,10 @@ def test_landau_level_values():
     assert abs(2 * math.sqrt(2) * 4.2 - 11.879393923934) < 1e-9
 
 
-def test_landau_level_variants_natural_units():
-    params = SimParams(omega=2.0, r=1.0)
-    for n in (0, 1, 3):
-        assert abs(
-            md.landau_level(n, params, units="natural") - math.sqrt(2 * n)
-        ) < 1e-12
-        m = 1.7
-        assert abs(
-            md.landau_level(n, params, "dirac", mass=m, units="natural")
-            - math.sqrt(m**2 + 2 * n)
-        ) < 1e-12
-        assert abs(
-            md.landau_level(n, params, "nonrel", mass=m, units="natural") - n / m
-        ) < 1e-12
-
-
 def test_landau_level_errors():
     params = SimParams(omega=1.0, r=1.0)
     with pytest.raises(DomainError):
         md.landau_level(-1, params)
-    with pytest.raises(DomainError):
-        md.landau_level(1, params, "dirac")  # mass missing
 
 
 def test_unit_converters_roundtrip():
@@ -249,7 +234,10 @@ def test_unit_converters_roundtrip():
     e = 3.7
     sim = md.natural_to_simulator(e, params)
     assert abs(sim - e * params.omega / math.sqrt(2)) < 1e-12
-    assert abs(md.simulator_to_natural(sim, params) - e) < 1e-12
+    # the ladder is sqrt(2 n r) in natural units
+    for n in (0, 1, 3):
+        natural = md.landau_level(n, params) * math.sqrt(2) / params.omega
+        assert abs(natural - math.sqrt(2 * n)) < 1e-12
 
 
 def test_sim_params_validation():
@@ -277,10 +265,9 @@ def test_sim_params_validation():
 # --- single-mode frame reduction -------------------------------------------------
 
 
-def test_frame_state_mean_and_trace(space):
+def test_frame_state_mean_and_trace():
     params = SimParams.from_khz(4.2, r=1.0)
-    psi = fs.coherent_state(space, 1j, 0, "plus_z")
-    red = md.cyclotron_frame_state(psi, params)
+    red = md.cyclotron_frame_state("plus_z", 1j, 0, params)
     assert red.kind == "mixed"
     sm = red.space
     a1 = fs.mode_lowering(sm, "x").matrix
@@ -289,12 +276,10 @@ def test_frame_state_mean_and_trace(space):
 
 
 def test_frame_state_general_r():
-    space = SpaceSpec(12, 12)
     alpha_x = 1j
-    psi = fs.coherent_state(space, alpha_x, 0, "plus_z")
     for r in (0.8, 1.2):
         params = SimParams.from_khz(4.2, r=r)
-        red = md.cyclotron_frame_state(psi, params)
+        red = md.cyclotron_frame_state("plus_z", alpha_x, 0, params)
         a1 = fs.mode_lowering(red.space, "x").matrix
         want = (-(1 - r) * np.conj(alpha_x) + (1 + r) * alpha_x) / (
             2 * math.sqrt(r)
@@ -302,28 +287,37 @@ def test_frame_state_general_r():
         assert abs(np.trace(red.data @ a1) - want) < 1e-8
 
 
-def test_frame_state_refuses_strong_squeezing():
-    # far from r = 1 the mode pair outgrows the default window; the
-    # captured-norm gate must refuse rather than return junk
-    from weylsim.errors import TruncationError
-
-    space = SpaceSpec(12, 12)
-    psi = fs.coherent_state(space, 1j, 0, "plus_z")
-    with pytest.raises(TruncationError):
-        md.cyclotron_frame_state(psi, SimParams.from_khz(4.2, r=0.5))
+@pytest.mark.parametrize("r, n_max", [(0.5, 80), (2.0, 60)])
+def test_frame_state_predictor_far_from_unit_field(r, n_max):
+    # away from r = 1 the cyclotron ladder is squeezed against the bare
+    # mode x; the predictor on the reduced state must still match the
+    # two-mode numerics, at a truncation where those are converged
+    cfg = sc.default_config("landau", n_max=n_max, noise_on=False)
+    cfg = replace(cfg, params=SimParams.from_khz(4.2, r=r))
+    red = md.cyclotron_frame_state(
+        cfg.initial_spin, cfg.alpha_x, cfg.alpha_y, cfg.params
+    )
+    predicted = an.predict_sigma_z_series(red, cfg.params, cfg.grid)
+    two_mode = sc.sigma_z_series_blocked(cfg, cfg.grid)
+    assert np.abs(predicted.values - two_mode).max() < sc.PREDICTOR_TOL
 
 
 def test_frame_state_keeps_spin(space):
     params = SimParams.from_khz(4.2, r=1.0)
     psi = fs.coherent_state(space, 1j, 0, "plus_x")
-    red = md.cyclotron_frame_state(psi, params)
-    spin_in = fs.reduced_spin(psi)
-    spin_out = fs.reduced_spin(red)
-    assert np.abs(spin_in - spin_out).max() < 1e-8
+    red = md.cyclotron_frame_state("plus_x", 1j, 0, params)
+    for axis in ("x", "y", "z"):
+        before = fs.expectation(fs.pauli(space, axis), psi)
+        after = fs.expectation(fs.pauli(red.space, axis), red)
+        assert abs(before - after) < 1e-8
 
 
-def test_frame_state_rejects_bad_input(space):
-    params = SimParams.from_khz(4.2, r=0.0)
-    psi = fs.coherent_state(space, 1j, 0)
+def test_frame_state_rejects_bad_input():
     with pytest.raises(DomainError):
-        md.cyclotron_frame_state(psi, params)
+        md.cyclotron_frame_state("plus_z", 1j, 0, SimParams.from_khz(4.2, r=0.0))
+    params = SimParams.from_khz(4.2, r=1.0)
+    with pytest.raises(DomainError):
+        md.cyclotron_frame_state("up", 1j, 0, params)
+    # |alpha_x|^2 = 30 puts about a fifth of the weight past the kept ladder
+    with pytest.raises(TruncationError):
+        md.cyclotron_frame_state("plus_z", math.sqrt(30), 0, params)
