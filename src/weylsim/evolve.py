@@ -96,35 +96,27 @@ def evolve_unitary(
     """Expectation series of each observable under exp(-i H t).
 
     H is time independent, so it is diagonalized once and the exact
-    exponential is applied at every sample; there is no step error.  A
-    pure state is propagated as one d x n_samples block of normalized
-    sample vectors.  A mixed state is expanded in the eigenbasis,
-    <O>(t) = sum_jk O_kj rho_jk e^{-i (E_j - E_k) t}, so no propagated
-    density matrix is formed.  Besides one series per observable label,
-    the result holds `norm_drift`: |norm - 1| of each sample vector, or
-    |trace - 1| of a mixed state; above 1e-6 it raises ConvergenceError.
+    exponential is applied at every sample; there is no step error.  The
+    state must be pure (a density matrix raises DomainError; evolve_lindblad
+    takes one); it is propagated as one d x n_samples block of normalized
+    sample vectors.  Besides one series per observable label, the result holds
+    `norm_drift`, |norm - 1| of each sample vector; above 1e-6 it raises
+    ConvergenceError.
     """
     _check_inputs(h, state, observables)
+    if state.kind != "pure":
+        raise DomainError("evolve_unitary propagates pure states only")
     evals, evecs = h.eigh()
     times = grid.times - grid.t_start
-    values = {}
-    if state.kind == "pure":
-        coeffs = evecs.conj().T @ state.data
-        block = evecs @ (np.exp(-1j * np.outer(evals, times)) * coeffs[:, None])
-        norms = np.linalg.norm(block, axis=0)
-        drift = np.abs(norms - 1.0)
-        block /= norms
-        for label, obs in observables.items():
-            values[label] = np.einsum("ik,ik->k", block.conj(), obs.matrix @ block)
-    else:
-        rho_eig = evecs.conj().T @ state.data @ evecs
-        drift = np.full(grid.n_samples, abs(np.trace(rho_eig).real - 1.0))
-        gaps = np.subtract.outer(evals, evals).ravel()
-        for label, obs in observables.items():
-            obs_eig = evecs.conj().T @ obs.matrix @ evecs
-            weights = (rho_eig * obs_eig.T).ravel()
-            keep = np.abs(weights) > 1e-16
-            values[label] = weights[keep] @ np.exp(-1j * np.outer(gaps[keep], times))
+    coeffs = evecs.conj().T @ state.data
+    block = evecs @ (np.exp(-1j * np.outer(evals, times)) * coeffs[:, None])
+    norms = np.linalg.norm(block, axis=0)
+    drift = np.abs(norms - 1.0)
+    block /= norms
+    values = {
+        label: np.einsum("ik,ik->k", block.conj(), obs.matrix @ block)
+        for label, obs in observables.items()
+    }
     bad = np.flatnonzero(~(drift <= 1e-6))
     if bad.size:
         raise ConvergenceError(f"norm drift {drift[bad[0]]:.2e} at sample {bad[0]}")

@@ -268,6 +268,24 @@ def quadrature(space: AnySpace, mode: str = "x", which: str = "position") -> Lin
     return LinOp(_embedded(space, which, mode), space)
 
 
+@lru_cache(maxsize=32)
+def quadrature_eigenbasis(dim: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors (columns) of one mode's quadrature on dim levels.
+
+    A Hamiltonian that conserves a quadrature is diagonal in this basis, so
+    a readout under it is a weighted sum over the eigenvalues.
+    """
+    a = _lowering_1m(dim)
+    if which == "position":
+        q = (a + a.T) / np.sqrt(2)
+    elif which == "momentum":
+        q = 1j * (a.T - a) / np.sqrt(2)
+    else:
+        raise DomainError(f"unknown quadrature {which!r}")
+    values, vectors = np.linalg.eigh(q)
+    return _frozen(values), _frozen(vectors)
+
+
 def pauli(space: AnySpace, axis: str) -> LinOp:
     """Qubit operator sigma_axis (or raising/lowering) on the composite space."""
     if axis not in _PAULI:
@@ -311,7 +329,7 @@ def coherent_leakage(alpha: complex, n_max: int) -> float:
     return float(max(0.0, 1.0 - np.sum(np.abs(c) ** 2)))
 
 
-def _guard_alpha(alpha: complex, n_max: int, mode: str):
+def guard_alpha(alpha: complex, n_max: int, mode: str):
     if abs(alpha) ** 2 > n_max / 4:
         raise TruncationError(
             f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds n_max/4 = {n_max/4:.3f} "
@@ -323,8 +341,8 @@ def coherent_state(
     space: SpaceSpec, alpha_x: complex, alpha_y: complex, spin: str = "plus_z"
 ) -> QState:
     """Product state |spin>|alpha_x>|alpha_y> on the two-mode space."""
-    _guard_alpha(alpha_x, space.n_max_x, "x")
-    _guard_alpha(alpha_y, space.n_max_y, "y")
+    guard_alpha(alpha_x, space.n_max_x, "x")
+    guard_alpha(alpha_y, space.n_max_y, "y")
     vec = np.kron(
         spin_vector(spin),
         np.kron(
@@ -350,49 +368,8 @@ def basis_state(space: AnySpace, spin: str, *occupations: int) -> QState:
 
 
 # ---------------------------------------------------------------------------
-# spin manipulations and measurement plumbing
+# expectation values
 # ---------------------------------------------------------------------------
-
-
-def _motional_dim(space: AnySpace) -> int:
-    return space.dim // 2
-
-
-def _apply_spin_matrix(state: QState, u: np.ndarray) -> QState:
-    m = _motional_dim(state.space)
-    full = np.kron(u, np.eye(m, dtype=complex))
-    if state.kind == "pure":
-        return QState("pure", full @ state.data, state.space)
-    return QState("mixed", full @ state.data @ full.conj().T, state.space)
-
-
-def spin_rotation(state: QState, axis: str, angle: float) -> QState:
-    """Apply exp(-i angle sigma_axis / 2) to the spin factor only."""
-    if axis not in ("x", "y", "z"):
-        raise DomainError(f"rotation axis must be x, y or z, got {axis!r}")
-    u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * _PAULI[axis]
-    return _apply_spin_matrix(state, u)
-
-
-def reduced_motional(state: QState) -> np.ndarray:
-    """Density matrix of the motional factor, qubit traced out."""
-    m = _motional_dim(state.space)
-    rho = state.to_density().reshape(2, m, 2, m)
-    return np.einsum("smsn->mn", rho)
-
-
-def spin_reset(state: QState, target: str = "minus_z") -> QState:
-    """Discard the qubit and re-prepare it, keeping the motional state.
-
-    Returns a mixed state |target><target| (x) Tr_spin(rho); the motional
-    reduced state is preserved exactly.
-    """
-    if target != "minus_z":
-        raise DomainError("only reset to minus_z is supported")
-    rho_m = reduced_motional(state)
-    sv = spin_vector(target)
-    rho = np.kron(np.outer(sv, sv.conj()), rho_m)
-    return QState("mixed", rho, state.space)
 
 
 def expectation(obs: LinOp, state: QState) -> float:

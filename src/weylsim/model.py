@@ -50,8 +50,8 @@ class SimParams:
             raise DomainError("dephasing times must be positive (inf for none)")
         if self.omega_probe is None:
             object.__setattr__(self, "omega_probe", self.omega)
-        elif not 0 <= self.omega_probe < math.inf:
-            raise DomainError("omega_probe must be non-negative and finite")
+        elif not 0 < self.omega_probe < math.inf:
+            raise DomainError("omega_probe must be positive and finite")
 
     @classmethod
     def from_khz(
@@ -122,28 +122,6 @@ def kinetic_momentum(space: SpaceSpec, params: SimParams) -> tuple[LinOp, LinOp]
     py = fs.quadrature(space, "y", "momentum")
     x = fs.quadrature(space, "x", "position")
     return px, py - params.r * x
-
-
-_QUADRATURE_TARGETS = {
-    "x": ("x", "position"),
-    "px": ("x", "momentum"),
-    "y": ("y", "position"),
-    "py": ("y", "momentum"),
-}
-
-
-def quadrature_target(space: SpaceSpec, target: str) -> LinOp:
-    """The quadrature a probe target names: "x", "px", "y" or "py"."""
-    if target not in _QUADRATURE_TARGETS:
-        raise DomainError(f"unknown quadrature target {target!r}")
-    return fs.quadrature(space, *_QUADRATURE_TARGETS[target])
-
-
-@lru_cache(maxsize=64)
-def probe_hamiltonian(space: SpaceSpec, params: SimParams, target: str) -> LinOp:
-    """(omega_probe/sqrt(2)) sigma_y Q for the chosen quadrature Q."""
-    q = quadrature_target(space, target)
-    return (params.omega_probe / math.sqrt(2)) * (fs.pauli(space, "y") @ q)
 
 
 @lru_cache(maxsize=64)

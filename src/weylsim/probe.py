@@ -7,30 +7,41 @@ cubic-fitting the early spin-z response; the slope at zero is
 -sqrt(2) omega_probe.  The average energy of a free wavepacket comes from
 the early slope of the spin component perpendicular to the momentum
 direction, which falls as -2 E(p) t.
+
+Both drives conserve quadratures: the probe (omega_probe/sqrt(2)) sigma_y Q
+conserves Q, and the free Hamiltonian (omega/sqrt(2)) (sigma_x p_x +
+sigma_y p_y) conserves p_x and p_y.  In each joint eigensector the qubit
+precesses in a fixed field, so each readout signal is a weighted sum of
+single-spin precessions over the conserved eigenvalues, exact on the
+truncated space; no operator on the full space is built.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import analyze as an
 from . import evolve as ev
 from . import fockspace as fs
-from . import model as md
 from .analyze import SlopeFit
 from .errors import DomainError, FitError, RegimeError
-from .fockspace import LinOp, QState, SpaceSpec
+from .fockspace import QState, SpaceSpec
 
-__all__ = [
-    "SlopeFit",
-    "measure_quadrature",
-    "measure_energy_slope",
-    "sigma_theta_perp",
-]
+__all__ = ["SlopeFit", "measure_quadrature", "measure_energy_slope"]
 
 PROBE_SAMPLES = 12
 PROBE_PHASE_BUDGET = 0.25  # max sqrt(2) omega_probe t |<Q>| over the window
 FIT_RESIDUAL_LIMIT = 0.01
+
+# the quadrature a probe target names: (mode, kind)
+_TARGETS = {
+    "x": ("x", "position"),
+    "px": ("x", "momentum"),
+    "y": ("y", "position"),
+    "py": ("y", "momentum"),
+}
 
 
 def _default_probe_grid(params, q_estimate: float) -> ev.TimeGrid:
@@ -40,50 +51,69 @@ def _default_probe_grid(params, q_estimate: float) -> ev.TimeGrid:
     return ev.TimeGrid(0.0, t_end, PROBE_SAMPLES)
 
 
+def _fitted_slope(grid: ev.TimeGrid, values: np.ndarray, protocol: str) -> float:
+    """Slope at zero of the cubic fit to a readout signal sampled on grid."""
+    fit = an.fit_polynomial(an.TimeSeries(grid.times, values, protocol), 3)
+    if fit.residual_rms > FIT_RESIDUAL_LIMIT:
+        raise FitError(f"{protocol} fit residual {fit.residual_rms:.2e} too large")
+    return fit.slope_at_zero
+
+
+def _target_distribution(state: QState, target: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues q_k of the target quadrature and weights <q_k|rho_Q|q_k>.
+
+    rho_Q is the state of the target's mode with the qubit and the other
+    mode traced out; the weights are its distribution over the q_k.
+    """
+    if target not in _TARGETS:
+        raise DomainError(f"unknown quadrature target {target!r}")
+    mode, kind = _TARGETS[target]
+    space = state.space
+    axis = 1 + fs._mode_index(space, mode)
+    dims = (2, *space.mode_dims)
+    q, vecs = fs.quadrature_eigenbasis(dims[axis], kind)
+    if state.kind == "pure":
+        amps = np.moveaxis(state.data.reshape(dims), axis, 0).reshape(len(q), -1)
+        rho_q = amps @ amps.conj().T
+    else:
+        ket = list(range(len(dims)))
+        bra = [len(dims) if i == axis else i for i in ket]
+        rho = state.data.reshape(dims + dims)
+        rho_q = np.einsum(rho, ket + bra, [axis, len(dims)])
+    return q, np.einsum("ak,ab,bk->k", vecs.conj(), rho_q, vecs).real
+
+
 def measure_quadrature(
     state: QState,
     target: str,
     params,
     probe_grid: ev.TimeGrid | None = None,
-    noise: ev.NoiseSpec | None = None,
 ) -> float:
     """Estimate one motional quadrature through the spin-readout protocol.
 
     The qubit of the input state is discarded (reset), so the estimate
-    refers to the motional reduced state.  The default probe window is
-    sized from a direct estimate of <Q> to stay in the small-angle regime;
-    an explicit probe_grid overrides it, and must satisfy
-    sqrt(2) omega_probe t_end |<Q>| < 0.5.  Pass a NoiseSpec to apply the
-    dephasing channel during probing.
+    refers to the motional reduced state.  The reset qubit starts on +x
+    and, in the eigensector Q = q_k, turns about y by sqrt(2) omega_probe
+    q_k t, so <sigma_z>(t) = -sum_k w_k sin(sqrt(2) omega_probe q_k t)
+    with w_k the distribution of the target quadrature.  The default probe
+    window is sized from <Q> = sum_k w_k q_k to stay in the small-angle
+    regime; an explicit probe_grid overrides it, and must satisfy
+    sqrt(2) omega_probe t_end |<Q>| < 0.5.
     """
-    space = state.space
-    q_op = md.quadrature_target(space, target)
-    q_direct = fs.expectation(q_op, state)  # window sizing only
+    q, weights = _target_distribution(state, target)
+    q_mean = float(weights @ q)  # window sizing only
     if probe_grid is None:
-        probe_grid = _default_probe_grid(params, q_direct)
-    angle = math.sqrt(2) * params.omega_probe * probe_grid.t_end * abs(q_direct)
+        probe_grid = _default_probe_grid(params, q_mean)
+    angle = math.sqrt(2) * params.omega_probe * probe_grid.t_end * abs(q_mean)
     if angle >= 0.5:
         raise RegimeError(
             f"probe window leaves the small-angle regime (phase {angle:.3f})"
         )
-    prepared = fs.spin_rotation(fs.spin_reset(state), "y", -math.pi / 2)
-    h_probe = md.probe_hamiltonian(space, params, target)
-    sz = {"sigma_z": fs.pauli(space, "z")}
-    if noise is None:
-        series = ev.evolve_unitary(h_probe, prepared, probe_grid, sz)
-    else:
-        series = ev.evolve_lindblad(h_probe, noise, prepared, probe_grid, sz)
-    fit = an.fit_polynomial(series["sigma_z"], 3)
-    if fit.residual_rms > FIT_RESIDUAL_LIMIT:
-        raise FitError(f"probe fit residual {fit.residual_rms:.2e} too large")
-    return -fit.slope_at_zero / (math.sqrt(2) * params.omega_probe)
-
-
-def sigma_theta_perp(space, theta: float) -> LinOp:
-    """Spin component perpendicular to the in-plane direction theta."""
-    return -math.sin(theta) * fs.pauli(space, "x") + math.cos(theta) * fs.pauli(
-        space, "y"
-    )
+    rates = math.sqrt(2) * params.omega_probe * q
+    t = probe_grid.times - probe_grid.t_start
+    sigma_z = -np.sin(np.outer(t, rates)) @ weights
+    slope = _fitted_slope(probe_grid, sigma_z, "probe")
+    return -slope / (math.sqrt(2) * params.omega_probe)
 
 
 def measure_energy_slope(
@@ -97,7 +127,10 @@ def measure_energy_slope(
 
     Prepares |+z> with the matching coherent modes, evolves under the free
     Hamiltonian, cubic-fits the early perpendicular spin component and
-    returns -slope/2, which equals (omega/sqrt(2)) p.
+    returns -slope/2, which equals (omega/sqrt(2)) p.  In the momentum
+    sector b = (p_j, p_k) the spin precesses about b at sqrt(2) omega |b|,
+    so with P_j, Q_k the momentum distributions of the two modes,
+    <sigma_theta_perp>(t) = -sum_jk P_j Q_k (b.n_theta/|b|) sin(sqrt(2) omega |b| t).
     """
     if params.r != 0:
         raise DomainError("the free-particle protocol requires r = 0")
@@ -107,15 +140,24 @@ def measure_energy_slope(
         space = SpaceSpec(18, 18)
     alpha_x = 1j * p * math.cos(theta) / math.sqrt(2)
     alpha_y = 1j * p * math.sin(theta) / math.sqrt(2)
-    psi0 = fs.coherent_state(space, alpha_x, alpha_y, "plus_z")
+    fs.guard_alpha(alpha_x, space.n_max_x, "x")
+    fs.guard_alpha(alpha_y, space.n_max_y, "y")
     if grid is None:
         e_est = params.omega / math.sqrt(2) * max(p, 0.5)
         grid = ev.TimeGrid(0.0, PROBE_PHASE_BUDGET / (2 * e_est), PROBE_SAMPLES)
-    h_free = md.weyl_hamiltonian(space, params)
-    series = ev.evolve_unitary(
-        h_free, psi0, grid, {"sigma_theta_perp": sigma_theta_perp(space, theta)}
-    )["sigma_theta_perp"]
-    fit = an.fit_polynomial(series, 3)
-    if fit.residual_rms > FIT_RESIDUAL_LIMIT:
-        raise FitError(f"energy fit residual {fit.residual_rms:.2e} too large")
-    return -fit.slope_at_zero / 2
+
+    def momentum_distribution(alpha, n_max):
+        values, vecs = fs.quadrature_eigenbasis(n_max + 1, "momentum")
+        amps = vecs.conj().T @ fs.coherent_amplitudes(alpha, n_max + 1)
+        return values, np.abs(amps) ** 2
+
+    px, wx = momentum_distribution(alpha_x, space.n_max_x)
+    py, wy = momentum_distribution(alpha_y, space.n_max_y)
+    size = np.hypot.outer(px, py)
+    along = np.add.outer(px * math.cos(theta), py * math.sin(theta))
+    amps = np.outer(wx, wy) * np.divide(
+        along, size, out=np.zeros_like(size), where=size > 0
+    )
+    rates = math.sqrt(2) * params.omega * size.ravel()
+    perp = -np.sin(np.outer(grid.times - grid.t_start, rates)) @ amps.ravel()
+    return -_fitted_slope(grid, perp, "energy") / 2

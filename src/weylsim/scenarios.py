@@ -40,8 +40,9 @@ PEAK_FRAC_FINE = 0.02
 INSET_SPAN_MS = 5.0
 INSET_SAMPLES = 501
 PREDICTOR_TOL = 1e-8
-# the two-mode reference converges to PREDICTOR_TOL by n_max 40 only near
-# r = 1 (at n_max 40: 2.5e-8 at r = 2, 8.5e-4 at r = 0.5)
+# the two-mode reference converges to PREDICTOR_TOL by n_max 40 at r = 1;
+# the check runs from n_max ceil(40 max(r, 1/r)) (at n_max 40 the gap is
+# 8.5e-4 at r = 0.5 and 2.5e-8 at r = 2; at the scaled floor 3.3e-10, 1.0e-13)
 PREDICTOR_N_MAX_FLOOR = 40
 SLOPE_TOL = 0.02
 PY_DRIFT_TOL = 1e-6
@@ -78,6 +79,8 @@ class ScenarioConfig:
                 raise DomainError("dispersion requires r = 0")
             if self.noise_on:
                 raise DomainError("dispersion is noiseless: noise must be false")
+            for p in self.sweep:  # each wavepacket moves along x
+                fs.guard_alpha(1j * p / math.sqrt(2), self.space.n_max_x, "x")
         else:
             if self.sweep is not None:
                 raise DomainError("sweep is only meaningful for dispersion")
@@ -85,6 +88,8 @@ class ScenarioConfig:
                 raise DomainError(f"{self.name} requires r > 0")
             if self.grid is None:
                 raise DomainError(f"{self.name} requires a time grid")
+            fs.guard_alpha(self.alpha_x, self.space.n_max_x, "x")
+            fs.guard_alpha(self.alpha_y, self.space.n_max_y, "y")
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +394,7 @@ def sigma_z_series_blocked(cfg: ScenarioConfig, grid: TimeGrid) -> np.ndarray:
     propagation to rounding, at a fraction of the cost.
     """
     dy = cfg.space.n_max_y + 1
-    a1 = fs._lowering_1m(dy)
-    py_mat = 1j * (a1.conj().T - a1) / math.sqrt(2)
-    py_vals, py_vecs = np.linalg.eigh(py_mat)
+    py_vals, py_vecs = fs.quadrature_eigenbasis(dy, "momentum")
     weights = np.abs(py_vecs.conj().T @ fs.coherent_amplitudes(cfg.alpha_y, dy)) ** 2
 
     sm = SingleModeSpec(cfg.space.n_max_x)
@@ -472,7 +475,9 @@ def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
         checks.append(
             _cat_check("largest_two_peaks_are_n1_n2", True, ok, "analytic")
         )
-    elif min(cfg.space.n_max_x, cfg.space.n_max_y) >= PREDICTOR_N_MAX_FLOOR:
+    elif min(cfg.space.n_max_x, cfg.space.n_max_y) >= math.ceil(
+        PREDICTOR_N_MAX_FLOOR * max(params.r, 1 / params.r)
+    ):
         # cross-check of the analytic single-mode predictor against the
         # two-mode numerics; below the floor the two-mode reference itself
         # is not converged to the tolerance, so the comparison says nothing

@@ -77,7 +77,7 @@ def test_invalid_value_rejected(tmp_path):
 
 def test_config_roundtrip(tmp_path):
     configs = [
-        default_config(name, n_max=9, noise_on=noise)
+        default_config(name, n_max=12, noise_on=noise)
         for name in SCENARIO_NAMES
         for noise in (True, False)
         if not (name == "dispersion" and noise)  # dispersion is noiseless
@@ -134,7 +134,7 @@ def test_cli_flags_equal_config_keys(tmp_path, name):
         return cli._resolve(name, args)
 
     assert resolve("", "--no-noise") == resolve("noise = false\n")
-    assert resolve("", "--n-max", "9") == resolve("n_max_x = 9\nn_max_y = 9\n")
+    assert resolve("", "--n-max", "12") == resolve("n_max_x = 12\nn_max_y = 12\n")
 
 
 INVALID_VALUES = [
@@ -149,11 +149,17 @@ INVALID_VALUES = [
     # a slope needs non-negative momenta, at least one of them non-zero
     ("dispersion", "sweep = -0.5, 1.19"),
     ("dispersion", "sweep = 0"),
+    # coherent amplitudes past the truncation guard |alpha|^2 <= n_max/4
+    ("dispersion", "sweep = 1.0, 5.0"),
+    ("helicity", "alpha_x = 3j"),
+    ("landau", "noise = false\nn_max_x = 20\nalpha_x = 3j"),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, line", INVALID_VALUES, ids=[line for _, line in INVALID_VALUES]
+    "name, line",
+    INVALID_VALUES,
+    ids=[line.replace("\n", "; ") for _, line in INVALID_VALUES],
 )
 def test_invalid_values_exit_2(tmp_path, capsys, name, line):
     path = tmp_path / "bad.ini"

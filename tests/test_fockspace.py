@@ -26,15 +26,6 @@ def lowering_expect_oracle(c):
     )
 
 
-def ptrace_spin_oracle(vec, m):
-    """Motional density matrix by explicit index contraction."""
-    psi = vec.reshape(2, m)
-    out = np.zeros((m, m), dtype=complex)
-    for s in range(2):
-        out += np.outer(psi[s], psi[s].conj())
-    return out
-
-
 # --- mode operators ----------------------------------------------------------
 
 
@@ -83,6 +74,22 @@ def test_quadratures_hermitian_and_canonical(space):
         v = fs.basis_state(space, "plus_z", n, 0).data
         interior.append(np.vdot(v, comm @ v))
     assert np.abs(np.array(interior) - 1j).max() < 1e-12
+
+
+def test_quadrature_eigenbasis_diagonalizes_quadrature(small_space):
+    # lifted to the composite space, the single-mode eigenbasis of mode y
+    # diagonalizes the embedded quadrature with the returned eigenvalues
+    d = small_space.n_max_y + 1
+    rest = small_space.dim // d
+    for kind in ("position", "momentum"):
+        q, vecs = fs.quadrature_eigenbasis(d, kind)
+        assert np.abs(vecs.conj().T @ vecs - np.eye(d)).max() < 1e-12
+        lift = np.kron(np.eye(rest), vecs)
+        op = fs.quadrature(small_space, "y", kind).matrix
+        diagonal = np.diag(np.tile(q, rest))
+        assert np.abs(lift.conj().T @ op @ lift - diagonal).max() < 1e-12
+    with pytest.raises(DomainError):
+        fs.quadrature_eigenbasis(d, "angle")
 
 
 def test_vacuum_position_mean(space):
@@ -153,56 +160,6 @@ def test_single_mode_coherent(sm_space):
     st = fs.QState("pure", vec, sm_space)
     n_op = fs.number_operator(sm_space, "x")
     assert abs(fs.expectation(n_op, st) - 1.0) < 1e-9
-
-
-# --- spin rotations and reset -------------------------------------------------
-
-
-def test_rotation_identity_at_zero_angle(space):
-    st = fs.coherent_state(space, 0.3, 0.2j, "plus_x")
-    out = fs.spin_rotation(st, "y", 0.0)
-    assert np.abs(out.data - st.data).max() < 1e-15
-
-
-def test_rotation_minus_z_to_plus_x(space):
-    st = fs.basis_state(space, "minus_z", 0, 0)
-    out = fs.spin_rotation(st, "y", -math.pi / 2)
-    assert abs(fs.expectation(fs.pauli(space, "x"), out) - 1.0) < 1e-12
-
-
-def test_two_pi_rotation_restores_z(space):
-    st = fs.basis_state(space, "plus_z", 0, 0)
-    out = fs.spin_rotation(fs.spin_rotation(st, "x", math.pi), "x", math.pi)
-    assert abs(fs.expectation(fs.pauli(space, "z"), out) - 1.0) < 1e-12
-
-
-def test_spin_reset_preserves_motional_state(space):
-    st = fs.coherent_state(space, 0.7j, 0.2, "plus_z")
-    x_op = fs.quadrature(space, "x", "position")
-    px_op = fs.quadrature(space, "x", "momentum")
-    before = (fs.expectation(x_op, st), fs.expectation(px_op, st))
-    out = fs.spin_reset(st)
-    assert out.kind == "mixed"
-    assert abs(fs.expectation(fs.pauli(space, "z"), out) + 1.0) < 1e-12
-    after = (fs.expectation(x_op, out), fs.expectation(px_op, out))
-    assert abs(before[0] - after[0]) < 1e-10
-    assert abs(before[1] - after[1]) < 1e-10
-
-
-def test_spin_reset_entangled_purity_oracle(small_space):
-    # spin-motion entangled state: (|+z>|alpha> + |-z>|-alpha>)/norm
-    a = fs.coherent_state(small_space, 0.8, 0, "plus_z").data
-    b = fs.coherent_state(small_space, -0.8, 0, "minus_z").data
-    vec = (a + b) / np.linalg.norm(a + b)
-    st = fs.QState("pure", vec, small_space)
-    out = fs.spin_reset(st)
-    m = small_space.dim // 2
-    rho_m_oracle = ptrace_spin_oracle(vec, m)
-    purity_oracle = np.trace(rho_m_oracle @ rho_m_oracle).real
-    rho_m_out = fs.reduced_motional(out)
-    purity_out = np.trace(rho_m_out @ rho_m_out).real
-    assert abs(purity_out - purity_oracle) < 1e-12
-    assert np.abs(rho_m_out - rho_m_oracle).max() < 1e-12
 
 
 # --- expectation -------------------------------------------------------------

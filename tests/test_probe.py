@@ -8,7 +8,7 @@ from weylsim import evolve as ev
 from weylsim import fockspace as fs
 from weylsim import model as md
 from weylsim import probe as pr
-from weylsim.errors import DomainError, RegimeError
+from weylsim.errors import DomainError, RegimeError, TruncationError
 from weylsim.evolve import TimeGrid
 from weylsim.fockspace import SpaceSpec
 from weylsim.model import SimParams
@@ -32,7 +32,77 @@ def direct_quadratures(state):
     }
 
 
+@pytest.fixture()
+def fitted(monkeypatch):
+    """The readout series each protocol call hands to its cubic fit."""
+    seen = []
+    fit = an.fit_polynomial
+
+    def recording(series, order):
+        seen.append(series)
+        return fit(series, order)
+
+    monkeypatch.setattr(an, "fit_polynomial", recording)
+    return seen
+
+
+def _grid_of(series):
+    return TimeGrid(series.times[0], series.times[-1], len(series.times))
+
+
 # --- quadrature protocol ---------------------------------------------------------
+
+
+def probe_oracle_series(state, target, params, grid, probe_hamiltonian):
+    """<sigma_z>(t) of the reset, rotated input under the dense probe Hamiltonian.
+
+    The reset qubit is re-prepared on +x, so the probe starts from
+    |+x><+x| (x) rho_m; that mixture is propagated as its pure components
+    |+x>|phi_i>, the eigenvectors of the motional state rho_m.
+    """
+    space = state.space
+    m = space.dim // 2
+    rho_m = np.einsum("smsn->mn", state.to_density().reshape(2, m, 2, m))
+    lam, phis = np.linalg.eigh(rho_m)
+    h = probe_hamiltonian(space, params, target)
+    sz = {"sigma_z": fs.pauli(space, "z")}
+    total = np.zeros(grid.n_samples)
+    for weight, phi in zip(lam, phis.T):
+        if weight > 1e-15:
+            psi = fs.QState("pure", np.kron(fs.spin_vector("plus_x"), phi), space)
+            total += weight * ev.evolve_unitary(h, psi, grid, sz)["sigma_z"].values
+    return total
+
+
+def test_probe_series_matches_dense_oracle(fitted, probe_hamiltonian):
+    # the closed-form precession sum against dense propagation of the reset,
+    # rotated state: random coherent inputs and spins, a spin-motion
+    # entangled input and a mixed one, every target
+    rng = np.random.default_rng(11)
+    space = SpaceSpec(10, 7)  # unequal modes catch a swapped axis
+    params = SimParams.from_khz(4.75, r=0.0, omega_probe_khz=rng.uniform(2, 6))
+
+    def coherent(spin):
+        alpha_x = rng.uniform(0, 1.5) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        alpha_y = rng.uniform(0, 1.3) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        return fs.coherent_state(space, alpha_x, alpha_y, spin).data
+
+    spins = rng.permutation(fs.SPIN_LABELS)
+    states = [fs.QState("pure", coherent(s), space) for s in spins]
+    a, b = coherent("plus_z"), coherent("minus_x")
+    states.append(fs.QState("pure", (a + b) / np.linalg.norm(a + b), space))
+    c, d = coherent("plus_x"), coherent("minus_z")
+    w = rng.uniform(0.2, 0.8)
+    rho = w * np.outer(c, c.conj()) + (1 - w) * np.outer(d, d.conj())
+    states.append(fs.QState("mixed", rho, space))
+    for state in states:
+        for target in TARGETS:
+            pr.measure_quadrature(state, target, params)
+            got = fitted[-1]
+            want = probe_oracle_series(
+                state, target, params, _grid_of(got), probe_hamiltonian
+            )
+            assert np.abs(got.values - want).max() < 1e-12
 
 
 def test_vacuum_quadratures_vanish(space, params):
@@ -93,16 +163,6 @@ def test_probe_regime_guard(space, params):
         pr.measure_quadrature(st, "x", params, probe_grid=long_grid)
 
 
-def test_probe_with_dephasing_stays_close(space):
-    params = SimParams.from_khz(4.75, r=0.0, tau_d_x=4.0, tau_d_y=3.5)
-    st = fs.coherent_state(SpaceSpec(10, 10), 0.8, 0, "plus_z")
-    got = pr.measure_quadrature(
-        st, "x", params, noise=ev.NoiseSpec.from_params(params)
-    )
-    want = math.sqrt(2) * 0.8
-    assert abs(got - want) / want < 0.02
-
-
 # --- energy protocol ---------------------------------------------------------------
 
 
@@ -144,6 +204,43 @@ def test_energy_window_halving_converges(params):
         errs.append(abs(got - want) / want)
     assert errs[2] < errs[0]
     assert errs[2] < 1e-4
+
+
+def sigma_theta_perp(space, theta):
+    """Spin component perpendicular to the in-plane direction theta."""
+    return -math.sin(theta) * fs.pauli(space, "x") + math.cos(theta) * fs.pauli(
+        space, "y"
+    )
+
+
+def test_energy_series_matches_dense_oracle(fitted, params):
+    # the closed-form precession sum against dense propagation under the
+    # free Hamiltonian, at random momenta, directions and windows
+    rng = np.random.default_rng(7)
+    space = SpaceSpec(12, 9)  # unequal modes catch a swapped axis
+    h = md.weyl_hamiltonian(space, params)
+    for p in (0.0, *rng.uniform(0.1, 2.1, 5)):
+        theta = rng.uniform(0, 2 * math.pi)
+        t_start = rng.uniform(0, 0.01)
+        e_est = params.omega / math.sqrt(2) * max(p, 0.5)  # default window scale
+        span = rng.uniform(1, 4) * 0.25 / (2 * e_est)
+        grid = TimeGrid(t_start, t_start + span, 12)
+        pr.measure_energy_slope(p, theta, params, grid=grid, space=space)
+        alpha_x = 1j * p * math.cos(theta) / math.sqrt(2)
+        alpha_y = 1j * p * math.sin(theta) / math.sqrt(2)
+        psi0 = fs.coherent_state(space, alpha_x, alpha_y, "plus_z")
+        perp = {"perp": sigma_theta_perp(space, theta)}
+        want = ev.evolve_unitary(h, psi0, grid, perp)["perp"].values
+        assert np.abs(fitted[-1].values - want).max() < 1e-12
+
+
+def test_energy_protocol_truncation_guard(params):
+    # the wavepacket |alpha|^2 = p^2/2 must stay within n_max/4 on each mode
+    space = SpaceSpec(8, 8)
+    for theta in (0.0, math.pi / 2):
+        with pytest.raises(TruncationError):
+            pr.measure_energy_slope(2.01, theta, params, space=space)
+        pr.measure_energy_slope(1.99, theta, params, space=space)
 
 
 def test_energy_requires_free_model():
@@ -189,15 +286,3 @@ def test_spin_expectations_initial_values(space):
     series = ev.evolve_unitary(h, psi0, grid, spins)
     assert abs(series["sigma_z"].values[0] - 1.0) < 1e-12
     assert abs(series["sigma_y"].values[0]) < 1e-12
-
-
-def test_sigma_theta_perp_algebra(space):
-    for theta in np.linspace(0, 2 * math.pi, 8, endpoint=False):
-        perp = pr.sigma_theta_perp(space, theta)
-        par = math.cos(theta) * fs.pauli(space, "x") + math.sin(theta) * fs.pauli(
-            space, "y"
-        )
-        anti = (perp @ par + par @ perp).matrix
-        assert np.abs(anti).max() < 1e-12
-        sq = (perp @ perp).matrix
-        assert np.abs(sq - np.eye(space.dim)).max() < 1e-12
