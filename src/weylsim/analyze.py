@@ -64,8 +64,8 @@ class Spectrum:
 class SlopeFit:
     """Least-squares polynomial fit of an early-time curve."""
 
-    coefficients: np.ndarray  # c0, c1, ... in the raw time variable
-    slope_at_zero: float  # = c1
+    coefficients: np.ndarray  # c0, c1, ... of the polynomial in t - t0
+    slope_at_zero: float  # = c1, the slope at the first sample t0
     window: tuple[float, float]
     residual_rms: float
 
@@ -153,8 +153,9 @@ def predict_sigma_z_series(psi0: QState, params, grid) -> TimeSeries:
 def fit_polynomial(series: TimeSeries, order: int) -> SlopeFit:
     """Ordinary least squares polynomial fit; the slope is coefficient c1.
 
-    The fit runs in the scaled variable t/span for conditioning and the
-    coefficients are mapped back to the raw time variable.
+    The fit runs in (t - t0)/span for conditioning, t0 the first sample; the
+    coefficients are those of the polynomial in t - t0, so c1 is the slope
+    at t0, not at t = 0.
     """
     if order < 1:
         raise DomainError("order must be >= 1")

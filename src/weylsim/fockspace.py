@@ -110,7 +110,7 @@ class LinOp:
     """Dense complex operator on a composite space.
 
     Equality and hashing are by identity; the matrix payload is frozen, so
-    instances can be shared and memoized freely.
+    instances can be shared freely.
     """
 
     matrix: np.ndarray
@@ -127,14 +127,6 @@ class LinOp:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of a Hermitian operator, memoized per instance."""
-        cached = self.__dict__.get("_eigh")
-        if cached is None:
-            cached = np.linalg.eigh(self.matrix)
-            self.__dict__["_eigh"] = cached
-        return cached
 
     def dagger(self) -> "LinOp":
         return LinOp(self.matrix.conj().T.copy(), self.space)
@@ -162,9 +154,6 @@ class LinOp:
         return LinOp(self.matrix * scalar, self.space)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "LinOp":
-        return LinOp(-self.matrix, self.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,15 +204,23 @@ def _mode_index(space: AnySpace, mode: str) -> int:
     return space.modes.index(mode)
 
 
-@lru_cache(maxsize=None)
-def _lowering_1m(d: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        m[n - 1, n] = np.sqrt(n)
+def mode_matrix(dim: int, which: str) -> np.ndarray:
+    """Lowering, number, position or momentum operator of one mode on dim levels."""
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1) + 0j  # <n-1|a|n> = sqrt(n)
+    if which == "lower":
+        m = a
+    elif which == "number":
+        m = a.conj().T @ a
+    elif which == "position":
+        m = (a + a.conj().T) / np.sqrt(2)
+    elif which == "momentum":
+        m = 1j * (a.conj().T - a) / np.sqrt(2)
+    else:
+        raise DomainError(f"unknown operator kind {which!r}")
     return _frozen(m)
 
 
-@lru_cache(maxsize=32)  # one dense d x d matrix per entry; the four scenarios use 16
+@lru_cache(maxsize=32)  # d x d matrices; only the noisy path and tests use them
 def _embedded(space: AnySpace, which: str, mode: str | None) -> np.ndarray:
     """Operator on one tensor factor, padded with identities elsewhere."""
     dims = space.mode_dims
@@ -231,17 +228,7 @@ def _embedded(space: AnySpace, which: str, mode: str | None) -> np.ndarray:
         factors = [_PAULI[which[6:]]] + [np.eye(d, dtype=complex) for d in dims]
     else:
         k = _mode_index(space, mode)
-        base = _lowering_1m(dims[k])
-        if which == "lower":
-            m1 = base
-        elif which == "number":
-            m1 = base.conj().T @ base
-        elif which == "position":
-            m1 = (base + base.conj().T) / np.sqrt(2)
-        elif which == "momentum":
-            m1 = 1j * (base.conj().T - base) / np.sqrt(2)
-        else:
-            raise DomainError(f"unknown operator kind {which!r}")
+        m1 = mode_matrix(dims[k], which)
         factors = [np.eye(2, dtype=complex)] + [
             m1 if i == k else np.eye(d, dtype=complex) for i, d in enumerate(dims)
         ]
@@ -275,14 +262,9 @@ def quadrature_eigenbasis(dim: int, which: str) -> tuple[np.ndarray, np.ndarray]
     A Hamiltonian that conserves a quadrature is diagonal in this basis, so
     a readout under it is a weighted sum over the eigenvalues.
     """
-    a = _lowering_1m(dim)
-    if which == "position":
-        q = (a + a.T) / np.sqrt(2)
-    elif which == "momentum":
-        q = 1j * (a.T - a) / np.sqrt(2)
-    else:
+    if which not in ("position", "momentum"):
         raise DomainError(f"unknown quadrature {which!r}")
-    values, vectors = np.linalg.eigh(q)
+    values, vectors = np.linalg.eigh(mode_matrix(dim, which))
     return _frozen(values), _frozen(vectors)
 
 
@@ -293,8 +275,9 @@ def pauli(space: AnySpace, axis: str) -> LinOp:
     return LinOp(_embedded(space, "pauli_" + axis, None), space)
 
 
-def identity(space: AnySpace) -> LinOp:
-    return LinOp(np.eye(space.dim, dtype=complex), space)
+def product_operator(space: SpaceSpec, terms) -> LinOp:
+    """Sum of the products np.kron(A, B), A on qubit (x) mode x, B on mode y."""
+    return LinOp(sum(np.kron(a, b) for a, b in terms), space)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,29 +101,51 @@ def sideband_hamiltonian(space: SpaceSpec, tone: ToneSpec) -> LinOp:
     return half + half.dagger()
 
 
-@lru_cache(maxsize=64)
+def field_observables(space: SpaceSpec, params: SimParams) -> dict[str, list]:
+    """The field runs' observables as sums of products (A, B), A on qubit (x)
+    mode x and B on mode y; pi_x = p_x and pi_y = p_y - r x are the kinetic
+    momenta in the field's gauge.  Every B except y's position commutes
+    with p_y.
+    """
+    sm = SingleModeSpec(space.n_max_x)
+    dy = space.n_max_y + 1
+    one_x, one_y = np.eye(sm.dim), np.eye(dy)
+    x = fs.quadrature(sm, "x", "position").matrix
+    p_y = [(one_x, fs.mode_matrix(dy, "momentum"))]
+    return {
+        **{f"sigma_{k}": [(fs.pauli(sm, k).matrix, one_y)] for k in "xyz"},
+        "x": [(x, one_y)],
+        "y": [(one_x, fs.mode_matrix(dy, "position"))],
+        "pi_x": [(fs.quadrature(sm, "x", "momentum").matrix, one_y)],
+        "pi_y": p_y + [(-params.r * x, one_y)],
+        "p_y": p_y,
+    }
+
+
+def weyl_terms(space: SpaceSpec, params: SimParams) -> list:
+    """(omega/sqrt(2)) [sigma_x pi_x + sigma_y pi_y] as products (A, B).
+
+    Every B is 1 or p_y, so H conserves p_y, also on the truncated space.
+    """
+    obs = field_observables(space, params)
+    c = params.omega / math.sqrt(2)
+    return [
+        (c * obs[spin][0][0] @ a, b)
+        for spin, pi in (("sigma_x", "pi_x"), ("sigma_y", "pi_y"))
+        for a, b in obs[pi]
+    ]
+
+
 def weyl_hamiltonian(space: SpaceSpec, params: SimParams) -> LinOp:
-    """(omega/sqrt(2)) [sigma_x p_x + sigma_y (p_y - r x)].
+    """(omega/sqrt(2)) [sigma_x p_x + sigma_y (p_y - r x)] on the full space.
 
     Equals the sum of the four drive tones
     red_x((1-r) omega, pi/2) + blue_x((1+r) omega, pi/2)
     + red_y(omega, pi) + blue_y(omega, 0).
     """
-    pi_x, pi_y = kinetic_momentum(space, params)
-    sx = fs.pauli(space, "x")
-    sy = fs.pauli(space, "y")
-    return (params.omega / math.sqrt(2)) * (sx @ pi_x + sy @ pi_y)
+    return fs.product_operator(space, weyl_terms(space, params))
 
 
-def kinetic_momentum(space: SpaceSpec, params: SimParams) -> tuple[LinOp, LinOp]:
-    """Kinetic momenta (pi_x, pi_y) = (p_x, p_y - r x) in the field's gauge."""
-    px = fs.quadrature(space, "x", "momentum")
-    py = fs.quadrature(space, "y", "momentum")
-    x = fs.quadrature(space, "x", "position")
-    return px, py - params.r * x
-
-
-@lru_cache(maxsize=64)
 def transformed_hamiltonian(space: SingleModeSpec, params: SimParams) -> LinOp:
     """Single-mode form omega sqrt(r) (i sigma_+ a^dag - i sigma_- a).
 
@@ -136,23 +157,6 @@ def transformed_hamiltonian(space: SingleModeSpec, params: SimParams) -> LinOp:
     a = fs.mode_lowering(space, "x")
     half = params.omega * math.sqrt(params.r) * 1j * (fs.pauli(space, "plus") @ a.dagger())
     return half + half.dagger()
-
-
-@lru_cache(maxsize=512)
-def weyl_block_hamiltonian(space: SingleModeSpec, params: SimParams, p_y: float) -> LinOp:
-    """Two-mode Hamiltonian restricted to one p_y eigensector.
-
-    p_y commutes with the full Hamiltonian (exactly, including truncation),
-    so the two-mode problem splits into qubit (x) mode-x blocks
-    (omega/sqrt(2)) [sigma_x p_x + sigma_y (p_y - r x)] with p_y a number.
-    """
-    px = fs.quadrature(space, "x", "momentum")
-    x = fs.quadrature(space, "x", "position")
-    sx = fs.pauli(space, "x")
-    sy = fs.pauli(space, "y")
-    return (params.omega / math.sqrt(2)) * (
-        sx @ px + sy @ (p_y * fs.identity(space) - params.r * x)
-    )
 
 
 # ---------------------------------------------------------------------------

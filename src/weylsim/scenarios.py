@@ -27,7 +27,7 @@ from . import model as md
 from . import probe as pr
 from .errors import ConfigError, DomainError, WeylSimError
 from .evolve import NoiseSpec, TimeGrid
-from .fockspace import SingleModeSpec, SpaceSpec
+from .fockspace import SpaceSpec
 from .model import SimParams
 
 SCENARIO_NAMES = ("dispersion", "landau", "helicity", "trajectory")
@@ -316,12 +316,19 @@ def config_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
-def _evolve(cfg: ScenarioConfig, h, psi0, observables: dict) -> dict:
-    """Observable series of a scenario run, under dephasing if noise is on."""
-    if cfg.noise_on:
-        noise = NoiseSpec.from_params(cfg.params)
-        return ev.evolve_lindblad(h, noise, psi0, cfg.grid, observables)
-    return ev.evolve_unitary(h, psi0, cfg.grid, observables)
+def _evolve(cfg: ScenarioConfig, spin: str, labels) -> dict:
+    """Series of the named field observables, under dephasing if noise is on.
+
+    The run starts from |spin>|alpha_x>|alpha_y>."""
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
+    terms = md.field_observables(cfg.space, cfg.params)
+    observables = {label: terms[label] for label in labels}
+    if not cfg.noise_on:
+        return ev.evolve_unitary(cfg.params, psi0, cfg.grid, observables)
+    dense = {k: fs.product_operator(cfg.space, v) for k, v in observables.items()}
+    h = md.weyl_hamiltonian(cfg.space, cfg.params)
+    noise = NoiseSpec.from_params(cfg.params)
+    return ev.evolve_lindblad(h, noise, psi0, cfg.grid, dense)
 
 
 def _finish(name, cfg, tables, checks, started, t0) -> ScenarioResult:
@@ -385,37 +392,6 @@ def run_dispersion(cfg: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def sigma_z_series_blocked(cfg: ScenarioConfig, grid: TimeGrid) -> np.ndarray:
-    """Noiseless spin-z dynamics via the conserved-p_y block split.
-
-    The y-momentum commutes with the Hamiltonian even on the truncated
-    space, so a product initial state evolves as a classical mixture over
-    p_y eigensectors, each a qubit (x) mode-x problem.  Agrees with dense
-    propagation to rounding, at a fraction of the cost.
-    """
-    dy = cfg.space.n_max_y + 1
-    py_vals, py_vecs = fs.quadrature_eigenbasis(dy, "momentum")
-    weights = np.abs(py_vecs.conj().T @ fs.coherent_amplitudes(cfg.alpha_y, dy)) ** 2
-
-    sm = SingleModeSpec(cfg.space.n_max_x)
-    psi_x = fs.QState(
-        "pure",
-        np.kron(
-            fs.spin_vector(cfg.initial_spin),
-            fs.coherent_amplitudes(cfg.alpha_x, cfg.space.n_max_x + 1),
-        ),
-        sm,
-    )
-    sz = {"sigma_z": fs.pauli(sm, "z")}
-    total = np.zeros(grid.n_samples)
-    for w, py in zip(weights, py_vals):
-        if w < 1e-16:
-            continue
-        h_k = md.weyl_block_hamiltonian(sm, cfg.params, float(py))
-        total += w * ev.evolve_unitary(h_k, psi_x, grid, sz)["sigma_z"].values
-    return total
-
-
 def _nearest_peak(peaks, target):
     if not peaks:
         return math.nan, math.nan
@@ -450,12 +426,7 @@ def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
     tables: dict = {}
     checks: list[Check] = []
 
-    if cfg.noise_on:
-        psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-        h = md.weyl_hamiltonian(cfg.space, params)
-        main = _evolve(cfg, h, psi0, {"sigma_z": fs.pauli(cfg.space, "z")})["sigma_z"]
-    else:
-        main = an.TimeSeries(grid.times, sigma_z_series_blocked(cfg, grid), "sigma_z")
+    main = _evolve(cfg, cfg.initial_spin, ("sigma_z",))["sigma_z"]
 
     spec, peaks, main_tables = _spectrum_tables(main, "", PEAK_FRAC_MAIN)
     tables.update(main_tables)
@@ -492,9 +463,8 @@ def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
 
     # long noiseless record resolving the higher levels
     inset_grid = TimeGrid(0.0, INSET_SPAN_MS, INSET_SAMPLES, grid.dt_max)
-    inset = an.TimeSeries(
-        inset_grid.times, sigma_z_series_blocked(cfg, inset_grid), "sigma_z_ideal"
-    )
+    inset_cfg = replace(cfg, grid=inset_grid, noise_on=False)
+    inset = _evolve(inset_cfg, cfg.initial_spin, ("sigma_z",))["sigma_z"]
     ispec, ipeaks, inset_tables = _spectrum_tables(inset, "_ideal", PEAK_FRAC_FINE)
     tables.update(inset_tables)
     for n_level in (1, 2, 3, 4):
@@ -519,17 +489,8 @@ def run_helicity(cfg: ScenarioConfig) -> ScenarioResult:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     grid = cfg.grid
-    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-    h = md.weyl_hamiltonian(cfg.space, cfg.params)
-    pi_x, pi_y = md.kinetic_momentum(cfg.space, cfg.params)
-    observables = {
-        "sigma_x": fs.pauli(cfg.space, "x"),
-        "sigma_y": fs.pauli(cfg.space, "y"),
-        "pi_x": pi_x,
-        "pi_y": pi_y,
-        "p_y": fs.quadrature(cfg.space, "y", "momentum"),
-    }
-    series = _evolve(cfg, h, psi0, observables)
+    labels = ("sigma_x", "sigma_y", "pi_x", "pi_y", "p_y")
+    series = _evolve(cfg, cfg.initial_spin, labels)
     sx, sy, pix, piy = (series[k] for k in ("sigma_x", "sigma_y", "pi_x", "pi_y"))
     py_series = series["p_y"]
     az = an.azimuth_pair_series(sx, sy, pix, piy)
@@ -598,13 +559,9 @@ def run_trajectory(cfg: ScenarioConfig) -> ScenarioResult:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     grid = cfg.grid
-    h = md.weyl_hamiltonian(cfg.space, cfg.params)
-    x_op = fs.quadrature(cfg.space, "x", "position")
-    y_op = fs.quadrature(cfg.space, "y", "position")
 
     def branch(spin):
-        psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
-        series = _evolve(cfg, h, psi0, {"x": x_op, "y": y_op})
+        series = _evolve(cfg, spin, ("x", "y"))
         return series["x"], series["y"]
 
     xp, yp = branch("plus_x")
@@ -629,22 +586,17 @@ def run_trajectory(cfg: ScenarioConfig) -> ScenarioResult:
     ]
 
     # exact initial velocity d<x>/dt(0) = i<[H, x]> = (omega/sqrt(2)) <sigma_x>;
-    # the truncated commutator picks up an edge term bounded by
-    # (n_max + 1) * (state weight at the edge level), folded into the tolerance.
-    # i<[H, x]> = i(<H psi|x psi> - <x psi|H psi>) = -2 Im <H psi|x psi>
+    # on the truncated space i[H, x] = (omega/sqrt(2)) sigma_x [a_x, a_x^dag]
+    # with [a, a^dag] = diag(1, ..., 1, -n_max), and the edge term is bounded
+    # by (n_max + 1) * (state weight at the edge level), folded into the tolerance
     expected_v = cfg.params.omega / math.sqrt(2)
+    nmx = cfg.space.n_max_x
+    commutator = np.append(np.ones(nmx), -nmx)
     for spin, sign, label in (("plus_x", 1.0, "plus"), ("minus_x", -1.0, "minus")):
         psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
-        vel = -2 * np.vdot(h.matrix @ psi0.data, x_op.matrix @ psi0.data).imag
-        nmx = cfg.space.n_max_x
-        p_edge = float(
-            np.sum(
-                np.abs(
-                    psi0.data.reshape(2, nmx + 1, cfg.space.n_max_y + 1)[:, nmx, :]
-                )
-                ** 2
-            )
-        )
+        amps = psi0.data.reshape(2, nmx + 1, cfg.space.n_max_y + 1)
+        vel = expected_v * np.vdot(amps, commutator[:, None] * amps[::-1]).real
+        p_edge = float(np.sum(np.abs(amps[:, nmx, :]) ** 2))
         tol = expected_v * ((nmx + 1) * p_edge + 1e-9)
         checks.append(
             _num_check(

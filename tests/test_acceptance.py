@@ -119,7 +119,9 @@ def test_criterion_3_linear_dispersion():
 def test_criterion_4_analytic_spectrum_oracle():
     cfg = sc.default_config("landau", noise_on=False)
     grid = cfg.grid
-    two_mode = sc.sigma_z_series_blocked(cfg, grid)
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
+    two_mode = ev.evolve_unitary(cfg.params, psi0, grid, sz)["sigma_z"].values
     reduced = md.cyclotron_frame_state(
         cfg.initial_spin, cfg.alpha_x, cfg.alpha_y, cfg.params
     )
@@ -208,8 +210,10 @@ def test_criterion_8_open_system_invariants(noisy_landau):
     grid = noisy_landau["grid"]
     h = noisy_landau["h"]
     psi0 = noisy_landau["psi0"]
-    sz = {"sigma_z": fs.pauli(noisy_landau["space"], "z")}
-    unit = ev.evolve_unitary(h, psi0, grid, sz)["sigma_z"]
+    space, params = noisy_landau["space"], noisy_landau["params"]
+    sz = {"sigma_z": fs.pauli(space, "z")}
+    sz_terms = {"sigma_z": md.field_observables(space, params)["sigma_z"]}
+    unit = ev.evolve_unitary(params, psi0, grid, sz_terms)["sigma_z"]
     nolimit = ev.evolve_lindblad(h, NoiseSpec(), psi0, grid, sz)["sigma_z"]
     limit_dev = float(np.abs(unit.values - nolimit.values).max())
     _report(
@@ -260,7 +264,13 @@ def test_criterion_9_truncation_convergence_gate():
         sc.default_config("trajectory", n_max=15),
         sc.default_config("trajectory", n_max=30),
     )
-    worst = max(w1, w3, w7)
+    w_hel = gate(
+        "helicity 15->30",
+        sc.run_helicity,
+        sc.default_config("helicity", n_max=15),
+        sc.default_config("helicity", n_max=30),
+    )
+    worst = max(w1, w3, w7, w_hel)
     _report(
         9,
         worst < 1e-6,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from weylsim import analyze as an
-from weylsim import evolve as ev
 from weylsim import fockspace as fs
 from weylsim import model as md
 from weylsim.analyze import Spectrum, TimeSeries
@@ -96,7 +95,7 @@ def test_predictor_stationary_states(sm_space):
     assert np.abs(zero.values).max() < 1e-12
 
 
-def test_predictor_equals_numerical_propagation(sm_space):
+def test_predictor_equals_numerical_propagation(sm_space, dense_unitary):
     # the closed form against direct propagation of the same single-mode
     # Hamiltonian; this pins the level splittings 2 omega sqrt(n r)
     params = SimParams.from_khz(4.2, r=1.0)
@@ -105,7 +104,7 @@ def test_predictor_equals_numerical_propagation(sm_space):
     predicted = an.predict_sigma_z_series(psi0, params, grid)
     h = md.transformed_hamiltonian(sm_space, params)
     sz = {"sigma_z": fs.pauli(sm_space, "z")}
-    numeric = ev.evolve_unitary(h, psi0, grid, sz)["sigma_z"]
+    numeric = dense_unitary(h, psi0, grid, sz)["sigma_z"]
     assert np.abs(predicted.values - numeric.values).max() < 1e-8
 
 
@@ -125,7 +124,7 @@ def test_predictor_spectrum_sits_on_level_splittings(sm_space):
         assert nearest < spec.resolution
 
 
-def test_predictor_mixed_state_and_phases():
+def test_predictor_mixed_state_and_phases(dense_unitary):
     # spin +x input exercises the coherence terms; reference is a dense
     # two-mode propagation at moderate truncation
     space = SpaceSpec(20, 20)
@@ -135,7 +134,7 @@ def test_predictor_mixed_state_and_phases():
     red = md.cyclotron_frame_state("plus_x", 1j, 0, params)
     predicted = an.predict_sigma_z_series(red, params, grid)
     h = md.weyl_hamiltonian(space, params)
-    numeric = ev.evolve_unitary(h, psi0, grid, {"sigma_z": fs.pauli(space, "z")})[
+    numeric = dense_unitary(h, psi0, grid, {"sigma_z": fs.pauli(space, "z")})[
         "sigma_z"
     ]
     # agreement is limited by the two-mode truncation, not the predictor
@@ -156,13 +155,17 @@ def test_predictor_rejects_leaking_state():
 
 
 def test_cubic_fit_recovers_exact_coefficients():
-    t = np.linspace(0, 0.4, 25)
+    # the coefficients are those of the polynomial in t - t0, t0 the first
+    # sample, so slope_at_zero is the slope there, not at t = 0
     coeffs = [0.3, -1.7, 2.2, 0.9]
-    y = coeffs[0] + coeffs[1] * t + coeffs[2] * t**2 + coeffs[3] * t**3
-    fit = an.fit_polynomial(TimeSeries(t, y), 3)
-    assert np.abs(fit.coefficients - np.array(coeffs)).max() < 1e-10
-    assert abs(fit.slope_at_zero - coeffs[1]) < 1e-10
-    assert fit.residual_rms < 1e-12
+    for t0 in (0.0, 1.0):
+        t = np.linspace(t0, t0 + 0.4, 25)
+        u = t - t0
+        y = coeffs[0] + coeffs[1] * u + coeffs[2] * u**2 + coeffs[3] * u**3
+        fit = an.fit_polynomial(TimeSeries(t, y), 3)
+        assert np.abs(fit.coefficients - np.array(coeffs)).max() < 1e-10
+        assert abs(fit.slope_at_zero - coeffs[1]) < 1e-10
+        assert fit.residual_rms < 1e-12
 
 
 def test_constant_fit_slope_zero():

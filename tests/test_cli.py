@@ -9,7 +9,6 @@ import pytest
 
 from weylsim import cli
 from weylsim.errors import ConfigError
-from weylsim.model import weyl_hamiltonian
 from weylsim.scenarios import (
     FIELDS,
     SCENARIO_NAMES,
@@ -218,7 +217,6 @@ def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("injected eigensolver failure")
 
-    weyl_hamiltonian.cache_clear()  # no H with a memoized eigh from earlier tests
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     code = run_cli("trajectory", "--n-max", 4, "--out", tmp_path / "run", "--quiet")
     assert code == 1

@@ -7,6 +7,7 @@ import pytest
 from weylsim import evolve as ev
 from weylsim import fockspace as fs
 from weylsim import model as md
+from weylsim import scenarios as sc
 from weylsim.errors import (
     ConvergenceError,
     DomainError,
@@ -47,22 +48,23 @@ def observables(space):
     }
 
 
-def test_zero_hamiltonian_is_constant(small_space):
-    h = 0.0 * fs.identity(small_space)
+def test_zero_hamiltonian_is_constant(small_space, dense_unitary):
+    # the dense oracle the sector propagator is checked against
+    h = LinOp(np.zeros((small_space.dim,) * 2), small_space)
     psi0 = fs.coherent_state(small_space, 0.5j, 0.2, "plus_x")
     ops = observables(small_space)
-    series = ev.evolve_unitary(h, psi0, TimeGrid(0.0, 1.0, 7), ops)
+    series = dense_unitary(h, psi0, TimeGrid(0.0, 1.0, 7), ops)
     for label, op in ops.items():
         assert np.abs(series[label].values - fs.expectation(op, psi0)).max() < 1e-12
     assert series["norm_drift"].values.max() < 1e-12
 
 
-def test_zero_mode_is_stationary(sm_space):
+def test_zero_mode_is_stationary(sm_space, dense_unitary):
     params = SimParams.from_khz(4.2, r=1.0)
     h = md.transformed_hamiltonian(sm_space, params)
     psi0 = md.landau_eigenstate(sm_space, 0, "zero")
     grid = TimeGrid(0.0, 0.6, 31)
-    sz = ev.evolve_unitary(h, psi0, grid, {"sigma_z": fs.pauli(sm_space, "z")})
+    sz = dense_unitary(h, psi0, grid, {"sigma_z": fs.pauli(sm_space, "z")})
     assert np.abs(sz["sigma_z"].values - 1.0).max() < 1e-12
 
 
@@ -85,8 +87,11 @@ def test_early_slope_matches_finite_difference_oracle(space):
 
     # the library propagator reproduces the oracle series sample by sample
     grid = TimeGrid(0.0, 2 * eps, 3)
+    obs = md.field_observables(space, params)
+    labels = ("x", "y", "p_y", "sigma_x", "sigma_y", "sigma_z")
+    terms = {k: obs[k] for k in labels} | {"p_x": obs["pi_x"]}  # r = 0
+    series = ev.evolve_unitary(params, psi0, grid, terms)
     ops = observables(space) | {"sigma_y": fs.pauli(space, "y")}
-    series = ev.evolve_unitary(h, psi0, grid, ops)
     want = oracle_series(h.matrix, psi0.data, ops, grid.times)
     for label in ops:
         assert np.abs(series[label].values - want[label]).max() < 1e-12
@@ -94,10 +99,10 @@ def test_early_slope_matches_finite_difference_oracle(space):
 
 def test_unitary_norm_and_energy_conserved(space):
     params = SimParams.from_khz(4.2, r=1.0)
-    h = md.weyl_hamiltonian(space, params)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.6, 61)
-    series = ev.evolve_unitary(h, psi0, grid, {"energy": h})
+    energy_terms = md.weyl_terms(space, params)
+    series = ev.evolve_unitary(params, psi0, grid, {"energy": energy_terms})
     energy = series["energy"].values
     scale = max(abs(energy[0]), params.omega)
     assert series["norm_drift"].values.max() < 1e-9
@@ -105,19 +110,26 @@ def test_unitary_norm_and_energy_conserved(space):
 
 
 def test_unitary_rejects_invalid_inputs(small_space):
-    a = fs.mode_lowering(small_space, "x")
+    params = SimParams.from_khz(4.2, r=1.0)
     psi0 = fs.coherent_state(small_space, 0.5, 0)
     grid = TimeGrid(0.0, 1.0, 3)
+    sz = md.field_observables(small_space, params)["sigma_z"]
+    lower = fs.mode_lowering(fs.SingleModeSpec(small_space.n_max_x), "x").matrix
     with pytest.raises(NonHermitianError):
-        ev.evolve_unitary(a, psi0, grid, {})
-    h = fs.identity(small_space)
-    with pytest.raises(NonHermitianError):
-        ev.evolve_unitary(h, psi0, grid, {"a": a})
+        ev.evolve_unitary(params, psi0, grid, {"a": [(lower, sz[0][1])]})
+    with pytest.raises(DomainError):  # observable on another space
+        other = md.field_observables(SpaceSpec(4, 4), params)["sigma_z"]
+        ev.evolve_unitary(params, psi0, grid, {"sigma_z": other})
+    with pytest.raises(DomainError):  # single-mode state
+        sm = fs.SingleModeSpec(4)
+        ev.evolve_unitary(params, md.landau_eigenstate(sm, 0), grid, {})
+    rho = QState("mixed", psi0.to_density(), small_space)
     with pytest.raises(DomainError):
-        ev.evolve_unitary(h, fs.coherent_state(SpaceSpec(4, 4), 0.5, 0), grid, {})
+        ev.evolve_unitary(params, rho, grid, {"sigma_z": sz})
+    h = LinOp(np.eye(small_space.dim), small_space)
     for monitor in ev.MONITORS:
         with pytest.raises(DomainError):
-            ev.evolve_unitary(h, psi0, grid, {monitor: h})
+            ev.evolve_unitary(params, psi0, grid, {monitor: sz})
         with pytest.raises(DomainError):
             ev.evolve_lindblad(h, NoiseSpec(), psi0, grid, {monitor: h})
 
@@ -128,9 +140,9 @@ def _random_hermitian(rng, d):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_unitary_series_match_per_sample_oracle(small_space, seed):
-    # random H, random pure inputs, several observables (most not conserved):
-    # the block path against per-sample oracles; a mixed input is refused
+def test_unitary_series_match_per_sample_oracle(small_space, seed, dense_unitary):
+    # the dense oracle, diagonalized once, against per-sample propagation:
+    # random H, random pure input, several observables (most not conserved)
     rng = np.random.default_rng(seed)
     d = small_space.dim
     h = LinOp(_random_hermitian(rng, d), small_space)
@@ -143,17 +155,95 @@ def test_unitary_series_match_per_sample_oracle(small_space, seed):
 
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi0 = QState("pure", vec / np.linalg.norm(vec), small_space)
-    series = ev.evolve_unitary(h, psi0, grid, ops)
+    series = dense_unitary(h, psi0, grid, ops)
     want = oracle_series(h.matrix, psi0.data, ops, times)
     for label in ops:
         assert np.abs(series[label].values - want[label]).max() < 1e-12
     assert series["norm_drift"].values.max() < 1e-12
 
-    vecs = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
-    q = np.linalg.qr(vecs)[0]
-    rho = q @ np.diag([0.5, 0.3, 0.2]) @ q.conj().T
-    with pytest.raises(DomainError):
-        ev.evolve_unitary(h, QState("mixed", rho, small_space), grid, ops)
+
+def _random_pure(rng, space, entangled):
+    """Random product |spin>|alpha_x>|alpha_y>, or a random superposition
+    of two of them with opposite spins (spin-motion entangled)."""
+
+    def product(spin_vec):
+        alphas = [
+            rng.uniform(0, 0.5 * math.sqrt(n)) * np.exp(2j * math.pi * rng.uniform())
+            for n in (space.n_max_x, space.n_max_y)
+        ]
+        motion = np.kron(
+            fs.coherent_amplitudes(alphas[0], space.n_max_x + 1),
+            fs.coherent_amplitudes(alphas[1], space.n_max_y + 1),
+        )
+        return np.kron(spin_vec, motion)
+
+    spin = rng.normal(size=2) + 1j * rng.normal(size=2)
+    spin /= np.linalg.norm(spin)
+    vec = product(spin)
+    if entangled:
+        flipped = np.array([-spin[1].conj(), spin[0].conj()])  # orthogonal spin
+        vec = vec + rng.uniform(0.5, 2) * product(flipped)
+    return QState("pure", vec / np.linalg.norm(vec), space)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sector_propagator_matches_dense_oracle(seed, dense_unitary):
+    # the p_y-sector propagator against the dense H on the full space, built
+    # here from the embedded operators (not from the product terms)
+    rng = np.random.default_rng(seed)
+    n_x, n_y = rng.choice(np.arange(4, 13), size=2, replace=False)
+    space = SpaceSpec(int(n_x), int(n_y))
+    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    sx, sy = fs.pauli(space, "x"), fs.pauli(space, "y")
+    x, y = fs.quadrature(space, "x", "position"), fs.quadrature(space, "y", "position")
+    px = fs.quadrature(space, "x", "momentum")
+    py = fs.quadrature(space, "y", "momentum")
+    pi_y = py - params.r * x
+    h = (params.omega / math.sqrt(2)) * (sx @ px + sy @ pi_y)
+    dense = {
+        "sigma_x": sx,
+        "sigma_y": sy,
+        "sigma_z": fs.pauli(space, "z"),
+        "x": x,
+        "y": y,
+        "pi_x": px,
+        "pi_y": pi_y,
+        "p_y": py,
+    }
+    terms = md.field_observables(space, params)
+    assert set(terms) == set(dense)
+    t_start = rng.uniform(0, 0.1)
+    n_samples = int(rng.integers(20, 60))
+    grid = TimeGrid(t_start, t_start + rng.uniform(0.2, 0.6), n_samples)
+    for entangled in (False, True):
+        psi0 = _random_pure(rng, space, entangled)
+        got = ev.evolve_unitary(params, psi0, grid, terms)
+        want = dense_unitary(h, psi0, grid, dense)
+        for label in dense:
+            assert np.abs(got[label].values - want[label].values).max() < 1e-10, label
+        assert got["norm_drift"].values.max() < 1e-12
+
+
+def test_unitary_memory_does_not_grow_with_samples():
+    # samples are propagated in bounded chunks: 2001 samples of noiseless
+    # Landau cost no more than 201 beyond the output series themselves
+    # (one sector block at most)
+    cfg = sc.default_config("landau", n_max=12, noise_on=False)
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
+    peaks = {}
+    for n_samples in (201, 2001):
+        grid = TimeGrid(0.0, 0.6, n_samples)
+        tracemalloc.start()
+        try:
+            ev.evolve_unitary(cfg.params, psi0, grid, sz)
+            peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    m = 2 * (cfg.space.n_max_x + 1)
+    block = m * m * 16
+    series = (2001 - 201) * 8 * 8  # grid, values, drift and their copies
+    assert peaks[2001] - peaks[201] < block + series
 
 
 # --- dephasing master equation ---------------------------------------------------
@@ -282,7 +372,8 @@ def test_lindblad_matches_unitary_without_noise(tiny):
     psi0 = fs.coherent_state(tiny, 0.8j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.3, 31)
     sz = {"sigma_z": fs.pauli(tiny, "z")}
-    unit = ev.evolve_unitary(h, psi0, grid, sz)["sigma_z"]
+    sz_terms = {"sigma_z": md.field_observables(tiny, params)["sigma_z"]}
+    unit = ev.evolve_unitary(params, psi0, grid, sz_terms)["sigma_z"]
     noiseless = ev.evolve_lindblad(h, NoiseSpec(), psi0, grid, sz)["sigma_z"]
     assert np.abs(unit.values - noiseless.values).max() < 1e-8
     # huge but finite dephasing time behaves the same way
@@ -295,7 +386,7 @@ def test_pure_dephasing_analytic_decay(tiny):
     # while the occupation stays constant; <a> = (<x> + i <p>) / sqrt(2)
     tau = 2.0
     alpha = 0.9j
-    h = 0.0 * fs.identity(tiny)
+    h = LinOp(np.zeros((tiny.dim,) * 2), tiny)
     psi0 = fs.coherent_state(tiny, alpha, 0)
     grid = TimeGrid(0.0, 1.0, 21)
     n_op = fs.number_operator(tiny, "x")
@@ -317,7 +408,7 @@ def test_pure_dephasing_analytic_decay(tiny):
 
 
 def test_fock_state_invariant_under_dephasing(tiny):
-    h = 0.0 * fs.identity(tiny)
+    h = LinOp(np.zeros((tiny.dim,) * 2), tiny)
     psi0 = fs.basis_state(tiny, "minus_z", 3, 1)
     grid = TimeGrid(0.0, 0.5, 6)
     projector = LinOp(psi0.to_density(), tiny)
@@ -387,22 +478,23 @@ def test_integrator_blowup_raises(tiny):
 def test_nan_inputs_are_rejected(tiny):
     # a NaN compares false against every tolerance, so the checks are
     # written to fail on it
-    h = md.weyl_hamiltonian(tiny, SimParams.from_khz(4.2, r=1.0))
+    params = SimParams.from_khz(4.2, r=1.0)
+    h = md.weyl_hamiltonian(tiny, params)
     psi0 = fs.coherent_state(tiny, 0.5j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.01, 3)
     nan_matrix = np.array(h.matrix)
     nan_matrix[3, 5] = np.nan
     nan_op = LinOp(nan_matrix, tiny)
     sz = {"sigma_z": fs.pauli(tiny, "z")}
-
-    def noisy(h, state, grid, observables):
-        return ev.evolve_lindblad(h, NoiseSpec(4.0, 3.5), state, grid, observables)
-
-    for propagate in (ev.evolve_unitary, noisy):
+    noise = NoiseSpec(4.0, 3.5)
+    with pytest.raises(NonHermitianError):
+        ev.evolve_lindblad(nan_op, noise, psi0, grid, sz)
+    with pytest.raises(NonHermitianError):
+        ev.evolve_lindblad(h, noise, psi0, grid, {"nan": nan_op})
+    (a, b), = md.field_observables(tiny, params)["sigma_z"]
+    for nan_factor in ((a * np.nan, b), (a, b * np.nan)):
         with pytest.raises(NonHermitianError):
-            propagate(nan_op, psi0, grid, sz)
-        with pytest.raises(NonHermitianError):
-            propagate(h, psi0, grid, {"nan": nan_op})
+            ev.evolve_unitary(params, psi0, grid, {"nan": [nan_factor]})
 
 
 def test_grid_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from weylsim import fockspace as fs
 from weylsim.errors import DomainError, NonHermitianError, TruncationError
-from weylsim.fockspace import SingleModeSpec, SpaceSpec
+from weylsim.fockspace import LinOp, SingleModeSpec, SpaceSpec
 
 
 # --- independent oracles ----------------------------------------------------
@@ -167,7 +167,7 @@ def test_single_mode_coherent(sm_space):
 
 def test_expectation_identity_and_orthogonal_spin(space):
     st = fs.coherent_state(space, 0.5, 0.5j, "plus_x")
-    assert abs(fs.expectation(fs.identity(space), st) - 1.0) < 1e-12
+    assert abs(fs.expectation(LinOp(np.eye(space.dim), space), st) - 1.0) < 1e-12
     assert abs(fs.expectation(fs.pauli(space, "z"), st)) < 1e-12
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weylsim import analyze as an
+from weylsim import evolve as ev
 from weylsim import fockspace as fs
 from weylsim import model as md
 from weylsim import scenarios as sc
@@ -299,7 +300,9 @@ def test_frame_state_predictor_far_from_unit_field(r, n_max):
         cfg.initial_spin, cfg.alpha_x, cfg.alpha_y, cfg.params
     )
     predicted = an.predict_sigma_z_series(red, cfg.params, cfg.grid)
-    two_mode = sc.sigma_z_series_blocked(cfg, cfg.grid)
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
+    two_mode = ev.evolve_unitary(cfg.params, psi0, cfg.grid, sz)["sigma_z"].values
     assert np.abs(predicted.values - two_mode).max() < sc.PREDICTOR_TOL
 
 

@@ -53,7 +53,7 @@ def _grid_of(series):
 # --- quadrature protocol ---------------------------------------------------------
 
 
-def probe_oracle_series(state, target, params, grid, probe_hamiltonian):
+def probe_oracle_series(state, target, params, grid, probe_hamiltonian, propagate):
     """<sigma_z>(t) of the reset, rotated input under the dense probe Hamiltonian.
 
     The reset qubit is re-prepared on +x, so the probe starts from
@@ -70,11 +70,11 @@ def probe_oracle_series(state, target, params, grid, probe_hamiltonian):
     for weight, phi in zip(lam, phis.T):
         if weight > 1e-15:
             psi = fs.QState("pure", np.kron(fs.spin_vector("plus_x"), phi), space)
-            total += weight * ev.evolve_unitary(h, psi, grid, sz)["sigma_z"].values
+            total += weight * propagate(h, psi, grid, sz)["sigma_z"].values
     return total
 
 
-def test_probe_series_matches_dense_oracle(fitted, probe_hamiltonian):
+def test_probe_series_matches_dense_oracle(fitted, probe_hamiltonian, dense_unitary):
     # the closed-form precession sum against dense propagation of the reset,
     # rotated state: random coherent inputs and spins, a spin-motion
     # entangled input and a mixed one, every target
@@ -100,7 +100,7 @@ def test_probe_series_matches_dense_oracle(fitted, probe_hamiltonian):
             pr.measure_quadrature(state, target, params)
             got = fitted[-1]
             want = probe_oracle_series(
-                state, target, params, _grid_of(got), probe_hamiltonian
+                state, target, params, _grid_of(got), probe_hamiltonian, dense_unitary
             )
             assert np.abs(got.values - want).max() < 1e-12
 
@@ -213,7 +213,7 @@ def sigma_theta_perp(space, theta):
     )
 
 
-def test_energy_series_matches_dense_oracle(fitted, params):
+def test_energy_series_matches_dense_oracle(fitted, params, dense_unitary):
     # the closed-form precession sum against dense propagation under the
     # free Hamiltonian, at random momenta, directions and windows
     rng = np.random.default_rng(7)
@@ -230,7 +230,7 @@ def test_energy_series_matches_dense_oracle(fitted, params):
         alpha_y = 1j * p * math.sin(theta) / math.sqrt(2)
         psi0 = fs.coherent_state(space, alpha_x, alpha_y, "plus_z")
         perp = {"perp": sigma_theta_perp(space, theta)}
-        want = ev.evolve_unitary(h, psi0, grid, perp)["perp"].values
+        want = dense_unitary(h, psi0, grid, perp)["perp"].values
         assert np.abs(fitted[-1].values - want).max() < 1e-12
 
 
@@ -253,12 +253,11 @@ def test_energy_requires_free_model():
 
 def test_kinetic_momentum_reduces_to_momentum_at_zero_field(space):
     params = SimParams.from_khz(4.2, r=0.0)
-    h = md.weyl_hamiltonian(space, params)
     psi0 = fs.coherent_state(space, 0.6j, 0.3, "plus_x")
     grid = TimeGrid(0.0, 0.1, 11)
-    _, pi_y = md.kinetic_momentum(space, params)
-    py = fs.quadrature(space, "y", "momentum")
-    series = ev.evolve_unitary(h, psi0, grid, {"pi_y": pi_y, "p_y": py})
+    obs = md.field_observables(space, params)
+    pair = {k: obs[k] for k in ("pi_y", "p_y")}
+    series = ev.evolve_unitary(params, psi0, grid, pair)
     assert np.abs(series["pi_y"].values - series["p_y"].values).max() == 0.0
 
 
@@ -266,11 +265,11 @@ def test_kinetic_momentum_initial_values(space):
     # the initial coherent preparation carries <pi_x> = sqrt(2), <pi_y> = 0,
     # so the squared magnitude starts at 2 (direct expectation oracle)
     params = SimParams.from_khz(4.2, r=1.0)
-    h = md.weyl_hamiltonian(space, params)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_x")
     grid = TimeGrid(0.0, 0.05, 6)
-    pi_x, pi_y = md.kinetic_momentum(space, params)
-    series = ev.evolve_unitary(h, psi0, grid, {"pi_x": pi_x, "pi_y": pi_y})
+    obs = md.field_observables(space, params)
+    pair = {k: obs[k] for k in ("pi_x", "pi_y")}
+    series = ev.evolve_unitary(params, psi0, grid, pair)
     pix, piy = series["pi_x"], series["pi_y"]
     assert abs(pix.values[0] - math.sqrt(2)) < 1e-6
     assert abs(piy.values[0]) < 1e-9
@@ -279,10 +278,10 @@ def test_kinetic_momentum_initial_values(space):
 
 def test_spin_expectations_initial_values(space):
     params = SimParams.from_khz(4.2, r=1.0)
-    h = md.weyl_hamiltonian(space, params)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.05, 6)
-    spins = {f"sigma_{axis}": fs.pauli(space, axis) for axis in ("y", "z")}
-    series = ev.evolve_unitary(h, psi0, grid, spins)
+    obs = md.field_observables(space, params)
+    spins = {k: obs[k] for k in ("sigma_y", "sigma_z")}
+    series = ev.evolve_unitary(params, psi0, grid, spins)
     assert abs(series["sigma_z"].values[0] - 1.0) < 1e-12
     assert abs(series["sigma_y"].values[0]) < 1e-12
