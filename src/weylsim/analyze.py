@@ -194,8 +194,9 @@ class AzimuthSeries:
     """Unwrapped azimuth angles of the spin and kinetic-momentum vectors.
 
     The x/y component ratios mirror the angle data but blow up near zeros
-    of the denominator; entries where both components are below 1e-6 are
-    flagged as poles rather than raised.
+    of the denominator; where |y| is below 1e-12 of the vector's length the
+    ratio is +-inf with the sign of x.  Entries where both components are
+    below 1e-6 are flagged as poles rather than raised.
     """
 
     phi_spin: TimeSeries
@@ -209,8 +210,11 @@ class AzimuthSeries:
 def _azimuth(x: np.ndarray, y: np.ndarray):
     poles = (np.abs(x) < 1e-6) & (np.abs(y) < 1e-6)
     phi = np.unwrap(np.arctan2(y, x))
+    # a y that is rounding noise against x reads as its y -> +0 limit; an
+    # exactly zero pair stays 0/0 = nan
+    flat = np.abs(y) < 1e-12 * np.hypot(x, y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = x / y
+        ratio = np.where(flat, np.copysign(np.inf, x), x / y)
     return phi, ratio, poles
 
 

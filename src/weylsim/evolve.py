@@ -4,7 +4,9 @@ The unitary path splits the Weyl Hamiltonian into its conserved-p_y
 sectors, diagonalizes each once and is exact at every sample.  The
 master equation is a 4th-order split step (Strang steps composed by
 Yoshida's triple jump) of an exact unitary factor and an exact elementwise
-dephasing factor, run on the parity sectors of the density matrix.
+dephasing factor, run on the parity sectors of the density matrix in a
+diagonal gauge where every Weyl unitary factor is real orthogonal, so the
+real and imaginary parts of each sector evolve in real arithmetic.
 """
 
 from __future__ import annotations
@@ -209,6 +211,24 @@ def _parity(space) -> np.ndarray:
     return sign
 
 
+# exact powers of i: phases from exp(i pi n / 2) carry 1e-16 residues,
+# which leave G^dag H G a real part
+I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _gauge(space) -> np.ndarray:
+    """Diagonal of G = diag(1, i) (x) i^n_x (x) 1, one phase per basis state.
+
+    Every Weyl Hamiltonian is imaginary in this gauge: G^dag H G = iB with
+    B real antisymmetric, because the gauge makes sigma_x and x imaginary and
+    sigma_y and p_x real, while p_y is imaginary already.  The number
+    operators and P stay diagonal and real.
+    """
+    rest = math.prod(space.mode_dims[1:])
+    power = np.add.outer(np.arange(2), np.arange(space.mode_dims[0]))
+    return np.repeat(I_POWERS[power.ravel() % 4], rest)
+
+
 # Yoshida's triple jump: S4(dt) = S2(W1 dt) S2(W0 dt) S2(W1 dt) is 4th order
 W1 = 1 / (2 - 2 ** (1 / 3))
 W0 = 1 - 2 * W1  # negative
@@ -236,6 +256,13 @@ def evolve_lindblad(
     the whole space is one block.  Only the current blocks are held.  A
     pure input is promoted to a rank-1 density matrix.
 
+    H, the input and the observables are taken to the gauge G of `_gauge`,
+    which leaves D, the blocks and every expectation unchanged.  If G^dag H G
+    has no real part, as for every Weyl H, each U is real orthogonal, so the
+    real and imaginary parts of each block evolve apart in real arithmetic;
+    an imaginary part that starts at zero stays zero and is dropped (as for
+    the landau default |+z>|i>|0>).  Otherwise each block evolves complex.
+
     At every sample the observables are evaluated on the Hermitian,
     trace-normalized part of the evolved state: the P-pinched
     rho_++ + rho_-- (which has the same P-even expectations as the input)
@@ -246,7 +273,7 @@ def evolve_lindblad(
     pinched (below -1e-6 raises PositivityError).  U is unitary and D
     leaves the diagonal alone, so the trace is conserved to rounding; W0 < 0
     makes the middle D anti-dissipative, so positivity is monitored, never
-    repaired.
+    repaired, and a step whose D overflows raises ConvergenceError.
     """
     _check_inputs(h, state, observables)
     parity = _parity(h.space)
@@ -265,40 +292,68 @@ def evolve_lindblad(
     def block(m, a, b):
         return m[np.ix_(blocks[a], blocks[b])]
 
+    phase = _gauge(h.space)
+
+    def gauged(m):
+        return phase.conj()[:, None] * m * phase
+
+    h_g = gauged(h.matrix)
+    real = not np.any(h_g.real)
+
     seg = grid.times[1] - grid.times[0]
     n_sub = max(1, math.ceil(seg / grid.dt_max))
     dt = seg / n_sub
     steps = []  # per block: U(W1 dt), U(W0 dt) and their adjoints
     for a in range(len(blocks)):
-        evals, evecs = np.linalg.eigh(block(h.matrix, a, a))
+        evals, evecs = np.linalg.eigh(block(h_g, a, a))
         u1, u0 = (
             (evecs * np.exp(-1j * w * dt * evals)) @ evecs.conj().T for w in (W1, W0)
         )
+        if real:  # exp(B w dt), real orthogonal up to rounding
+            u1, u0 = np.ascontiguousarray(u1.real), np.ascontiguousarray(u0.real)
         steps.append((u1, u0, u1.conj().T, u0.conj().T))
     mask = _dephasing_mask(h.space, noise)
     # D over the outer half step, the two fused inner ones, and the fused
-    # half steps where one S4 step meets the next
-    damping = [
-        [np.exp(block(mask, a, b) * s * dt) for s in (W1 / 2, (W1 + W0) / 2, W1)]
-        for a, b in pieces
-    ]
-    rho = state.to_density()
-    current = [block(rho, a, b) for a, b in pieces]
+    # half steps where one S4 step meets the next; W0 < 0 makes the inner
+    # one grow, so it overflows first when dt is far too large for the taus
+    with np.errstate(over="ignore"):
+        damping = [
+            [np.exp(block(mask, a, b) * s * dt) for s in (W1 / 2, (W1 + W0) / 2, W1)]
+            for a, b in pieces
+        ]
+    if not all(np.isfinite(f).all() for factors in damping for f in factors):
+        raise ConvergenceError(
+            f"dephasing factor overflows at substep {dt * 1e3:.3g} us with "
+            f"tau_d_x = {noise.tau_d_x:g} ms, tau_d_y = {noise.tau_d_y:g} ms"
+        )
+    rho = gauged(state.to_density())
+    # the propagated terms (piece, unit, array); each piece is the sum of
+    # its terms' unit * array
+    terms = []
+    for i, (a, b) in enumerate(pieces):
+        r = block(rho, a, b)
+        if not real:
+            terms.append((i, 1, r))
+            continue
+        terms.append((i, 1, np.ascontiguousarray(r.real)))
+        if np.any(r.imag):
+            terms.append((i, 1j, np.ascontiguousarray(r.imag)))
 
     views = [np.arange(h.dim)] if coherent else blocks
     ops = {
-        label: [obs.matrix[np.ix_(v, v)] for v in views]
+        label: [gauged(obs.matrix)[np.ix_(v, v)] for v in views]
         for label, obs in observables.items()
     }
     values = {label: np.empty(grid.n_samples, dtype=complex) for label in observables}
     values |= {m: np.empty(grid.n_samples) for m in MONITORS if m != "norm_drift"}
     for k in range(grid.n_samples):
         if k:
-            for i, (a, b) in enumerate(pieces):
+            for j, (i, unit, r) in enumerate(terms):
+                a, b = pieces[i]
                 u1, u0 = steps[a][:2]
                 v1, v0 = steps[b][2:]
                 edge, inner, join = damping[i]
-                r = current[i] * edge
+                r = r * edge
                 for s in range(n_sub):
                     r = u1 @ r @ v1
                     r *= inner
@@ -306,12 +361,15 @@ def evolve_lindblad(
                     r *= inner
                     r = u1 @ r @ v1
                     r *= join if s < n_sub - 1 else edge
-                current[i] = r
+                terms[j] = i, unit, r
+        current = [0] * len(pieces)
+        for i, unit, r in terms:
+            current[i] = current[i] + unit * r
         diagonal = current[: len(blocks)]
         parts = [(r + r.conj().T) / 2 for r in diagonal]
         if coherent:
             (plus, minus), off = blocks, current[2]
-            full = np.empty_like(rho)
+            full = np.empty((h.dim, h.dim), dtype=np.result_type(off, *parts))
             full[np.ix_(plus, plus)], full[np.ix_(minus, minus)] = parts
             full[np.ix_(plus, minus)] = off
             full[np.ix_(minus, plus)] = off.conj().T

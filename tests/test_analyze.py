@@ -233,6 +233,18 @@ def test_azimuth_pole_flags():
     assert az.poles_spin.tolist() == [False, True, False]
 
 
+def test_azimuth_ratio_on_rounding_noise_is_the_y_to_zero_limit():
+    # a y of 1e-16 against x = sqrt(2) is rounding noise: the ratio is
+    # +-inf by the sign of x, whatever the sign of the noise, and no pole
+    t = np.linspace(0, 1, 4)
+    root2 = math.sqrt(2)
+    sx = TimeSeries(t, np.array([root2, root2, -root2, 1.0]))
+    sy = TimeSeries(t, np.array([1e-16, -1e-16, 1e-16, 2.0]))
+    az = an.azimuth_pair_series(sx, sy, sx, sy)
+    assert az.ratio_spin.tolist() == [math.inf, math.inf, -math.inf, 0.5]
+    assert not az.poles_spin.any()
+
+
 def test_chirality_circle_and_reverse():
     t = np.linspace(0, 1, 100)
     ang = 2 * math.pi * t

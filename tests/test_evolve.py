@@ -305,14 +305,39 @@ def _random_density(rng, space, rank):
     return QState("mixed", rho / np.trace(rho).real, space)
 
 
+@pytest.mark.parametrize("r", [0.37, 1.0, 2.0])
+@pytest.mark.parametrize("n_max_x, n_max_y", [(5, 7), (7, 4)])
+def test_weyl_hamiltonian_is_imaginary_in_the_gauge(r, n_max_x, n_max_y):
+    # G^dag H G = iB exactly, so every split-step unitary factor is real
+    # orthogonal; a spin +z input with imaginary alpha_x and real alpha_y
+    # is real in the gauge, so its density matrix has no imaginary part
+    space = SpaceSpec(n_max_x, n_max_y)
+    phase = ev._gauge(space)
+    h = md.weyl_hamiltonian(space, SimParams.from_khz(4.2, r=r)).matrix
+    h_g = phase.conj()[:, None] * h * phase
+    assert not np.any(h_g.real)
+    assert np.abs(h_g + h_g.T).max() == 0  # B is antisymmetric
+    psi = phase.conj() * fs.coherent_state(space, 0.7j, 0.3, "plus_z").data
+    assert not np.any(psi.imag)
+
+
 @pytest.mark.parametrize(
     "seed, r, kind",
-    [(0, 0.5, "pure"), (1, 1.0, "mixed"), (2, 2.0, "pure"), (3, 1.0, "parity-mixing")],
+    [
+        (0, 0.5, "pure"),
+        (1, 1.0, "mixed"),
+        (2, 2.0, "pure"),
+        (3, 1.0, "parity-mixing"),
+        (4, 1.0, "real"),
+    ],
 )
 def test_lindblad_matches_rk4_oracle(seed, r, kind):
     # the split step at the default substep cap against RK4 at 0.2 us, on a
-    # P-even (sigma_z) and a P-odd (x) observable; the last case adds a
-    # random Hermitian term that couples the P-sectors, so H is one block
+    # P-even (sigma_z) and a P-odd (x) observable. The pure and mixed
+    # inputs have real and imaginary parts in the gauge, the "real" one
+    # only a real part; "parity-mixing" adds a random Hermitian term that
+    # couples the P-sectors and is not imaginary in the gauge, so H is one
+    # complex block
     rng = np.random.default_rng(seed)
     space = SpaceSpec(4, 4)
     params = SimParams.from_khz(4.2, r=r)
@@ -320,6 +345,8 @@ def test_lindblad_matches_rk4_oracle(seed, r, kind):
     alpha = 0.7 * np.exp(2j * np.pi * rng.uniform())
     if kind == "pure":
         state = fs.coherent_state(space, alpha, 0.3 * alpha, "plus_x")
+    elif kind == "real":
+        state = fs.coherent_state(space, 0.7j, 0.3, "plus_z")
     else:
         state = _random_density(rng, space, 3)
     if kind == "parity-mixing":
@@ -337,33 +364,47 @@ def test_lindblad_matches_rk4_oracle(seed, r, kind):
 def test_lindblad_evolves_parity_blocks(monkeypatch):
     # a Weyl H commutes with P = sigma_z (-1)^(n_x + n_y): with a P-even
     # observable only the two d/2 sectors are diagonalized and monitored;
-    # a P-odd one also needs the coherences, so min_eig is taken on full d
+    # a P-odd one also needs the coherences, so min_eig is taken on full d.
+    # The landau default input is real in the gauge, so the monitor gets
+    # real blocks; a plus_x input has an imaginary part and complex ones
     space = SpaceSpec(4, 4)
     params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
     h = md.weyl_hamiltonian(space, params)
-    psi0 = fs.coherent_state(space, 0.8j, 0, "plus_z")
+    cfg = sc.default_config("landau")
+    psi0 = fs.coherent_state(space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     grid = TimeGrid(0.0, 0.05, 6)
     dims = {"eigh": [], "eigvalsh": []}
+    kinds = {"eigh": set(), "eigvalsh": set()}
 
     def counting(name):
         original = getattr(np.linalg, name)
 
         def wrapper(a, *args, **kwargs):
             dims[name].append(len(a))
+            kinds[name].add(a.dtype.kind)
             return original(a, *args, **kwargs)
 
         return wrapper
 
     for name in dims:
         monkeypatch.setattr(np.linalg, name, counting(name))
-    noise = NoiseSpec.from_params(params)
-    ev.evolve_lindblad(h, noise, psi0, grid, {"sigma_z": fs.pauli(space, "z")})
+
+    def run(state, obs):
+        for seen in (*dims.values(), *kinds.values()):
+            seen.clear()
+        ev.evolve_lindblad(h, NoiseSpec.from_params(params), state, grid, obs)
+
+    sz = {"sigma_z": fs.pauli(space, "z")}
+    run(psi0, sz)
     assert set(dims["eigh"]) == set(dims["eigvalsh"]) == {space.dim // 2}
-    for seen in dims.values():
-        seen.clear()
-    ev.evolve_lindblad(h, noise, psi0, grid, {"x": fs.quadrature(space, "x")})
+    assert kinds["eigvalsh"] == {"f"}
+    run(psi0, {"x": fs.quadrature(space, "x")})
     assert set(dims["eigh"]) == {space.dim // 2}
     assert set(dims["eigvalsh"]) == {space.dim}
+    assert kinds["eigvalsh"] == {"f"}
+    run(fs.coherent_state(space, cfg.alpha_x, cfg.alpha_y, "plus_x"), sz)
+    assert set(dims["eigvalsh"]) == {space.dim // 2}
+    assert kinds["eigvalsh"] == {"c"}
 
 
 def test_lindblad_matches_unitary_without_noise(tiny):

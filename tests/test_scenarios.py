@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,18 @@ def test_helicity_scenario_passes():
     assert {"py_conservation", "angle_mean_dev_rad", "full_rotation_swept"} <= names
     ratios = res.tables["ratios"]
     assert not np.any(ratios["momentum_pole"][:1])  # defined at start
+
+
+def test_helicity_first_ratio_is_truncation_independent():
+    # at t = 0, pi_y is rounding noise against pi_x = sqrt(2): the first
+    # ratio is its limit, not a truncation-dependent 1e15
+    first = {
+        n_max: sc.run_helicity(sc.default_config("helicity", n_max=n_max)).tables[
+            "ratios"
+        ]["momentum_x_over_y"][0]
+        for n_max in (12, 15)
+    }
+    assert first[12] == first[15] == math.inf
 
 
 def test_trajectory_scenario_passes():
