@@ -5,8 +5,9 @@ sectors, diagonalizes each once and is exact at every sample.  The
 master equation is a 4th-order split step (Strang steps composed by
 Yoshida's triple jump) of an exact unitary factor and an exact elementwise
 dephasing factor, run on the parity sectors of the density matrix in a
-diagonal gauge where every Weyl unitary factor is real orthogonal, so the
-real and imaginary parts of each sector evolve in real arithmetic.
+diagonal gauge where every Weyl unitary factor is a real orthogonal matrix
+built from one SVD, so the real and imaginary parts of each sector evolve
+in real arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import fockspace as fs
 from . import model as md
 from .analyze import TimeSeries
 from .errors import ConvergenceError, DomainError, NonHermitianError, PositivityError
-from .fockspace import LinOp, QState, SpaceSpec
+from .fockspace import QState, SpaceSpec
 
 # ms; on the 600 us noisy Landau record at n_max 10, a 1 us split step is
 # within 1.9e-9 of a converged reference (1.5 us: 9.8e-9, 3 us: 1.6e-7)
@@ -51,41 +52,10 @@ class TimeGrid:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Mode dephasing times in ms; math.inf switches a channel off."""
-
-    tau_d_x: float = math.inf
-    tau_d_y: float = math.inf
-
-    def __post_init__(self):
-        if not (self.tau_d_x > 0 and self.tau_d_y > 0):
-            raise DomainError("dephasing times must be positive (inf for none)")
-
-    @classmethod
-    def from_params(cls, params) -> "NoiseSpec":
-        return cls(tau_d_x=params.tau_d_x, tau_d_y=params.tau_d_y)
-
-
 # series the propagators add to their results; no observable may reuse one
 MONITORS = ("norm_drift", "trace_drift", "hermiticity", "min_eig")
 
 SECTOR_CHUNK = 16  # samples the unitary path propagates at once
-
-
-def _check_inputs(h: LinOp, state: QState, observables: dict[str, LinOp]):
-    # written as `not <=` so that a NaN fails the check
-    if not h.hermiticity_defect() <= 1e-9:
-        raise NonHermitianError("Hamiltonian is not Hermitian within 1e-9")
-    if state.space != h.space:
-        raise DomainError("state and Hamiltonian live on different spaces")
-    for label, obs in observables.items():
-        if label in MONITORS:
-            raise DomainError(f"observable label {label!r} is a monitor name")
-        if obs.space != h.space:
-            raise DomainError(f"observable {label!r} lives on another space")
-        if not obs.hermiticity_defect() <= 1e-9:
-            raise NonHermitianError(f"observable {label!r} is not Hermitian")
 
 
 def _series(grid: TimeGrid, label: str, values: np.ndarray) -> TimeSeries:
@@ -96,20 +66,32 @@ def _series(grid: TimeGrid, label: str, values: np.ndarray) -> TimeSeries:
     return TimeSeries(grid.times, np.real(values), label)
 
 
-def _in_sectors(label, terms, m, basis, keep):
+def _checked(label: str, terms: list, space: SpaceSpec) -> list:
+    """An observable's products (A, B), A on qubit (x) mode x and B on mode y.
+
+    Refuses a monitor name as label, a factor of another space's shape, and
+    a factor that is not Hermitian within 1e-9.
+    """
+    if label in MONITORS:
+        raise DomainError(f"observable label {label!r} is a monitor name")
+    m, dy = 2 * (space.n_max_x + 1), space.n_max_y + 1
+    for a, b in terms:
+        if a.shape != (m, m) or b.shape != (dy, dy):
+            raise DomainError(f"observable {label!r} lives on another space")
+        # written as `not <=` so that a NaN fails the check
+        if not all(np.abs(f - f.conj().T).max() <= 1e-9 for f in (a, b)):
+            raise NonHermitianError(f"observable {label!r} is not Hermitian")
+    return terms
+
+
+def _in_sectors(terms, basis, keep):
     """An observable's products (A, B'), B' = V^dag B V on the kept sectors.
 
     B' is its diagonal when B commutes with p_y, whose spectrum is simple.
     """
-    if label in MONITORS:
-        raise DomainError(f"observable label {label!r} is a monitor name")
     p_y, v = basis
     out = []
     for a, b in terms:
-        if a.shape != (m, m) or b.shape != p_y.shape:
-            raise DomainError(f"observable {label!r} lives on another space")
-        if not all(np.abs(f - f.conj().T).max() <= 1e-9 for f in (a, b)):
-            raise NonHermitianError(f"observable {label!r} is not Hermitian")
         b_v = v.conj().T @ b @ v
         diagonal = np.array_equal(b @ p_y, p_y @ b)
         out.append((a, np.diagonal(b_v)[keep] if diagonal else b_v[np.ix_(keep, keep)]))
@@ -138,12 +120,15 @@ def evolve_unitary(
     basis = fs.mode_matrix(dy, "momentum"), fs.quadrature_eigenbasis(dy, "momentum")[1]
     phi = state.data.reshape(m, dy) @ basis[1].conj()
     keep = np.flatnonzero(np.linalg.norm(phi, axis=0) >= 1e-16)
-    ops = {k: _in_sectors(k, v, m, basis, keep) for k, v in observables.items()}
+    ops = {
+        k: _in_sectors(_checked(k, v, space), basis, keep)
+        for k, v in observables.items()
+    }
     # H_k = sum_j B'_j[k] A_j is real symmetric in the qubit basis
     # (|+z>, i|-z>), where a real eigh is about 2.5x cheaper: U_k = S W_k
     # with S = diag(1, i)
     spin_phase = np.repeat([1, 1j], m // 2)
-    h_terms = _in_sectors("H", md.weyl_terms(space, params), m, basis, keep)
+    h_terms = _in_sectors(md.weyl_terms(space, params), basis, keep)
     a_real = [(spin_phase.conj()[:, None] * a * spin_phase).real for a, _ in h_terms]
     b_real = [b.real for _, b in h_terms]
     evals, w = np.linalg.eigh(np.einsum("jk,jab->kab", b_real, a_real))
@@ -183,7 +168,7 @@ def evolve_unitary(
     return {label: _series(grid, label, v) for label, v in values.items()}
 
 
-def _dephasing_mask(space, noise: NoiseSpec) -> np.ndarray:
+def _dephasing_mask(space, params) -> np.ndarray:
     """Elementwise rate matrix of the number-operator dephasing channels.
 
     The jump operators a^dag a are diagonal in the Fock basis, so the full
@@ -191,24 +176,23 @@ def _dephasing_mask(space, noise: NoiseSpec) -> np.ndarray:
     drho[a,b] = -sum_j (n_j[a] - n_j[b])^2 / tau_j * rho[a,b];
     a channel with tau_j = inf contributes zero.
     """
+    _, n_x, n_y = np.indices((2, *space.mode_dims)).reshape(3, -1)
     mask = np.zeros((space.dim, space.dim))
-    for mode, tau in zip(space.modes, (noise.tau_d_x, noise.tau_d_y)):
-        nvec = np.diag(fs.number_operator(space, mode).matrix).real
-        mask -= np.subtract.outer(nvec, nvec) ** 2 / tau
+    for n, tau in ((n_x, params.tau_d_x), (n_y, params.tau_d_y)):
+        mask -= np.subtract.outer(n, n) ** 2 / tau
     return mask
 
 
-def _parity(space) -> np.ndarray:
-    """Diagonal of P = sigma_z (-1)^(n_x + n_y), one sign per basis state.
+def _blocks(space) -> list[np.ndarray]:
+    """Basis indices of the P = +1 and P = -1 sectors, P = sigma_z (-1)^(n_x + n_y).
 
-    Every Hamiltonian weylsim builds flips the spin together with one
-    occupation number, so it commutes with P; the number-operator jump
-    operators are diagonal and commute with it too.
+    The Weyl H flips the spin together with one occupation number, so it
+    commutes with P; the number-operator jump operators are diagonal and
+    commute with it too.  Each sector lists its spin +z states first.
     """
-    sign = np.array([1.0, -1.0])
-    for d in space.mode_dims:
-        sign = np.kron(sign, (-1.0) ** np.arange(d))
-    return sign
+    s, n_x, n_y = np.indices((2, *space.mode_dims)).reshape(3, -1)
+    parity = (-1) ** (s + n_x + n_y)
+    return [np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)]
 
 
 # exact powers of i: phases from exp(i pi n / 2) carry 1e-16 residues,
@@ -217,102 +201,124 @@ I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _gauge(space) -> np.ndarray:
-    """Diagonal of G = diag(1, i) (x) i^n_x (x) 1, one phase per basis state.
+    """Diagonal of G = diag(1, i) (x) i^n_x on qubit (x) mode x; G is 1 on mode y.
 
     Every Weyl Hamiltonian is imaginary in this gauge: G^dag H G = iB with
     B real antisymmetric, because the gauge makes sigma_x and x imaginary and
     sigma_y and p_x real, while p_y is imaginary already.  The number
     operators and P stay diagonal and real.
     """
-    rest = math.prod(space.mode_dims[1:])
-    power = np.add.outer(np.arange(2), np.arange(space.mode_dims[0]))
-    return np.repeat(I_POWERS[power.ravel() % 4], rest)
+    power = np.add.outer(np.arange(2), np.arange(space.n_max_x + 1))
+    return I_POWERS[power.ravel() % 4]
+
+
+def _gauged_block(terms, space, rows, cols) -> np.ndarray:
+    """Block [rows, cols] of G^dag (sum_j A_j (x) B_j) G."""
+    phase, dy = _gauge(space), space.n_max_y + 1
+    (ra, rb), (ca, cb) = divmod(rows, dy), divmod(cols, dy)
+    return sum(
+        phase.conj()[ra, None] * a[np.ix_(ra, ca)] * phase[ca] * b[np.ix_(rb, cb)]
+        for a, b in terms
+    )
 
 
 # Yoshida's triple jump: S4(dt) = S2(W1 dt) S2(W0 dt) S2(W1 dt) is 4th order
 W1 = 1 / (2 - 2 ** (1 / 3))
 W0 = 1 - 2 * W1  # negative
 
+# |Tr rho - 1| above this raises.  U is orthogonal and D leaves the diagonal
+# alone, so only rounding moves the trace: on noisy landau the worst drift
+# is 1.5e-13 at n_max 10 and 1.1e-12 at n_max 19 over 600 us, and 2.9e-14
+# at n_max 30 over the first 100 us
+TRACE_DRIFT_MAX = 2e-10
+
+
+def _split_factors(space, params, dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """exp(B w dt) for w = W1 and W0 on each P-sector, real orthogonal.
+
+    In the gauge each P-sector of the Weyl H is iB, and H flips the spin, so
+    in sigma_z order B = [[0, C], [-C^T, 0]] with C real.  From one real SVD
+    C = U S V^T,
+    exp(B t) = [[U cos(S t) U^T, U sin(S t) V^T], [-V sin(S t)^T U^T, V cos(S t) V^T]],
+    which is orthogonal by construction.  For even n_max C is not square;
+    its extra direction has singular value 0, so the factor is the identity
+    there.
+    """
+    terms = md.weyl_terms(space, params)
+    half = space.dim // 2  # spin +z states come first
+    factors = []
+    for rows in _blocks(space):
+        up, down = rows[rows < half], rows[rows >= half]
+        u, s, vt = np.linalg.svd(_gauged_block(terms, space, up, down).imag)
+        k = len(s)
+        pair = []
+        for w in (W1, W0):
+            angle = s * w * dt
+            cos_up = np.cos(np.pad(angle, (0, len(up) - k)))
+            cos_down = np.cos(np.pad(angle, (0, len(down) - k)))
+            top = (u[:, :k] * np.sin(angle)) @ vt[:k]
+            pair.append(
+                np.block([[(u * cos_up) @ u.T, top], [-top.T, (vt.T * cos_down) @ vt]])
+            )
+        factors.append(tuple(pair))
+    return factors
+
 
 def evolve_lindblad(
-    h: LinOp,
-    noise: NoiseSpec,
-    state: QState,
-    grid: TimeGrid,
-    observables: dict[str, LinOp],
+    params, state: QState, grid: TimeGrid, observables: dict[str, list]
 ) -> dict[str, TimeSeries]:
-    """Expectation series of each observable under dephasing dynamics.
+    """Expectation series of each observable under the Weyl Hamiltonian with dephasing.
 
     drho/dt = -i[H, rho] + sum_j (2/tau_j)(N_j rho N_j - {N_j^2, rho}/2)
-    with N_j = a_j^dag a_j, integrated by a fixed-step 4th-order split
-    step: Yoshida's triple jump over the Strang step
-    S2(h) = D(h/2) U(h) D(h/2).  U maps rho_ab to U_a rho_ab U_b^dag with
-    the exact U_a = exp(-i H_a h) from one eigendecomposition per block;
-    D is the exact elementwise dephasing factor exp(mask h).
+    with H from `model.weyl_terms`, N_j = a_j^dag a_j and tau_j from
+    `params.tau_d_x` and `params.tau_d_y` (inf switches a channel off),
+    integrated by a fixed-step 4th-order split step: Yoshida's triple jump
+    over the Strang step S2(h) = D(h/2) U(h) D(h/2).  U maps rho_ab to
+    U_a rho_ab U_b^T with the exact, real orthogonal U_a of
+    `_split_factors`; D is the exact elementwise dephasing factor
+    exp(mask h).  Observables are products (A, B) as for `evolve_unitary`.
 
-    If H has no entry between the two P-sectors (P from `_parity`), the
-    blocks are those sectors: rho_++ and rho_-- always evolve, rho_+- only
-    if some observable has a P-odd part (rho_-+ is its adjoint).  Otherwise
-    the whole space is one block.  Only the current blocks are held.  A
-    pure input is promoted to a rank-1 density matrix.
+    The blocks are the P-sectors (`_blocks`): rho_++ and rho_-- always
+    evolve, rho_+- only if some observable has a P-odd part (rho_-+ is its
+    adjoint).  Only the current blocks are held.  A pure input is promoted
+    to a rank-1 density matrix.
 
-    H, the input and the observables are taken to the gauge G of `_gauge`,
-    which leaves D, the blocks and every expectation unchanged.  If G^dag H G
-    has no real part, as for every Weyl H, each U is real orthogonal, so the
+    The input and the observables are taken to the gauge G of `_gauge`,
+    which leaves D, the blocks and every expectation unchanged.  There the
     real and imaginary parts of each block evolve apart in real arithmetic;
     an imaginary part that starts at zero stays zero and is dropped (as for
-    the landau default |+z>|i>|0>).  Otherwise each block evolves complex.
+    the landau default |+z>|i>|0>).
 
     At every sample the observables are evaluated on the Hermitian,
     trace-normalized part of the evolved state: the P-pinched
     rho_++ + rho_-- (which has the same P-even expectations as the input)
     unless rho_+- evolves.  The result also holds the monitor margins of
-    that state: `trace_drift` |Tr rho - 1| (above 1e-6 raises
+    that state: `trace_drift` |Tr rho - 1| (above TRACE_DRIFT_MAX raises
     ConvergenceError), `hermiticity` max |rho - rho^dag|, and `min_eig`,
     the least eigenvalue of its Hermitian part, taken per block when
-    pinched (below -1e-6 raises PositivityError).  U is unitary and D
-    leaves the diagonal alone, so the trace is conserved to rounding; W0 < 0
-    makes the middle D anti-dissipative, so positivity is monitored, never
-    repaired, and a step whose D overflows raises ConvergenceError.
+    pinched (below -1e-6 raises PositivityError).  W0 < 0 makes the middle
+    D anti-dissipative, so positivity is monitored, never repaired, and a
+    step whose D overflows raises ConvergenceError.
     """
-    _check_inputs(h, state, observables)
-    parity = _parity(h.space)
-    odd = np.not_equal.outer(parity, parity)
-    if np.any(h.matrix[odd]):
-        blocks = [np.arange(h.dim)]
-    else:
-        blocks = [np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)]
-    pieces = [(a, a) for a in range(len(blocks))]
-    coherent = len(blocks) == 2 and any(
-        np.any(obs.matrix[odd]) for obs in observables.values()
+    space = state.space
+    if not isinstance(space, SpaceSpec):
+        raise DomainError("evolve_lindblad propagates two-mode states only")
+    observables = {k: _checked(k, v, space) for k, v in observables.items()}
+    blocks = _blocks(space)
+    coherent = any(
+        np.any(_gauged_block(t, space, *blocks)) for t in observables.values()
     )
-    if coherent:
-        pieces.append((0, 1))
+    pieces = [(0, 0), (1, 1)] + [(0, 1)] * coherent
 
     def block(m, a, b):
         return m[np.ix_(blocks[a], blocks[b])]
 
-    phase = _gauge(h.space)
-
-    def gauged(m):
-        return phase.conj()[:, None] * m * phase
-
-    h_g = gauged(h.matrix)
-    real = not np.any(h_g.real)
-
     seg = grid.times[1] - grid.times[0]
     n_sub = max(1, math.ceil(seg / grid.dt_max))
     dt = seg / n_sub
-    steps = []  # per block: U(W1 dt), U(W0 dt) and their adjoints
-    for a in range(len(blocks)):
-        evals, evecs = np.linalg.eigh(block(h_g, a, a))
-        u1, u0 = (
-            (evecs * np.exp(-1j * w * dt * evals)) @ evecs.conj().T for w in (W1, W0)
-        )
-        if real:  # exp(B w dt), real orthogonal up to rounding
-            u1, u0 = np.ascontiguousarray(u1.real), np.ascontiguousarray(u0.real)
-        steps.append((u1, u0, u1.conj().T, u0.conj().T))
-    mask = _dephasing_mask(h.space, noise)
+    # per block: U(W1 dt), U(W0 dt) and their transposes
+    steps = [(u1, u0, u1.T, u0.T) for u1, u0 in _split_factors(space, params, dt)]
+    mask = _dephasing_mask(space, params)
     # D over the outer half step, the two fused inner ones, and the fused
     # half steps where one S4 step meets the next; W0 < 0 makes the inner
     # one grow, so it overflows first when dt is far too large for the taus
@@ -324,25 +330,23 @@ def evolve_lindblad(
     if not all(np.isfinite(f).all() for factors in damping for f in factors):
         raise ConvergenceError(
             f"dephasing factor overflows at substep {dt * 1e3:.3g} us with "
-            f"tau_d_x = {noise.tau_d_x:g} ms, tau_d_y = {noise.tau_d_y:g} ms"
+            f"tau_d_x = {params.tau_d_x:g} ms, tau_d_y = {params.tau_d_y:g} ms"
         )
-    rho = gauged(state.to_density())
-    # the propagated terms (piece, unit, array); each piece is the sum of
-    # its terms' unit * array
+    phase = np.repeat(_gauge(space), space.n_max_y + 1)
+    rho = phase.conj()[:, None] * state.to_density() * phase
+    # the propagated real terms (piece, unit, array); each piece is the sum
+    # of its terms' unit * array
     terms = []
     for i, (a, b) in enumerate(pieces):
         r = block(rho, a, b)
-        if not real:
-            terms.append((i, 1, r))
-            continue
         terms.append((i, 1, np.ascontiguousarray(r.real)))
         if np.any(r.imag):
             terms.append((i, 1j, np.ascontiguousarray(r.imag)))
 
-    views = [np.arange(h.dim)] if coherent else blocks
+    views = [np.arange(space.dim)] if coherent else blocks
     ops = {
-        label: [gauged(obs.matrix)[np.ix_(v, v)] for v in views]
-        for label, obs in observables.items()
+        label: [_gauged_block(t, space, v, v) for v in views]
+        for label, t in observables.items()
     }
     values = {label: np.empty(grid.n_samples, dtype=complex) for label in observables}
     values |= {m: np.empty(grid.n_samples) for m in MONITORS if m != "norm_drift"}
@@ -365,18 +369,18 @@ def evolve_lindblad(
         current = [0] * len(pieces)
         for i, unit, r in terms:
             current[i] = current[i] + unit * r
-        diagonal = current[: len(blocks)]
+        diagonal = current[:2]
         parts = [(r + r.conj().T) / 2 for r in diagonal]
         if coherent:
             (plus, minus), off = blocks, current[2]
-            full = np.empty((h.dim, h.dim), dtype=np.result_type(off, *parts))
+            full = np.empty((space.dim, space.dim), dtype=np.result_type(off, *parts))
             full[np.ix_(plus, plus)], full[np.ix_(minus, minus)] = parts
             full[np.ix_(plus, minus)] = off
             full[np.ix_(minus, plus)] = off.conj().T
             parts = [full]
         trace = sum(np.trace(p).real for p in parts)
         drift = abs(trace - 1.0)
-        if not drift <= 1e-6:
+        if not drift <= TRACE_DRIFT_MAX:
             raise ConvergenceError(f"trace drift {drift:.2e} at sample {k}")
         min_eig = min(np.linalg.eigvalsh(p).min() for p in parts)
         if not min_eig >= -1e-6:

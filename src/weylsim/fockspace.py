@@ -1,16 +1,20 @@
 """Composite Hilbert space of one qubit and truncated oscillator modes.
 
+Truncation sizes, single-mode operator matrices and quadrature
+eigenbases, the 2x2 Pauli matrices, and coherent and Fock states.
+Operators on the full space are never built here: the propagators take
+them as sums of products A (x) B (A on qubit (x) mode x, B on mode y).
+
 Conventions, fixed once and used everywhere:
 
-* spin basis ordering is (|+z>, |-z>), so sigma_z = diag(+1, -1) and
-  sigma_plus maps |-z> to |+z>;
+* spin basis ordering is (|+z>, |-z>), so sigma_z = diag(+1, -1);
 * tensor order is qubit (x) mode-x (x) mode-y (or qubit (x) mode for the
   single-mode space);
 * quadratures are x = (a + a^dag)/sqrt(2) and p = i(a^dag - a)/sqrt(2),
   so a coherent state |alpha> has <x> = sqrt(2) Re(alpha) and
   <p> = sqrt(2) Im(alpha).
 
-All values are immutable after construction; operators and states can be
+All values are immutable after construction; matrices and states can be
 shared freely across threads.
 """
 
@@ -21,16 +25,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonHermitianError, TruncationError
+from .errors import DomainError, TruncationError
 
 SPIN_LABELS = ("plus_z", "minus_z", "plus_x", "minus_x")
 
-_PAULI = {
+PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "plus": np.array([[0, 1], [0, 0]], dtype=complex),
-    "minus": np.array([[0, 0], [1, 0]], dtype=complex),
 }
 
 _SPIN_VECS = {
@@ -106,57 +108,6 @@ AnySpace = SpaceSpec | SingleModeSpec
 
 
 @dataclass(frozen=True, eq=False)
-class LinOp:
-    """Dense complex operator on a composite space.
-
-    Equality and hashing are by identity; the matrix payload is frozen, so
-    instances can be shared freely.
-    """
-
-    matrix: np.ndarray
-    space: AnySpace
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise DomainError(
-                f"operator shape {m.shape} does not match space dim {self.space.dim}"
-            )
-        object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def dagger(self) -> "LinOp":
-        return LinOp(self.matrix.conj().T.copy(), self.space)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
-
-    def _check_space(self, other: "LinOp"):
-        if other.space != self.space:
-            raise DomainError("operators live on different spaces")
-
-    def __add__(self, other: "LinOp") -> "LinOp":
-        self._check_space(other)
-        return LinOp(self.matrix + other.matrix, self.space)
-
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        self._check_space(other)
-        return LinOp(self.matrix - other.matrix, self.space)
-
-    def __matmul__(self, other: "LinOp") -> "LinOp":
-        self._check_space(other)
-        return LinOp(self.matrix @ other.matrix, self.space)
-
-    def __mul__(self, scalar: complex) -> "LinOp":
-        return LinOp(self.matrix * scalar, self.space)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True, eq=False)
 class QState:
     """Pure state vector or density matrix on a composite space."""
 
@@ -194,7 +145,7 @@ class QState:
 
 
 # ---------------------------------------------------------------------------
-# elementary operators
+# single-mode operators
 # ---------------------------------------------------------------------------
 
 
@@ -220,41 +171,6 @@ def mode_matrix(dim: int, which: str) -> np.ndarray:
     return _frozen(m)
 
 
-@lru_cache(maxsize=32)  # d x d matrices; only the noisy path and tests use them
-def _embedded(space: AnySpace, which: str, mode: str | None) -> np.ndarray:
-    """Operator on one tensor factor, padded with identities elsewhere."""
-    dims = space.mode_dims
-    if which.startswith("pauli_"):
-        factors = [_PAULI[which[6:]]] + [np.eye(d, dtype=complex) for d in dims]
-    else:
-        k = _mode_index(space, mode)
-        m1 = mode_matrix(dims[k], which)
-        factors = [np.eye(2, dtype=complex)] + [
-            m1 if i == k else np.eye(d, dtype=complex) for i, d in enumerate(dims)
-        ]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return _frozen(out)
-
-
-def mode_lowering(space: AnySpace, mode: str = "x") -> LinOp:
-    """Annihilation operator of one mode, <n-1|a|n> = sqrt(n)."""
-    return LinOp(_embedded(space, "lower", mode), space)
-
-
-def number_operator(space: AnySpace, mode: str = "x") -> LinOp:
-    """Occupation operator a^dag a of one mode."""
-    return LinOp(_embedded(space, "number", mode), space)
-
-
-def quadrature(space: AnySpace, mode: str = "x", which: str = "position") -> LinOp:
-    """Hermitian position or momentum quadrature of one mode."""
-    if which not in ("position", "momentum"):
-        raise DomainError(f"unknown quadrature {which!r}")
-    return LinOp(_embedded(space, which, mode), space)
-
-
 @lru_cache(maxsize=32)
 def quadrature_eigenbasis(dim: int, which: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors (columns) of one mode's quadrature on dim levels.
@@ -266,18 +182,6 @@ def quadrature_eigenbasis(dim: int, which: str) -> tuple[np.ndarray, np.ndarray]
         raise DomainError(f"unknown quadrature {which!r}")
     values, vectors = np.linalg.eigh(mode_matrix(dim, which))
     return _frozen(values), _frozen(vectors)
-
-
-def pauli(space: AnySpace, axis: str) -> LinOp:
-    """Qubit operator sigma_axis (or raising/lowering) on the composite space."""
-    if axis not in _PAULI:
-        raise DomainError(f"unknown axis {axis!r}")
-    return LinOp(_embedded(space, "pauli_" + axis, None), space)
-
-
-def product_operator(space: SpaceSpec, terms) -> LinOp:
-    """Sum of the products np.kron(A, B), A on qubit (x) mode x, B on mode y."""
-    return LinOp(sum(np.kron(a, b) for a, b in terms), space)
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +252,3 @@ def basis_state(space: AnySpace, spin: str, *occupations: int) -> QState:
         e[n] = 1.0
         vec = np.kron(vec, e)
     return QState("pure", vec, space)
-
-
-# ---------------------------------------------------------------------------
-# expectation values
-# ---------------------------------------------------------------------------
-
-
-def expectation(obs: LinOp, state: QState) -> float:
-    """<psi|O|psi> or Tr(rho O) for a Hermitian observable."""
-    if obs.space != state.space:
-        raise DomainError("observable and state live on different spaces")
-    if not obs.hermiticity_defect() <= 1e-9:
-        raise NonHermitianError("observable is not Hermitian within 1e-9")
-    if state.kind == "pure":
-        val = np.vdot(state.data, obs.matrix @ state.data)
-    else:
-        val = np.trace(obs.matrix @ state.data)
-    if not abs(val.imag) <= 1e-9:
-        raise NonHermitianError(f"expectation has imaginary residual {val.imag}")
-    return float(val.real)

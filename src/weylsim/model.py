@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fockspace as fs
 from .errors import DomainError, TruncationError
-from .fockspace import LinOp, QState, SingleModeSpec, SpaceSpec
+from .fockspace import QState, SingleModeSpec, SpaceSpec
 
 
 def khz(value: float) -> float:
@@ -70,53 +70,21 @@ class SimParams:
         )
 
 
-@dataclass(frozen=True)
-class ToneSpec:
-    """One sideband drive tone."""
-
-    mode: str  # "x" | "y"
-    kind: str  # "red" | "blue"
-    rabi: float  # rad/ms
-    phase: float  # radians, in [0, 2 pi)
-
-    def __post_init__(self):
-        if self.mode not in ("x", "y"):
-            raise DomainError(f"unknown mode {self.mode!r}")
-        if self.kind not in ("red", "blue"):
-            raise DomainError(f"unknown sideband kind {self.kind!r}")
-        if self.rabi < 0:
-            raise DomainError("rabi must be non-negative")
-        if not 0 <= self.phase < 2 * math.pi:
-            raise DomainError("phase must lie in [0, 2 pi)")
-
-
-def sideband_hamiltonian(space: SpaceSpec, tone: ToneSpec) -> LinOp:
-    """Single sideband tone rabi [sigma_-(+) a^dag e^{i phase} + h.c.] / 2.
-
-    The red tone carries sigma_minus, the blue tone sigma_plus.
-    """
-    sigma = fs.pauli(space, "minus" if tone.kind == "red" else "plus")
-    adag = fs.mode_lowering(space, tone.mode).dagger()
-    half = (tone.rabi / 2) * np.exp(1j * tone.phase) * (sigma @ adag)
-    return half + half.dagger()
-
-
 def field_observables(space: SpaceSpec, params: SimParams) -> dict[str, list]:
     """The field runs' observables as sums of products (A, B), A on qubit (x)
     mode x and B on mode y; pi_x = p_x and pi_y = p_y - r x are the kinetic
     momenta in the field's gauge.  Every B except y's position commutes
     with p_y.
     """
-    sm = SingleModeSpec(space.n_max_x)
-    dy = space.n_max_y + 1
-    one_x, one_y = np.eye(sm.dim), np.eye(dy)
-    x = fs.quadrature(sm, "x", "position").matrix
-    p_y = [(one_x, fs.mode_matrix(dy, "momentum"))]
+    dx, dy = space.n_max_x + 1, space.n_max_y + 1
+    one_s, one_m, one_y = np.eye(2), np.eye(2 * dx), np.eye(dy)
+    x = np.kron(one_s, fs.mode_matrix(dx, "position"))
+    p_y = [(one_m, fs.mode_matrix(dy, "momentum"))]
     return {
-        **{f"sigma_{k}": [(fs.pauli(sm, k).matrix, one_y)] for k in "xyz"},
+        **{f"sigma_{k}": [(np.kron(fs.PAULI[k], np.eye(dx)), one_y)] for k in "xyz"},
         "x": [(x, one_y)],
-        "y": [(one_x, fs.mode_matrix(dy, "position"))],
-        "pi_x": [(fs.quadrature(sm, "x", "momentum").matrix, one_y)],
+        "y": [(one_m, fs.mode_matrix(dy, "position"))],
+        "pi_x": [(np.kron(one_s, fs.mode_matrix(dx, "momentum")), one_y)],
         "pi_y": p_y + [(-params.r * x, one_y)],
         "p_y": p_y,
     }
@@ -126,6 +94,9 @@ def weyl_terms(space: SpaceSpec, params: SimParams) -> list:
     """(omega/sqrt(2)) [sigma_x pi_x + sigma_y pi_y] as products (A, B).
 
     Every B is 1 or p_y, so H conserves p_y, also on the truncated space.
+    H equals the sum of the four drive tones
+    red_x((1-r) omega, pi/2) + blue_x((1+r) omega, pi/2)
+    + red_y(omega, pi) + blue_y(omega, 0).
     """
     obs = field_observables(space, params)
     c = params.omega / math.sqrt(2)
@@ -134,29 +105,6 @@ def weyl_terms(space: SpaceSpec, params: SimParams) -> list:
         for spin, pi in (("sigma_x", "pi_x"), ("sigma_y", "pi_y"))
         for a, b in obs[pi]
     ]
-
-
-def weyl_hamiltonian(space: SpaceSpec, params: SimParams) -> LinOp:
-    """(omega/sqrt(2)) [sigma_x p_x + sigma_y (p_y - r x)] on the full space.
-
-    Equals the sum of the four drive tones
-    red_x((1-r) omega, pi/2) + blue_x((1+r) omega, pi/2)
-    + red_y(omega, pi) + blue_y(omega, 0).
-    """
-    return fs.product_operator(space, weyl_terms(space, params))
-
-
-def transformed_hamiltonian(space: SingleModeSpec, params: SimParams) -> LinOp:
-    """Single-mode form omega sqrt(r) (i sigma_+ a^dag - i sigma_- a).
-
-    Unitarily equivalent to the two-mode model: the spin dynamics and the
-    energy spectrum +-omega sqrt(n r) are identical.
-    """
-    if params.r <= 0:
-        raise DomainError("the single-mode form requires r > 0")
-    a = fs.mode_lowering(space, "x")
-    half = params.omega * math.sqrt(params.r) * 1j * (fs.pauli(space, "plus") @ a.dagger())
-    return half + half.dagger()
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +125,7 @@ def landau_level(n: int, params: SimParams) -> float:
 
 
 def landau_eigenstate(space: SingleModeSpec, n: int, sign: str = "zero") -> QState:
-    """Eigenstate of the single-mode form.
+    """Eigenstate of the single-mode form omega sqrt(r) (i sigma_+ a^dag - i sigma_- a).
 
     n = 0 with sign "zero" is |+z>|0>; n >= 1 with sign "plus"/"minus" is
     (|-z>|n-1> +- i|+z>|n>)/sqrt(2) at energy +-omega sqrt(n r).

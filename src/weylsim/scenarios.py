@@ -26,7 +26,7 @@ from . import fockspace as fs
 from . import model as md
 from . import probe as pr
 from .errors import ConfigError, DomainError, WeylSimError
-from .evolve import NoiseSpec, TimeGrid
+from .evolve import TimeGrid
 from .fockspace import SpaceSpec
 from .model import SimParams
 
@@ -323,12 +323,8 @@ def _evolve(cfg: ScenarioConfig, spin: str, labels) -> dict:
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
     terms = md.field_observables(cfg.space, cfg.params)
     observables = {label: terms[label] for label in labels}
-    if not cfg.noise_on:
-        return ev.evolve_unitary(cfg.params, psi0, cfg.grid, observables)
-    dense = {k: fs.product_operator(cfg.space, v) for k, v in observables.items()}
-    h = md.weyl_hamiltonian(cfg.space, cfg.params)
-    noise = NoiseSpec.from_params(cfg.params)
-    return ev.evolve_lindblad(h, noise, psi0, cfg.grid, dense)
+    propagate = ev.evolve_lindblad if cfg.noise_on else ev.evolve_unitary
+    return propagate(cfg.params, psi0, cfg.grid, observables)
 
 
 def _finish(name, cfg, tables, checks, started, t0) -> ScenarioResult:

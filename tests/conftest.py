@@ -1,3 +1,10 @@
+"""Shared fixtures and the dense full-space oracles the tests compare against.
+
+weylsim never builds an operator on the full space; the oracles here do,
+as plain numpy matrices, from the single-mode matrices and Kronecker
+products.  Tests import them with `from conftest import ...`.
+"""
+
 import math
 
 import numpy as np
@@ -28,6 +35,78 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+# --- dense operators ---------------------------------------------------------------
+
+SPIN_MATRICES = fs.PAULI | {
+    "plus": np.array([[0, 1], [0, 0]], dtype=complex),  # maps |-z> to |+z>
+    "minus": np.array([[0, 0], [1, 0]], dtype=complex),
+}
+
+
+def _kron_all(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def mode_operator(space, mode="x", which="position"):
+    """Lowering, number, position or momentum operator of one mode, padded
+    with identities on the qubit and the other modes."""
+    k = space.modes.index(mode)
+    factors = [np.eye(2)] + [
+        fs.mode_matrix(d, which) if i == k else np.eye(d)
+        for i, d in enumerate(space.mode_dims)
+    ]
+    return _kron_all(factors)
+
+
+def pauli(space, axis):
+    """Qubit operator sigma_axis (or sigma_plus, sigma_minus) on the full space."""
+    return _kron_all([SPIN_MATRICES[axis]] + [np.eye(d) for d in space.mode_dims])
+
+
+def full_operator(terms):
+    """Sum of the products np.kron(A, B), A on qubit (x) mode x, B on mode y."""
+    return sum(np.kron(a, b) for a, b in terms)
+
+
+def expectation(op, state):
+    """<psi|O|psi> or Tr(rho O), whose imaginary part must vanish."""
+    if state.kind == "pure":
+        val = np.vdot(state.data, op @ state.data)
+    else:
+        val = np.trace(op @ state.data)
+    assert abs(val.imag) <= 1e-9, val
+    return float(val.real)
+
+
+def weyl_hamiltonian(space, params):
+    """(omega/sqrt(2)) [sigma_x p_x + sigma_y (p_y - r x)] on the full space,
+    built from the embedded operators, not from `model.weyl_terms`."""
+    px = mode_operator(space, "x", "momentum")
+    pi_y = mode_operator(space, "y", "momentum") - params.r * mode_operator(space, "x")
+    return (params.omega / math.sqrt(2)) * (
+        pauli(space, "x") @ px + pauli(space, "y") @ pi_y
+    )
+
+
+def transformed_hamiltonian(space, params):
+    """Single-mode form omega sqrt(r) (i sigma_+ a^dag - i sigma_- a)."""
+    a = mode_operator(space, "x", "lower")
+    half = params.omega * math.sqrt(params.r) * 1j * (pauli(space, "plus") @ a.conj().T)
+    return half + half.conj().T
+
+
+def sideband_hamiltonian(space, mode, kind, rabi, phase):
+    """Single sideband tone rabi [sigma_-(+) a^dag e^{i phase} + h.c.] / 2;
+    the red tone carries sigma_minus, the blue tone sigma_plus."""
+    sigma = pauli(space, "minus" if kind == "red" else "plus")
+    adag = mode_operator(space, mode, "lower").conj().T
+    half = (rabi / 2) * np.exp(1j * phase) * (sigma @ adag)
+    return half + half.conj().T
+
+
 PROBE_TARGETS = {
     "x": ("x", "position"),
     "px": ("x", "momentum"),
@@ -36,22 +115,19 @@ PROBE_TARGETS = {
 }
 
 
-@pytest.fixture(scope="session")
-def probe_hamiltonian():
-    """Dense probe Hamiltonian (omega_probe/sqrt(2)) sigma_y Q on the full space.
+def probe_hamiltonian(space, params, target):
+    """Probe Hamiltonian (omega_probe/sqrt(2)) sigma_y Q on the full space.
 
     The oracle the probe protocol's closed form is checked against.
     """
-
-    def build(space, params, target):
-        q = fs.quadrature(space, *PROBE_TARGETS[target])
-        return (params.omega_probe / math.sqrt(2)) * (fs.pauli(space, "y") @ q)
-
-    return build
+    q = mode_operator(space, *PROBE_TARGETS[target])
+    return (params.omega_probe / math.sqrt(2)) * (pauli(space, "y") @ q)
 
 
-@pytest.fixture(scope="session")
-def dense_unitary():
+# --- dense propagation -------------------------------------------------------------
+
+
+def dense_unitary(h, state, grid, observables):
     """Spectral propagation of a pure state under any dense Hamiltonian.
 
     The oracle the p_y-sector propagator is checked against: H is
@@ -59,19 +135,15 @@ def dense_unitary():
     sample.  Returns {label: TimeSeries} plus `norm_drift`, like
     `evolve.evolve_unitary`.
     """
-
-    def propagate(h, state, grid, observables):
-        evals, evecs = np.linalg.eigh(h.matrix)
-        times = grid.times - grid.t_start
-        coeffs = evecs.conj().T @ state.data
-        block = evecs @ (np.exp(-1j * np.outer(evals, times)) * coeffs[:, None])
-        norms = np.linalg.norm(block, axis=0)
-        block /= norms
-        values = {
-            label: np.einsum("ik,ik->k", block.conj(), obs.matrix @ block).real
-            for label, obs in observables.items()
-        }
-        values["norm_drift"] = np.abs(norms - 1.0)
-        return {label: TimeSeries(grid.times, v, label) for label, v in values.items()}
-
-    return propagate
+    evals, evecs = np.linalg.eigh(h)
+    times = grid.times - grid.t_start
+    coeffs = evecs.conj().T @ state.data
+    block = evecs @ (np.exp(-1j * np.outer(evals, times)) * coeffs[:, None])
+    norms = np.linalg.norm(block, axis=0)
+    block /= norms
+    values = {
+        label: np.einsum("ik,ik->k", block.conj(), obs @ block).real
+        for label, obs in observables.items()
+    }
+    values["norm_drift"] = np.abs(norms - 1.0)
+    return {label: TimeSeries(grid.times, v, label) for label, v in values.items()}

@@ -7,6 +7,7 @@ module-scoped fixtures.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from weylsim import fockspace as fs
 from weylsim import model as md
 from weylsim import probe as pr
 from weylsim import scenarios as sc
-from weylsim.evolve import NoiseSpec, TimeGrid
+from weylsim.evolve import TimeGrid
 from weylsim.fockspace import SingleModeSpec, SpaceSpec
 from weylsim.model import SimParams
+
+from conftest import transformed_hamiltonian
 
 RESOLUTION_600US = 1 / 0.6  # kHz
 
@@ -43,17 +46,15 @@ def noisy_landau():
     params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
     grid = TimeGrid(0.0, 0.6, 201)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
-    h = md.weyl_hamiltonian(space, params)
-    sz = {"sigma_z": fs.pauli(space, "z")}
+    sz = {"sigma_z": md.field_observables(space, params)["sigma_z"]}
     t0 = time.perf_counter()
-    series = ev.evolve_lindblad(h, NoiseSpec.from_params(params), psi0, grid, sz)
+    series = ev.evolve_lindblad(params, psi0, grid, sz)
     wall = time.perf_counter() - t0
     return {
         "space": space,
         "params": params,
         "grid": grid,
         "psi0": psi0,
-        "h": h,
         "series": series,
         "wall": wall,
     }
@@ -138,7 +139,7 @@ def test_criterion_4_analytic_spectrum_oracle():
 def test_criterion_5_eigenvalue_ladder():
     space = SingleModeSpec(31)
     params = SimParams.from_khz(4.2, r=1.0)
-    evals = np.linalg.eigvalsh(md.transformed_hamiltonian(space, params).matrix)
+    evals = np.linalg.eigvalsh(transformed_hamiltonian(space, params))
     worst = 0.0
     for n in range(1, space.n_max // 2 + 1):
         want = md.landau_level(n, params)
@@ -208,13 +209,12 @@ def test_criterion_8_open_system_invariants(noisy_landau):
     invariants_ok = worst_trace < 1e-8 and worst_herm < 1e-8 and worst_eig >= -1e-8
 
     grid = noisy_landau["grid"]
-    h = noisy_landau["h"]
     psi0 = noisy_landau["psi0"]
     space, params = noisy_landau["space"], noisy_landau["params"]
-    sz = {"sigma_z": fs.pauli(space, "z")}
-    sz_terms = {"sigma_z": md.field_observables(space, params)["sigma_z"]}
-    unit = ev.evolve_unitary(params, psi0, grid, sz_terms)["sigma_z"]
-    nolimit = ev.evolve_lindblad(h, NoiseSpec(), psi0, grid, sz)["sigma_z"]
+    sz = {"sigma_z": md.field_observables(space, params)["sigma_z"]}
+    unit = ev.evolve_unitary(params, psi0, grid, sz)["sigma_z"]
+    noiseless = replace(params, tau_d_x=math.inf, tau_d_y=math.inf)
+    nolimit = ev.evolve_lindblad(noiseless, psi0, grid, sz)["sigma_z"]
     limit_dev = float(np.abs(unit.values - nolimit.values).max())
     _report(
         8,

@@ -18,6 +18,8 @@ from weylsim.evolve import TimeGrid
 from weylsim.fockspace import SingleModeSpec, SpaceSpec
 from weylsim.model import SimParams
 
+from conftest import dense_unitary, pauli, transformed_hamiltonian, weyl_hamiltonian
+
 
 # --- spectra -------------------------------------------------------------------
 
@@ -95,15 +97,15 @@ def test_predictor_stationary_states(sm_space):
     assert np.abs(zero.values).max() < 1e-12
 
 
-def test_predictor_equals_numerical_propagation(sm_space, dense_unitary):
+def test_predictor_equals_numerical_propagation(sm_space):
     # the closed form against direct propagation of the same single-mode
     # Hamiltonian; this pins the level splittings 2 omega sqrt(n r)
     params = SimParams.from_khz(4.2, r=1.0)
     grid = TimeGrid(0.0, 0.6, 201)
     psi0 = _single_mode_coherent(sm_space, 1j, "plus_z")
     predicted = an.predict_sigma_z_series(psi0, params, grid)
-    h = md.transformed_hamiltonian(sm_space, params)
-    sz = {"sigma_z": fs.pauli(sm_space, "z")}
+    h = transformed_hamiltonian(sm_space, params)
+    sz = {"sigma_z": pauli(sm_space, "z")}
     numeric = dense_unitary(h, psi0, grid, sz)["sigma_z"]
     assert np.abs(predicted.values - numeric.values).max() < 1e-8
 
@@ -124,7 +126,7 @@ def test_predictor_spectrum_sits_on_level_splittings(sm_space):
         assert nearest < spec.resolution
 
 
-def test_predictor_mixed_state_and_phases(dense_unitary):
+def test_predictor_mixed_state_and_phases():
     # spin +x input exercises the coherence terms; reference is a dense
     # two-mode propagation at moderate truncation
     space = SpaceSpec(20, 20)
@@ -133,8 +135,8 @@ def test_predictor_mixed_state_and_phases(dense_unitary):
     psi0 = fs.coherent_state(space, 1j, 0, "plus_x")
     red = md.cyclotron_frame_state("plus_x", 1j, 0, params)
     predicted = an.predict_sigma_z_series(red, params, grid)
-    h = md.weyl_hamiltonian(space, params)
-    numeric = dense_unitary(h, psi0, grid, {"sigma_z": fs.pauli(space, "z")})[
+    h = weyl_hamiltonian(space, params)
+    numeric = dense_unitary(h, psi0, grid, {"sigma_z": pauli(space, "z")})[
         "sigma_z"
     ]
     # agreement is limited by the two-mode truncation, not the predictor

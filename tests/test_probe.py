@@ -13,6 +13,15 @@ from weylsim.evolve import TimeGrid
 from weylsim.fockspace import SpaceSpec
 from weylsim.model import SimParams
 
+from conftest import (
+    dense_unitary,
+    expectation,
+    mode_operator,
+    pauli,
+    probe_hamiltonian,
+    weyl_hamiltonian,
+)
+
 TARGETS = ("x", "px", "y", "py")
 
 
@@ -25,10 +34,10 @@ def direct_quadratures(state):
     """Direct expectation oracle for all four quadrature targets."""
     space = state.space
     return {
-        "x": fs.expectation(fs.quadrature(space, "x", "position"), state),
-        "px": fs.expectation(fs.quadrature(space, "x", "momentum"), state),
-        "y": fs.expectation(fs.quadrature(space, "y", "position"), state),
-        "py": fs.expectation(fs.quadrature(space, "y", "momentum"), state),
+        "x": expectation(mode_operator(space, "x", "position"), state),
+        "px": expectation(mode_operator(space, "x", "momentum"), state),
+        "y": expectation(mode_operator(space, "y", "position"), state),
+        "py": expectation(mode_operator(space, "y", "momentum"), state),
     }
 
 
@@ -53,7 +62,7 @@ def _grid_of(series):
 # --- quadrature protocol ---------------------------------------------------------
 
 
-def probe_oracle_series(state, target, params, grid, probe_hamiltonian, propagate):
+def probe_oracle_series(state, target, params, grid):
     """<sigma_z>(t) of the reset, rotated input under the dense probe Hamiltonian.
 
     The reset qubit is re-prepared on +x, so the probe starts from
@@ -65,16 +74,16 @@ def probe_oracle_series(state, target, params, grid, probe_hamiltonian, propagat
     rho_m = np.einsum("smsn->mn", state.to_density().reshape(2, m, 2, m))
     lam, phis = np.linalg.eigh(rho_m)
     h = probe_hamiltonian(space, params, target)
-    sz = {"sigma_z": fs.pauli(space, "z")}
+    sz = {"sigma_z": pauli(space, "z")}
     total = np.zeros(grid.n_samples)
     for weight, phi in zip(lam, phis.T):
         if weight > 1e-15:
             psi = fs.QState("pure", np.kron(fs.spin_vector("plus_x"), phi), space)
-            total += weight * propagate(h, psi, grid, sz)["sigma_z"].values
+            total += weight * dense_unitary(h, psi, grid, sz)["sigma_z"].values
     return total
 
 
-def test_probe_series_matches_dense_oracle(fitted, probe_hamiltonian, dense_unitary):
+def test_probe_series_matches_dense_oracle(fitted):
     # the closed-form precession sum against dense propagation of the reset,
     # rotated state: random coherent inputs and spins, a spin-motion
     # entangled input and a mixed one, every target
@@ -99,9 +108,7 @@ def test_probe_series_matches_dense_oracle(fitted, probe_hamiltonian, dense_unit
         for target in TARGETS:
             pr.measure_quadrature(state, target, params)
             got = fitted[-1]
-            want = probe_oracle_series(
-                state, target, params, _grid_of(got), probe_hamiltonian, dense_unitary
-            )
+            want = probe_oracle_series(state, target, params, _grid_of(got))
             assert np.abs(got.values - want).max() < 1e-12
 
 
@@ -208,17 +215,15 @@ def test_energy_window_halving_converges(params):
 
 def sigma_theta_perp(space, theta):
     """Spin component perpendicular to the in-plane direction theta."""
-    return -math.sin(theta) * fs.pauli(space, "x") + math.cos(theta) * fs.pauli(
-        space, "y"
-    )
+    return -math.sin(theta) * pauli(space, "x") + math.cos(theta) * pauli(space, "y")
 
 
-def test_energy_series_matches_dense_oracle(fitted, params, dense_unitary):
+def test_energy_series_matches_dense_oracle(fitted, params):
     # the closed-form precession sum against dense propagation under the
     # free Hamiltonian, at random momenta, directions and windows
     rng = np.random.default_rng(7)
     space = SpaceSpec(12, 9)  # unequal modes catch a swapped axis
-    h = md.weyl_hamiltonian(space, params)
+    h = weyl_hamiltonian(space, params)
     for p in (0.0, *rng.uniform(0.1, 2.1, 5)):
         theta = rng.uniform(0, 2 * math.pi)
         t_start = rng.uniform(0, 0.01)
