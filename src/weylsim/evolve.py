@@ -1,7 +1,10 @@
 """Time evolution: exact unitary propagation and dephasing master equation.
 
 The unitary path splits the Weyl Hamiltonian into its conserved-p_y
-sectors, diagonalizes each once and is exact at every sample.  The
+sectors and diagonalizes each once, from one real SVD of its spin-flip
+block as the master equation does; one decomposition serves any number of
+output grids and is exact at every sample, and an observable diagonal on
+qubit (x) mode x and in p_y is read from |psi|^2 alone.  The
 master equation is a 4th-order split step (Strang steps composed by
 Yoshida's triple jump) of an exact unitary factor and an exact elementwise
 dephasing factor, run on the parity sectors of the density matrix in a
@@ -98,41 +101,95 @@ def _in_sectors(terms, basis, keep):
     return out
 
 
-def evolve_unitary(
-    params, state: QState, grid: TimeGrid, observables: dict[str, list]
-) -> dict[str, TimeSeries]:
-    """Expectation series of each observable under the Weyl Hamiltonian.
+def _population_weights(terms) -> np.ndarray | None:
+    """w[k, i] = sum_j B'_j[k] A_j[i, i] if every A_j is diagonal and every
+    B'_j is a sector diagonal, else None.
+
+    Such an observable reads sum_ki w[k, i] |phi_k(t)[i]|^2, which needs no
+    phase of phi.
+    """
+    diagonal = (np.array_equal(a, np.diag(np.diagonal(a))) for a, _ in terms)
+    if not terms or not all(b.ndim == 1 for _, b in terms) or not all(diagonal):
+        return None
+    return sum(np.multiply.outer(b.real, np.diagonal(a).real) for a, b in terms)
+
+
+@dataclass(frozen=True)
+class Sectors:
+    """The Weyl Hamiltonian's p_y sectors and a pure input's coefficients.
+
+    Sector k is a qubit (x) mode-x vector phi_k with phi_k(t) = S W_k x_k(t),
+    S = diag(1, i) on the spin and x_k(t) = exp(-i evals_k t) coeffs_k;
+    `keep` indexes the kept sectors in p_y's eigenbasis `basis[1]`, the
+    eigenvectors of `basis[0]`.
+    """
+
+    space: SpaceSpec
+    basis: tuple[np.ndarray, np.ndarray]
+    keep: np.ndarray
+    evals: np.ndarray  # (sectors, m)
+    w: np.ndarray  # (sectors, m, m), real orthogonal
+    coeffs: np.ndarray  # (sectors, m), at t = 0
+
+
+def weyl_sectors(params, state: QState) -> Sectors:
+    """The eigenbasis of each p_y sector of the Weyl H and the input in it.
 
     H (`model.weyl_terms`) conserves p_y on the truncated space.  Mode y of
-    the pure two-mode input is rotated into p_y's eigenbasis V; sector k,
-    the qubit (x) mode-x vector phi_k, is dropped if ||phi_k|| < 1e-16, else
-    its H_k is diagonalized once and applied exactly at every sample.  An
-    observable is a list of products (A, B), A on qubit (x) mode x and B on
-    mode y; with B' = V^dag B V, <A (x) B>(t) = sum_kl B'_kl
-    <phi_k(t)|A|phi_l(t)>, only k = l if B commutes with p_y.  SECTOR_CHUNK
-    samples are held at a time.  `norm_drift` is |norm - 1| per sample;
-    above 1e-6 it raises ConvergenceError.
+    the pure two-mode input is rotated into p_y's eigenbasis V; sector k is
+    dropped if ||phi_k|| < 1e-16.  In the qubit basis (|+z>, i|-z>) each
+    H_k flips the spin and is real, H_k = [[0, C_k], [C_k^T, 0]] with C_k
+    square; one batched real SVD C_k = U S V^T gives the eigenvalues +-S
+    and the eigenvectors W_k = [[U, U], [V, -V]] / sqrt(2), orthogonal by
+    construction.
     """
     space = state.space
     if state.kind != "pure" or not isinstance(space, SpaceSpec):
-        raise DomainError("evolve_unitary propagates pure two-mode states only")
+        raise DomainError("the unitary path propagates pure two-mode states only")
     m, dy = 2 * (space.n_max_x + 1), space.n_max_y + 1
+    half = m // 2
     basis = fs.mode_matrix(dy, "momentum"), fs.quadrature_eigenbasis(dy, "momentum")[1]
     phi = state.data.reshape(m, dy) @ basis[1].conj()
     keep = np.flatnonzero(np.linalg.norm(phi, axis=0) >= 1e-16)
+    # spin-flip block of S^dag A S for each term; C_k = sum_j B'_j[k] A_j
+    h_terms = _in_sectors(md.weyl_terms(space, params), basis, keep)
+    c = np.einsum(
+        "jk,jab->kab",
+        [b.real for _, b in h_terms],
+        [(1j * a[:half, half:]).real for a, _ in h_terms],
+    )
+    u, s, vt = np.linalg.svd(c)
+    w = np.empty((len(keep), m, m))
+    w[:, :half, :half] = w[:, :half, half:] = u
+    w[:, half:, :half] = np.swapaxes(vt, 1, 2)
+    w[:, half:, half:] = -w[:, half:, :half]
+    w *= math.sqrt(0.5)
+    spin_phase = np.repeat([1, 1j], half)
+    coeffs = np.einsum("kji,jk->ki", w, spin_phase.conj()[:, None] * phi[:, keep])
+    return Sectors(space, basis, keep, np.concatenate([s, -s], axis=1), w, coeffs)
+
+
+def sector_series(
+    sectors: Sectors, grid: TimeGrid, observables: dict[str, list]
+) -> dict[str, TimeSeries]:
+    """Expectation series of each observable on the sectors' evolved input.
+
+    An observable is a list of products (A, B), A on qubit (x) mode x and B
+    on mode y; with B' = V^dag B V, <A (x) B>(t) = sum_kl B'_kl
+    <phi_k(t)|A|phi_l(t)>, only k = l if B commutes with p_y.  If every A is
+    diagonal too (sigma_z), the value is read from |phi_k(t)|^2 alone.
+    SECTOR_CHUNK samples are held at a time; one `Sectors` serves any number
+    of grids, each starting from the input at grid.t_start.  `norm_drift` is
+    |norm - 1| per sample; above 1e-6 it raises ConvergenceError.
+    """
+    space, evals, w, coeffs = sectors.space, sectors.evals, sectors.w, sectors.coeffs
     ops = {
-        k: _in_sectors(_checked(k, v, space), basis, keep)
+        k: _in_sectors(_checked(k, v, space), sectors.basis, sectors.keep)
         for k, v in observables.items()
     }
-    # H_k = sum_j B'_j[k] A_j is real symmetric in the qubit basis
-    # (|+z>, i|-z>), where a real eigh is about 2.5x cheaper: U_k = S W_k
-    # with S = diag(1, i)
-    spin_phase = np.repeat([1, 1j], m // 2)
-    h_terms = _in_sectors(md.weyl_terms(space, params), basis, keep)
-    a_real = [(spin_phase.conj()[:, None] * a * spin_phase).real for a, _ in h_terms]
-    b_real = [b.real for _, b in h_terms]
-    evals, w = np.linalg.eigh(np.einsum("jk,jab->kab", b_real, a_real))
-    coeffs = np.einsum("kji,jk->ki", w, spin_phase.conj()[:, None] * phi[:, keep])
+    weights = {label: _population_weights(terms) for label, terms in ops.items()}
+    products = any(wt is None for wt in weights.values())
+    spin_phase = np.repeat([1, 1j], w.shape[1] // 2)
 
     times = grid.times - grid.t_start
     # on a uniform grid every chunk's phases are the first chunk's times
@@ -144,21 +201,28 @@ def evolve_unitary(
         now = slice(start, min(start + SECTOR_CHUNK, grid.n_samples))
         n = now.stop - start
         x = steps[:, :, :n] * (coeffs * np.exp(-1j * evals * times[start]))[:, :, None]
-        # psi[k, :, s] = phi_k(t_s) = S W_k x_k(t_s), with one real product
-        # for the real and imaginary parts of x
+        # W_k x_k(t_s) with one real product for the real and imaginary
+        # parts of x; S only moves phases, so |phi_k|^2 = |W_k x_k|^2
         both = w @ np.concatenate([x.real, x.imag], axis=2)
-        psi = spin_phase[:, None] * (both[:, :, :n] + 1j * both[:, :, n:])
-        bra = psi.conj()
-        norms[now] = np.sqrt((bra * psi).real.sum(axis=(0, 1)))
+        # squared norms of the real and imaginary columns
+        squares = np.einsum("kis,kis->s", both, both)
+        norms[now] = np.sqrt(squares[:n] + squares[n:])
+        if products:
+            psi = spin_phase[:, None] * (both[:, :, :n] + 1j * both[:, :, n:])
+            bra = psi.conj()
         for label, terms in ops.items():
-            total = 0
-            for a, b in terms:
-                a_psi = a @ psi
-                if b.ndim == 1:
-                    a_psi *= b[:, None, None]
-                else:  # B' couples the sectors
-                    a_psi = (b @ a_psi.reshape(len(b), -1)).reshape(psi.shape)
-                total = total + (bra * a_psi).sum(axis=(0, 1))
+            if weights[label] is not None:
+                total = np.einsum("ki,kis,kis->s", weights[label], both, both)
+                total = total[:n] + total[n:]
+            else:
+                total = 0
+                for a, b in terms:
+                    a_psi = a @ psi
+                    if b.ndim == 1:
+                        a_psi *= b[:, None, None]
+                    else:  # B' couples the sectors
+                        a_psi = (b @ a_psi.reshape(len(b), -1)).reshape(psi.shape)
+                    total = total + (bra * a_psi).sum(axis=(0, 1))
             values[label][now] = total / norms[now] ** 2
     drift = np.abs(norms - 1.0)
     bad = np.flatnonzero(~(drift <= 1e-6))
@@ -166,6 +230,19 @@ def evolve_unitary(
         raise ConvergenceError(f"norm drift {drift[bad[0]]:.2e} at sample {bad[0]}")
     values["norm_drift"] = drift
     return {label: _series(grid, label, v) for label, v in values.items()}
+
+
+def evolve_unitary(
+    params, state: QState, grid: TimeGrid, observables: dict[str, list]
+) -> dict[str, TimeSeries]:
+    """Expectation series of each observable under the Weyl Hamiltonian.
+
+    The pure two-mode input is decomposed into the Hamiltonian's p_y
+    sectors (`weyl_sectors`), which are applied exactly at every sample
+    (`sector_series`).  To sample several grids from one input, call the
+    two directly and decompose once.
+    """
+    return sector_series(weyl_sectors(params, state), grid, observables)
 
 
 def _dephasing_mask(space, params) -> np.ndarray:

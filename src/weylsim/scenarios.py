@@ -422,7 +422,16 @@ def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
     tables: dict = {}
     checks: list[Check] = []
 
-    main = _evolve(cfg, cfg.initial_spin, ("sigma_z",))["sigma_z"]
+    # one decomposition serves the noiseless record and the inset; under
+    # dephasing it is built once the master equation has let go of its blocks
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    sz = {"sigma_z": md.field_observables(cfg.space, params)["sigma_z"]}
+    if cfg.noise_on:
+        main = ev.evolve_lindblad(params, psi0, grid, sz)["sigma_z"]
+        sectors = ev.weyl_sectors(params, psi0)
+    else:
+        sectors = ev.weyl_sectors(params, psi0)
+        main = ev.sector_series(sectors, grid, sz)["sigma_z"]
 
     spec, peaks, main_tables = _spectrum_tables(main, "", PEAK_FRAC_MAIN)
     tables.update(main_tables)
@@ -459,8 +468,7 @@ def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
 
     # long noiseless record resolving the higher levels
     inset_grid = TimeGrid(0.0, INSET_SPAN_MS, INSET_SAMPLES, grid.dt_max)
-    inset_cfg = replace(cfg, grid=inset_grid, noise_on=False)
-    inset = _evolve(inset_cfg, cfg.initial_spin, ("sigma_z",))["sigma_z"]
+    inset = ev.sector_series(sectors, inset_grid, sz)["sigma_z"]
     ispec, ipeaks, inset_tables = _spectrum_tables(inset, "_ideal", PEAK_FRAC_FINE)
     tables.update(inset_tables)
     for n_level in (1, 2, 3, 4):

@@ -235,26 +235,118 @@ def test_sector_propagator_matches_dense_oracle(seed):
         assert got["norm_drift"].values.max() < 1e-12
 
 
+@pytest.mark.parametrize("n_max", [17, 19, 23, 40])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_sector_basis_is_orthogonal(r, n_max):
+    # each sector's eigenbasis, built from the SVD of its spin-flip block,
+    # is orthogonal by construction and diagonalizes H_k, rebuilt here from
+    # the product terms in the qubit basis (|+z>, i|-z>)
+    space = SpaceSpec(n_max, n_max)
+    params = SimParams.from_khz(4.2, r=r)
+    psi0 = _random_pure(np.random.default_rng(n_max), space, entangled=True)
+    sectors = ev.weyl_sectors(params, psi0)
+    phase = np.repeat([1, 1j], n_max + 1)
+    terms = ev._in_sectors(md.weyl_terms(space, params), sectors.basis, sectors.keep)
+    h = sum(np.multiply.outer(b, phase.conj()[:, None] * a * phase) for a, b in terms)
+    w, evals = sectors.w, sectors.evals
+    eye = np.eye(w.shape[1])
+    assert np.abs(np.swapaxes(w, 1, 2) @ w - eye).max() <= 1e-13
+    rotated = np.swapaxes(w, 1, 2) @ h @ w
+    scale = np.linalg.norm(h, ord=2, axis=(1, 2))
+    defect = np.abs(rotated - evals[:, :, None] * eye).max(axis=(1, 2))
+    assert np.all(defect <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_population_path_matches_product_path(monkeypatch, seed):
+    # observables with a diagonal A and a B that commutes with p_y are read
+    # from |phi_k|^2; the product path, forced here, is the reference
+    rng = np.random.default_rng(seed)
+    n_x, n_y = rng.choice(np.arange(4, 13), size=2, replace=False)
+    space = SpaceSpec(int(n_x), int(n_y))
+    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    obs = md.field_observables(space, params)
+    m, dy = 2 * (space.n_max_x + 1), space.n_max_y + 1
+    diagonal = [np.diag(rng.normal(size=m)) for _ in range(2)]
+    terms = {
+        "sigma_z": obs["sigma_z"],
+        "diagonal": [
+            (diagonal[0], rng.normal() * np.eye(dy)),
+            (diagonal[1], fs.mode_matrix(dy, "momentum")),
+        ],
+    }
+    grid = TimeGrid(0.0, rng.uniform(0.2, 0.6), int(rng.integers(20, 60)))
+    for entangled in (False, True):
+        sectors = ev.weyl_sectors(params, _random_pure(rng, space, entangled))
+        for t in terms.values():
+            in_sectors = ev._in_sectors(t, sectors.basis, sectors.keep)
+            assert ev._population_weights(in_sectors) is not None
+        got = ev.sector_series(sectors, grid, terms)
+        with monkeypatch.context() as patch:
+            patch.setattr(ev, "_population_weights", lambda terms: None)
+            want = ev.sector_series(sectors, grid, terms)
+        for label in (*terms, "norm_drift"):
+            assert np.abs(got[label].values - want[label].values).max() <= 1e-13, label
+
+
+def test_noiseless_landau_decomposes_once(monkeypatch):
+    # the 600 us record and the 5 ms inset are sampled from one batched SVD
+    # of the sectors' spin-flip blocks, with no eigendecomposition, and equal
+    # separate propagations of the same input
+    cfg = sc.default_config("landau", n_max=12, noise_on=False)
+    fs.quadrature_eigenbasis(cfg.space.n_max_y + 1, "momentum")  # fill the cache
+    calls = {"svd": [], "eigh": []}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(np.linalg, name, counting(name))
+        res = sc.run_landau(cfg)
+    k = cfg.space.n_max_x + 1
+    assert calls == {"svd": [(cfg.space.n_max_y + 1, k, k)], "eigh": []}
+    assert all(c.passed for c in res.checks)
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
+    inset_grid = TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)
+    for table, grid in (("sigma_z", cfg.grid), ("sigma_z_ideal", inset_grid)):
+        want = ev.evolve_unitary(cfg.params, psi0, grid, sz)["sigma_z"].values
+        assert np.abs(res.tables[table]["sigma_z"] - want).max() <= 1e-15
+
+
 def test_unitary_memory_does_not_grow_with_samples():
     # samples are propagated in bounded chunks: 2001 samples of noiseless
     # Landau cost no more than 201 beyond the output series themselves
-    # (one sector block at most)
+    # (one sector block at most), also when one decomposition is sampled
+    # over two grids
     cfg = sc.default_config("landau", n_max=12, noise_on=False)
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
-    peaks = {}
-    for n_samples in (201, 2001):
-        grid = TimeGrid(0.0, 0.6, n_samples)
-        tracemalloc.start()
-        try:
-            ev.evolve_unitary(cfg.params, psi0, grid, sz)
-            peaks[n_samples] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    sectors = ev.weyl_sectors(cfg.params, psi0)
     m = 2 * (cfg.space.n_max_x + 1)
     block = m * m * 16
     series = (2001 - 201) * 8 * 8  # grid, values, drift and their copies
-    assert peaks[2001] - peaks[201] < block + series
+    for propagate in (
+        lambda grid: ev.evolve_unitary(cfg.params, psi0, grid, sz),
+        lambda grid: ev.sector_series(sectors, grid, sz),
+    ):
+        peaks = {}
+        for n_samples in (201, 2001):
+            grid = TimeGrid(0.0, 0.6, n_samples)
+            tracemalloc.start()
+            try:
+                propagate(grid)
+                peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2001] - peaks[201] < block + series
 
 
 # --- dephasing master equation ---------------------------------------------------
