@@ -47,7 +47,6 @@ class Spectrum:
     freqs: np.ndarray
     amps: np.ndarray
     resolution: float  # kHz, 1 / record length
-    peaks: tuple = ()
 
     def __post_init__(self):
         f = np.asarray(self.freqs, dtype=float)
@@ -121,10 +120,14 @@ def find_peaks(spec: Spectrum, min_amp_frac: float) -> list[tuple[float, float]]
 def predict_sigma_z_series(psi0: QState, params, grid) -> TimeSeries:
     """Closed-form spin-z dynamics of the single-mode Hamiltonian.
 
-    Expands the state in the analytic eigenbasis: the n = 0 level
-    contributes a constant and each n >= 1 doublet an oscillation at the
-    level splitting 2 omega sqrt(n r), so
-    <sz(t)> = rho_00 - sum_n 2 Re[<E_n^-|rho|E_n^+> e^{2 i E_n t}].
+    Expands the state in the analytic eigenbasis (`model.landau_eigenstate`):
+    the n = 0 level |+z 0> contributes a constant and each n >= 1 doublet
+    (|-z n-1> +- i|+z n>)/sqrt(2) an oscillation at the level splitting
+    2 omega sqrt(n r), so
+    <sz(t)> = rho_00 - sum_n 2 Re[<E_n^-|rho|E_n^+> e^{2 i E_n t}], with
+    <E_n^-|rho|E_n^+> = (rho(-z n-1; -z n-1) - rho(+z n; +z n)
+    + i rho(-z n-1; +z n) + i rho(+z n; -z n-1)) / 2.
+    The doublets and |+z 0> span all but |-z n_max>.
     """
     if params.r <= 0:
         raise DomainError("the analytic series requires r > 0")
@@ -132,17 +135,17 @@ def predict_sigma_z_series(psi0: QState, params, grid) -> TimeSeries:
     if not isinstance(space, SingleModeSpec):
         raise DomainError("psi0 must live on the single-mode space")
     rho = psi0.to_density()
-    e0 = md.landau_eigenstate(space, 0, "zero").data
+    d1 = space.n_max + 1  # |+z n> is index n, |-z n> is d1 + n
+    up = np.diagonal(rho)[:d1].real
+    down = np.diagonal(rho)[d1:].real
+    lower = np.diagonal(rho, 1 - d1)[1:d1]  # rho(-z n-1; +z n), n >= 1
+    upper = np.diagonal(rho, d1 - 1)[1:d1]  # rho(+z n; -z n-1)
+    cross = (down[:-1] - up[1:] + 1j * (lower + upper)) / 2
     t = grid.times - grid.times[0]
-    values = np.full(len(t), float(np.real(e0.conj() @ rho @ e0)))
-    captured = float(np.real(e0.conj() @ rho @ e0))
-    for n in range(1, space.n_max + 1):
-        ep = md.landau_eigenstate(space, n, "plus").data
-        em = md.landau_eigenstate(space, n, "minus").data
-        captured += float(np.real(ep.conj() @ rho @ ep + em.conj() @ rho @ em))
-        cross = em.conj() @ rho @ ep
-        e_n = md.landau_level(n, params)
-        values -= 2 * np.real(cross * np.exp(2j * e_n * t))
+    values = np.full(len(t), up[0])
+    for n, c in enumerate(cross, start=1):
+        values -= 2 * np.real(c * np.exp(2j * md.landau_level(n, params) * t))
+    captured = float(np.trace(rho).real - down[-1])
     if captured < 1 - 1e-8:
         raise TruncationError(
             f"eigen expansion captured only {captured:.12f} of the state"

@@ -7,10 +7,10 @@ output grids and is exact at every sample, and an observable diagonal on
 qubit (x) mode x and in p_y is read from |psi|^2 alone.  The
 master equation is a 4th-order split step (Strang steps composed by
 Yoshida's triple jump) of an exact unitary factor and an exact elementwise
-dephasing factor, run on the parity sectors of the density matrix in a
-diagonal gauge where every Weyl unitary factor is a real orthogonal matrix
-built from one SVD, so the real and imaginary parts of each sector evolve
-in real arithmetic.
+dephasing factor.  It runs in a diagonal gauge where every Weyl unitary
+factor is a real orthogonal matrix built from one SVD, on one real array
+that holds the real and imaginary parts of the density matrix's parity
+sectors, stepped as a batch.
 """
 
 from __future__ import annotations
@@ -310,8 +310,11 @@ W0 = 1 - 2 * W1  # negative
 TRACE_DRIFT_MAX = 2e-10
 
 
-def _split_factors(space, params, dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """exp(B w dt) for w = W1 and W0 on each P-sector, real orthogonal.
+def _split_factors(space, params, dt: float) -> np.ndarray:
+    """exp(B w dt) on each P-sector for w = W1, W0, real orthogonal.
+
+    The result has shape (block, weight, h, h): both sectors hold h = d/2
+    states, because flipping the spin flips P.
 
     In the gauge each P-sector of the Weyl H is iB, and H flips the spin, so
     in sigma_z order B = [[0, C], [-C^T, 0]] with C real.  From one real SVD
@@ -323,21 +326,19 @@ def _split_factors(space, params, dt: float) -> list[tuple[np.ndarray, np.ndarra
     """
     terms = md.weyl_terms(space, params)
     half = space.dim // 2  # spin +z states come first
-    factors = []
-    for rows in _blocks(space):
+    factors = np.empty((2, 2, half, half))
+    for block, rows in zip(factors, _blocks(space)):
         up, down = rows[rows < half], rows[rows >= half]
         u, s, vt = np.linalg.svd(_gauged_block(terms, space, up, down).imag)
         k = len(s)
-        pair = []
-        for w in (W1, W0):
+        for out, w in zip(block, (W1, W0)):
             angle = s * w * dt
             cos_up = np.cos(np.pad(angle, (0, len(up) - k)))
             cos_down = np.cos(np.pad(angle, (0, len(down) - k)))
             top = (u[:, :k] * np.sin(angle)) @ vt[:k]
-            pair.append(
-                np.block([[(u * cos_up) @ u.T, top], [-top.T, (vt.T * cos_down) @ vt]])
+            out[:] = np.block(
+                [[(u * cos_up) @ u.T, top], [-top.T, (vt.T * cos_down) @ vt]]
             )
-        factors.append(tuple(pair))
     return factors
 
 
@@ -354,27 +355,28 @@ def evolve_lindblad(
     U_a rho_ab U_b^T with the exact, real orthogonal U_a of
     `_split_factors`; D is the exact elementwise dephasing factor
     exp(mask h).  Observables are products (A, B) as for `evolve_unitary`.
-
-    The blocks are the P-sectors (`_blocks`): rho_++ and rho_-- always
-    evolve, rho_+- only if some observable has a P-odd part (rho_-+ is its
-    adjoint).  Only the current blocks are held.  A pure input is promoted
-    to a rank-1 density matrix.
+    A pure input is promoted to a rank-1 density matrix.
 
     The input and the observables are taken to the gauge G of `_gauge`,
-    which leaves D, the blocks and every expectation unchanged.  There the
-    real and imaginary parts of each block evolve apart in real arithmetic;
-    an imaginary part that starts at zero stays zero and is dropped (as for
-    the landau default |+z>|i>|0>).
+    which leaves D, the P-sectors (`_blocks`) and every expectation
+    unchanged.  There the evolved state is one real array of shape
+    (pieces, parts, h, h), h = d/2, which each substep advances whole.  The
+    pieces are rho_++ and rho_--, and rho_+- only if some observable has a
+    P-odd part (rho_-+ is its adjoint); the parts are the real part, and the
+    imaginary part only if the gauged input has one (the landau default
+    |+z>|i>|0> has none).
 
     At every sample the observables are evaluated on the Hermitian,
     trace-normalized part of the evolved state: the P-pinched
-    rho_++ + rho_-- (which has the same P-even expectations as the input)
-    unless rho_+- evolves.  The result also holds the monitor margins of
-    that state: `trace_drift` |Tr rho - 1| (above TRACE_DRIFT_MAX raises
-    ConvergenceError), `hermiticity` max |rho - rho^dag|, and `min_eig`,
-    the least eigenvalue of its Hermitian part, taken per block when
-    pinched (below -1e-6 raises PositivityError).  W0 < 0 makes the middle
-    D anti-dissipative, so positivity is monitored, never repaired, and a
+    rho_++ + rho_-- (which has the same P-even expectations as the input),
+    or, if rho_+- evolves, the coherent [[rho_++, rho_+-], [rho_+-^dag,
+    rho_--]] in block order, with the observables permuted to match.  The
+    result also holds the monitor margins of that state: `trace_drift`
+    |Tr rho - 1| (above TRACE_DRIFT_MAX raises ConvergenceError),
+    `hermiticity` max |rho_aa - rho_aa^dag|, and `min_eig`, the least
+    eigenvalue of its Hermitian part, taken per block when pinched (below
+    -1e-6 raises PositivityError).  W0 < 0 makes the middle D
+    anti-dissipative, so positivity is monitored, never repaired, and a
     step whose D overflows raises ConvergenceError.
     """
     space = state.space
@@ -386,41 +388,34 @@ def evolve_lindblad(
         np.any(_gauged_block(t, space, *blocks)) for t in observables.values()
     )
     pieces = [(0, 0), (1, 1)] + [(0, 1)] * coherent
-
-    def block(m, a, b):
-        return m[np.ix_(blocks[a], blocks[b])]
+    left, right = np.array(pieces).T
+    rows, cols = np.array(blocks)[left, :, None], np.array(blocks)[right, None, :]
 
     seg = grid.times[1] - grid.times[0]
     n_sub = max(1, math.ceil(seg / grid.dt_max))
     dt = seg / n_sub
-    # per block: U(W1 dt), U(W0 dt) and their transposes
-    steps = [(u1, u0, u1.T, u0.T) for u1, u0 in _split_factors(space, params, dt)]
-    mask = _dephasing_mask(space, params)
+    # U_a(W1 dt), U_a(W0 dt) and U_b(W1 dt)^T, U_b(W0 dt)^T per piece,
+    # broadcast over the parts; contiguous transposes multiply faster
+    factors = _split_factors(space, params, dt)
+    u1, u0 = np.moveaxis(factors[left, None], 2, 0).copy()
+    v1, v0 = np.moveaxis(factors[right, None], 2, 0).swapaxes(-1, -2).copy()
+    mask = _dephasing_mask(space, params)[rows, cols][:, None]
     # D over the outer half step, the two fused inner ones, and the fused
     # half steps where one S4 step meets the next; W0 < 0 makes the inner
     # one grow, so it overflows first when dt is far too large for the taus
     with np.errstate(over="ignore"):
-        damping = [
-            [np.exp(block(mask, a, b) * s * dt) for s in (W1 / 2, (W1 + W0) / 2, W1)]
-            for a, b in pieces
-        ]
-    if not all(np.isfinite(f).all() for factors in damping for f in factors):
+        damping = np.exp(np.multiply.outer([W1 / 2, (W1 + W0) / 2, W1], mask * dt))
+    if not np.isfinite(damping).all():
         raise ConvergenceError(
             f"dephasing factor overflows at substep {dt * 1e3:.3g} us with "
             f"tau_d_x = {params.tau_d_x:g} ms, tau_d_y = {params.tau_d_y:g} ms"
         )
+    edge, inner, join = damping
     phase = np.repeat(_gauge(space), space.n_max_y + 1)
-    rho = phase.conj()[:, None] * state.to_density() * phase
-    # the propagated real terms (piece, unit, array); each piece is the sum
-    # of its terms' unit * array
-    terms = []
-    for i, (a, b) in enumerate(pieces):
-        r = block(rho, a, b)
-        terms.append((i, 1, np.ascontiguousarray(r.real)))
-        if np.any(r.imag):
-            terms.append((i, 1j, np.ascontiguousarray(r.imag)))
+    rho = (phase.conj()[:, None] * state.to_density() * phase)[rows, cols]
+    r = np.stack([rho.real, rho.imag] if np.any(rho.imag) else [rho.real], axis=1)
 
-    views = [np.arange(space.dim)] if coherent else blocks
+    views = [np.concatenate(blocks)] if coherent else blocks
     ops = {
         label: [_gauged_block(t, space, v, v) for v in views]
         for label, t in observables.items()
@@ -429,32 +424,20 @@ def evolve_lindblad(
     values |= {m: np.empty(grid.n_samples) for m in MONITORS if m != "norm_drift"}
     for k in range(grid.n_samples):
         if k:
-            for j, (i, unit, r) in enumerate(terms):
-                a, b = pieces[i]
-                u1, u0 = steps[a][:2]
-                v1, v0 = steps[b][2:]
-                edge, inner, join = damping[i]
-                r = r * edge
-                for s in range(n_sub):
-                    r = u1 @ r @ v1
-                    r *= inner
-                    r = u0 @ r @ v0
-                    r *= inner
-                    r = u1 @ r @ v1
-                    r *= join if s < n_sub - 1 else edge
-                terms[j] = i, unit, r
-        current = [0] * len(pieces)
-        for i, unit, r in terms:
-            current[i] = current[i] + unit * r
+            r = r * edge
+            for s in range(n_sub):
+                r = u1 @ r @ v1
+                r *= inner
+                r = u0 @ r @ v0
+                r *= inner
+                r = u1 @ r @ v1
+                r *= join if s < n_sub - 1 else edge
+        current = r[:, 0] + 1j * r[:, 1] if r.shape[1] == 2 else r[:, 0]
         diagonal = current[:2]
-        parts = [(r + r.conj().T) / 2 for r in diagonal]
+        parts = [(p + p.conj().T) / 2 for p in diagonal]
         if coherent:
-            (plus, minus), off = blocks, current[2]
-            full = np.empty((space.dim, space.dim), dtype=np.result_type(off, *parts))
-            full[np.ix_(plus, plus)], full[np.ix_(minus, minus)] = parts
-            full[np.ix_(plus, minus)] = off
-            full[np.ix_(minus, plus)] = off.conj().T
-            parts = [full]
+            off = current[2]
+            parts = [np.block([[parts[0], off], [off.conj().T, parts[1]]])]
         trace = sum(np.trace(p).real for p in parts)
         drift = abs(trace - 1.0)
         if not drift <= TRACE_DRIFT_MAX:
@@ -463,7 +446,7 @@ def evolve_lindblad(
         if not min_eig >= -1e-6:
             raise PositivityError(f"eigenvalue {min_eig:.2e} at sample {k}")
         values["trace_drift"][k] = drift
-        values["hermiticity"][k] = max(np.abs(r - r.conj().T).max() for r in diagonal)
+        values["hermiticity"][k] = max(np.abs(p - p.conj().T).max() for p in diagonal)
         values["min_eig"][k] = min_eig
         for label, op_parts in ops.items():
             values[label][k] = (

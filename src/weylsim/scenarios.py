@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
@@ -70,6 +70,9 @@ class ScenarioConfig:
                 f"initial_spin must be one of {', '.join(fs.SPIN_LABELS)}, "
                 f"got {self.initial_spin!r}"
             )
+        taus = (self.params.tau_d_x, self.params.tau_d_y)
+        if not self.noise_on and not all(map(math.isinf, taus)):
+            raise DomainError("a finite dephasing time needs noise = true")
         if self.name == "dispersion":
             if not self.sweep:
                 raise DomainError("dispersion requires a non-empty sweep")
@@ -398,7 +401,6 @@ def _nearest_peak(peaks, target):
 def _spectrum_tables(series: an.TimeSeries, suffix: str, frac: float):
     spec = an.fourier_spectrum(series, pad_factor=8)
     peaks = an.find_peaks(spec, frac)
-    spec = replace(spec, peaks=tuple(peaks))
     tables = {
         "sigma_z" + suffix: {
             "t(us)": series.times * 1e3,

@@ -97,6 +97,36 @@ def test_predictor_stationary_states(sm_space):
     assert np.abs(zero.values).max() < 1e-12
 
 
+def _predicted_per_level(rho, params, t):
+    """<sz(t)> from rho's overlaps with each analytic eigenstate in turn."""
+    space = SingleModeSpec(len(rho) // 2 - 1)
+    e0 = md.landau_eigenstate(space, 0, "zero").data
+    values = np.full(len(t), np.real(e0.conj() @ rho @ e0))
+    for n in range(1, space.n_max + 1):
+        ep = md.landau_eigenstate(space, n, "plus").data
+        em = md.landau_eigenstate(space, n, "minus").data
+        cross = em.conj() @ rho @ ep
+        values -= 2 * np.real(cross * np.exp(2j * md.landau_level(n, params) * t))
+    return values
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_predictor_matches_per_level_oracle(seed):
+    # random mixed states with no weight on |-z n_max>, the one direction
+    # the eigenbasis misses
+    rng = np.random.default_rng(seed)
+    space = SingleModeSpec(9)
+    vecs = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
+    vecs[-1] = 0
+    rho = vecs @ np.diag(rng.uniform(0.2, 1.0, 4)) @ vecs.conj().T
+    rho /= np.trace(rho).real
+    params = SimParams.from_khz(4.2, r=0.7)
+    grid = TimeGrid(0.0, 0.6, 101)
+    series = an.predict_sigma_z_series(fs.QState("mixed", rho, space), params, grid)
+    want = _predicted_per_level(rho, params, grid.times)
+    assert np.abs(series.values - want).max() < 1e-14
+
+
 def test_predictor_equals_numerical_propagation(sm_space):
     # the closed form against direct propagation of the same single-mode
     # Hamiltonian; this pins the level splittings 2 omega sqrt(n r)

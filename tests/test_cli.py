@@ -96,7 +96,7 @@ def test_config_roundtrip(tmp_path):
                 "t_end_us": 450.0,
                 "n_samples": 151,
                 "dt_max_us": 0.1,
-                "noise": False,
+                "noise": True,
                 "initial_spin": "minus_x",
                 "alpha_x": 0.5 - 0.25j,
                 "alpha_y": 0.3j,
@@ -152,6 +152,8 @@ INVALID_VALUES = [
     ("dispersion", "sweep = 1.0, 5.0"),
     ("helicity", "alpha_x = 3j"),
     ("landau", "noise = false\nn_max_x = 20\nalpha_x = 3j"),
+    # noise = false would silently drop the dephasing
+    ("landau", "noise = false\ntau_d_x_ms = 4"),
 ]
 
 

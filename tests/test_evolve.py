@@ -540,6 +540,24 @@ def test_lindblad_evolves_parity_blocks(monkeypatch):
     assert kinds["eigvalsh"] == {"c"}
 
 
+@pytest.mark.parametrize("spin", ["plus_z", "plus_x"])
+def test_pinched_and_coherent_layouts_agree(spin):
+    # a P-odd observable adds rho_+- to the evolved pieces and switches the
+    # evaluation to the full state in block order; neither may move a P-even
+    # series.  The plus_z input has only a real part in the gauge, plus_x
+    # an imaginary one too
+    space = SpaceSpec(5, 7)
+    params, _, sz = _landau(space, tau_d_x=4.0, tau_d_y=3.5)
+    psi0 = fs.coherent_state(space, 1j, 0, spin)
+    grid = TimeGrid(0.0, 0.05, 11)
+    x = md.field_observables(space, params)["x"]
+    pinched = ev.evolve_lindblad(params, psi0, grid, sz)
+    coherent = ev.evolve_lindblad(params, psi0, grid, sz | {"x": x})
+    for label in ("sigma_z", "trace_drift", "hermiticity"):
+        diff = np.abs(pinched[label].values - coherent[label].values).max()
+        assert diff < 1e-12, label
+
+
 def test_lindblad_matches_unitary_without_noise(tiny):
     params, _, sz = _landau(tiny)
     psi0 = fs.coherent_state(tiny, 0.8j, 0, "plus_z")
