@@ -44,6 +44,8 @@ def _read_overrides(path, name: str) -> dict:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
     unknown = set(parser.sections()) - set(SCENARIO_NAMES)
+    if parser.defaults():  # configparser would merge it into every section
+        unknown.add(parser.default_section)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
@@ -53,7 +55,7 @@ def _read_overrides(path, name: str) -> dict:
             if key not in FIELDS:
                 raise ConfigError(f"unknown key [{name}] {key}")
             try:
-                overrides[key] = FIELDS[key].parse(raw)
+                overrides[key] = FIELDS[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{name}] {key}: {exc}") from exc
     return overrides
@@ -70,20 +72,16 @@ def load_config(path, name: str) -> ScenarioConfig:
 
 
 def _ini_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
+    """A value as its key's parser reads it back (a float's str is exact)."""
     if isinstance(value, tuple):
-        return ", ".join(f"{v:.12g}" for v in value)
+        return ", ".join(map(str, value))
     return str(value)
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
     """INI text of a fully resolved config; load_config round-trips it."""
     lines = [f"[{cfg.name}]"]
-    for key, field in FIELDS.items():
-        value = field.read(cfg)
-        if value is not None:
-            lines.append(f"{key} = {_ini_value(value)}")
+    lines += [f"{key} = {_ini_value(value)}" for key, value in cfg.values.items()]
     return "\n".join(lines) + "\n"
 
 

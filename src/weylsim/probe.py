@@ -140,19 +140,13 @@ def measure_energy_slope(
         space = SpaceSpec(18, 18)
     alpha_x = 1j * p * math.cos(theta) / math.sqrt(2)
     alpha_y = 1j * p * math.sin(theta) / math.sqrt(2)
-    fs.guard_alpha(alpha_x, space.n_max_x, "x")
-    fs.guard_alpha(alpha_y, space.n_max_y, "y")
+    state = fs.coherent_state(space, alpha_x, alpha_y)  # guards both truncations
     if grid is None:
         e_est = params.omega / math.sqrt(2) * max(p, 0.5)
         grid = ev.TimeGrid(0.0, PROBE_PHASE_BUDGET / (2 * e_est), PROBE_SAMPLES)
 
-    def momentum_distribution(alpha, n_max):
-        values, vecs = fs.quadrature_eigenbasis(n_max + 1, "momentum")
-        amps = vecs.conj().T @ fs.coherent_amplitudes(alpha, n_max + 1)
-        return values, np.abs(amps) ** 2
-
-    px, wx = momentum_distribution(alpha_x, space.n_max_x)
-    py, wy = momentum_distribution(alpha_y, space.n_max_y)
+    px, wx = _target_distribution(state, "px")
+    py, wy = _target_distribution(state, "py")
     size = np.hypot.outer(px, py)
     along = np.add.outer(px * math.cos(theta), py * math.sin(theta))
     amps = np.outer(wx, wy) * np.divide(

@@ -13,9 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,19 +53,44 @@ WOBBLE_RMS_MIN = 0.02  # ideal-run radial RMS residual is ~0.20
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario's resolved keys, and the run objects built from them.
+
+    `values` maps the scenario's keys, and no others, to their values in
+    config-file units (kHz, us, ms), exactly as parsed or defaulted, in
+    FIELDS order; the manifest and `cli.dump_config` record it as it
+    stands.  `params`, `space` and `grid` are built from it once.
+    Dispersion prepares its own noiseless wavepackets, so it has no time
+    grid and none of the keys that go with one.
+    """
+
     name: str
-    params: SimParams
-    space: SpaceSpec
-    grid: TimeGrid | None
-    sweep: tuple[float, ...] | None = None
-    initial_spin: str = "plus_z"
-    alpha_x: complex = 0j
-    alpha_y: complex = 0j
-    noise_on: bool = False
+    values: Mapping[str, object]
+    params: SimParams = field(init=False)
+    space: SpaceSpec = field(init=False)
+    grid: TimeGrid | None = field(init=False)
 
     def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
-            raise DomainError(f"unknown scenario {self.name!r}")
+        keys = _default_values(self.name, None, None).keys()  # checks the name
+        stray = sorted(self.values.keys() - keys)
+        if stray:
+            raise DomainError(f"no such key: {', '.join(stray)}")
+        v = {key: self.values[key] for key in FIELDS if key in self.values}
+        grid, taus = None, {}
+        if "t_end_us" in v:
+            grid = TimeGrid(
+                v["t_start_us"] / 1e3,
+                v["t_end_us"] / 1e3,
+                v["n_samples"],
+                v["dt_max_us"] / 1e3,
+            )
+            taus = {"tau_d_x": v["tau_d_x_ms"], "tau_d_y": v["tau_d_y_ms"]}
+        object.__setattr__(self, "values", MappingProxyType(v))
+        object.__setattr__(
+            self, "params", SimParams.from_khz(v["omega_khz"], r=v["r"], **taus)
+        )
+        object.__setattr__(self, "space", SpaceSpec(v["n_max_x"], v["n_max_y"]))
+        object.__setattr__(self, "grid", grid)
+
         if self.initial_spin not in fs.SPIN_LABELS:
             raise DomainError(
                 f"initial_spin must be one of {', '.join(fs.SPIN_LABELS)}, "
@@ -85,14 +111,19 @@ class ScenarioConfig:
             for p in self.sweep:  # each wavepacket moves along x
                 fs.guard_alpha(1j * p / math.sqrt(2), self.space.n_max_x, "x")
         else:
-            if self.sweep is not None:
-                raise DomainError("sweep is only meaningful for dispersion")
             if self.params.r <= 0:
                 raise DomainError(f"{self.name} requires r > 0")
             if self.grid is None:
                 raise DomainError(f"{self.name} requires a time grid")
             fs.guard_alpha(self.alpha_x, self.space.n_max_x, "x")
             fs.guard_alpha(self.alpha_y, self.space.n_max_y, "y")
+
+    # keys the runners read as given; dispersion has no initial-state keys
+    sweep = property(lambda self: self.values.get("sweep"))
+    initial_spin = property(lambda self: self.values.get("initial_spin", "plus_z"))
+    alpha_x = property(lambda self: self.values.get("alpha_x", 0j))
+    alpha_y = property(lambda self: self.values.get("alpha_y", 0j))
+    noise_on = property(lambda self: self.values["noise"])
 
 
 # ---------------------------------------------------------------------------
@@ -129,43 +160,23 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
     return tuple(_float(tok) for tok in text.replace(",", " ").split())
 
 
-def _evolving(read):
-    """Read-back of a key only the scenarios with a time grid have.
-
-    Those evolve one prepared state, optionally under dephasing; dispersion
-    prepares its own noiseless wavepackets, so it has none of these keys.
-    """
-    return lambda c: None if c.grid is None else read(c)
-
-
-class Field(NamedTuple):
-    """One config key: its parser, and its value read back from a config.
-
-    Values are in config-file units (kHz, us, ms); `read` gives None for a
-    key the scenario does not have.
-    """
-
-    parse: Callable[[str], object]
-    read: Callable[[ScenarioConfig], object]
-
-
-# every settable key, by its config-file name
+# every settable key, by its config-file name, with its parser
 FIELDS = {
-    "omega_khz": Field(_float, lambda c: c.params.omega / (2 * math.pi)),
-    "r": Field(_float, lambda c: c.params.r),
-    "tau_d_x_ms": Field(_tau, _evolving(lambda c: c.params.tau_d_x)),
-    "tau_d_y_ms": Field(_tau, _evolving(lambda c: c.params.tau_d_y)),
-    "n_max_x": Field(int, lambda c: c.space.n_max_x),
-    "n_max_y": Field(int, lambda c: c.space.n_max_y),
-    "t_start_us": Field(_float, _evolving(lambda c: c.grid.t_start * 1e3)),
-    "t_end_us": Field(_float, _evolving(lambda c: c.grid.t_end * 1e3)),
-    "n_samples": Field(int, _evolving(lambda c: c.grid.n_samples)),
-    "dt_max_us": Field(_float, _evolving(lambda c: c.grid.dt_max * 1e3)),
-    "noise": Field(_parse_bool, _evolving(lambda c: c.noise_on)),
-    "initial_spin": Field(str, _evolving(lambda c: c.initial_spin)),
-    "alpha_x": Field(_number(complex), _evolving(lambda c: complex(c.alpha_x))),
-    "alpha_y": Field(_number(complex), _evolving(lambda c: complex(c.alpha_y))),
-    "sweep": Field(_parse_sweep, lambda c: c.sweep),
+    "omega_khz": _float,
+    "r": _float,
+    "tau_d_x_ms": _tau,
+    "tau_d_y_ms": _tau,
+    "n_max_x": int,
+    "n_max_y": int,
+    "t_start_us": _float,
+    "t_end_us": _float,
+    "n_samples": int,
+    "dt_max_us": _float,
+    "noise": _parse_bool,
+    "initial_spin": str,
+    "alpha_x": _number(complex),
+    "alpha_y": _number(complex),
+    "sweep": _parse_sweep,
 }
 
 # per-scenario defaults; "n_max" is (noiseless, noisy), and a scenario
@@ -211,33 +222,11 @@ def _default_values(name: str, n_max: int | None, noise_on: bool | None) -> dict
     return values
 
 
-def _make(name: str, v: dict) -> ScenarioConfig:
-    grid, taus, state = None, {}, {}
-    if "t_end_us" in v:
-        grid = TimeGrid(
-            v["t_start_us"] / 1e3,
-            v["t_end_us"] / 1e3,
-            v["n_samples"],
-            v["dt_max_us"] / 1e3,
-        )
-        taus = {"tau_d_x": v["tau_d_x_ms"], "tau_d_y": v["tau_d_y_ms"]}
-        state = {k: v[k] for k in ("initial_spin", "alpha_x", "alpha_y")}
-    return ScenarioConfig(
-        name=name,
-        params=SimParams.from_khz(v["omega_khz"], r=v["r"], **taus),
-        space=SpaceSpec(v["n_max_x"], v["n_max_y"]),
-        grid=grid,
-        sweep=v.get("sweep"),
-        noise_on=v["noise"],
-        **state,
-    )
-
-
 def default_config(
     name: str, n_max: int | None = None, noise_on: bool | None = None
 ) -> ScenarioConfig:
     """Resolved defaults for a named scenario."""
-    return _make(name, _default_values(name, n_max, noise_on))
+    return ScenarioConfig(name, _default_values(name, n_max, noise_on))
 
 
 def build_config(name: str, overrides: dict) -> ScenarioConfig:
@@ -249,10 +238,7 @@ def build_config(name: str, overrides: dict) -> ScenarioConfig:
     """
     try:
         values = _default_values(name, overrides.get("n_max_x"), overrides.get("noise"))
-        stray = sorted(overrides.keys() - values.keys())
-        if stray:
-            raise DomainError(f"no such key: {', '.join(stray)}")
-        return _make(name, values | overrides)
+        return ScenarioConfig(name, values | overrides)
     except WeylSimError as exc:
         raise ConfigError(f"invalid configuration for {name}: {exc}") from exc
 
@@ -312,10 +298,8 @@ def _encode(value):
 def config_dict(cfg: ScenarioConfig) -> dict:
     """JSON-safe dictionary of a fully resolved config."""
     out = {"scenario": cfg.name}
-    for key, field in FIELDS.items():
-        value = field.read(cfg)
-        if value is not None:
-            out["noise_on" if key == "noise" else key] = _encode(value)
+    for key, value in cfg.values.items():
+        out["noise_on" if key == "noise" else key] = _encode(value)
     return out
 
 

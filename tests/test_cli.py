@@ -109,6 +109,12 @@ def test_config_roundtrip(tmp_path):
             {"omega_khz": 3.25, "n_max_x": 8, "n_max_y": 7, "sweep": (0.5, 1.25)},
         )
     )
+    # floats that 12 significant digits would round
+    configs.append(
+        build_config(
+            "landau", {"omega_khz": 4.123456789012345, "t_end_us": 600.0000000001}
+        )
+    )
     manifest_keys = set()
     for i, cfg in enumerate(configs):
         path = tmp_path / f"{i}.ini"
@@ -116,12 +122,21 @@ def test_config_roundtrip(tmp_path):
         again = cli.load_config(path, cfg.name)
         assert again == cfg
         manifest_keys |= set(config_dict(cfg))
-        if cfg.name == "dispersion":  # only the keys its runner reads
+        if cfg.name == "dispersion":  # only the keys dispersion has
             assert set(config_dict(cfg)) == {
-                "scenario", "omega_khz", "r", "n_max_x", "n_max_y", "sweep"
+                "scenario", "omega_khz", "r", "n_max_x", "n_max_y", "noise_on", "sweep"
             }
     assert len(FIELDS) == 15
     assert manifest_keys == {"scenario", "noise_on"} | set(FIELDS) - {"noise"}
+
+
+def test_manifest_records_keys_as_configured(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[landau]\nomega_khz = 777.7\nt_end_us = 1005\ndt_max_us = 0.7\n")
+    recorded = config_dict(cli.load_config(path, "landau"))
+    assert recorded["omega_khz"] == 777.7
+    assert recorded["t_end_us"] == 1005
+    assert recorded["dt_max_us"] == 0.7
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -154,6 +169,8 @@ INVALID_VALUES = [
     ("landau", "noise = false\nn_max_x = 20\nalpha_x = 3j"),
     # noise = false would silently drop the dephasing
     ("landau", "noise = false\ntau_d_x_ms = 4"),
+    # configparser would merge a [DEFAULT] section into every scenario
+    ("helicity", "[DEFAULT]\nn_max_x = 8"),
 ]
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,8 +298,7 @@ def test_frame_state_predictor_far_from_unit_field(r, n_max):
     # away from r = 1 the cyclotron ladder is squeezed against the bare
     # mode x; the predictor on the reduced state must still match the
     # two-mode numerics, at a truncation where those are converged
-    cfg = sc.default_config("landau", n_max=n_max, noise_on=False)
-    cfg = replace(cfg, params=SimParams.from_khz(4.2, r=r))
+    cfg = sc.build_config("landau", {"noise": False, "r": r, "n_max_x": n_max})
     red = md.cyclotron_frame_state(
         cfg.initial_spin, cfg.alpha_x, cfg.alpha_y, cfg.params
     )

@@ -5,8 +5,6 @@ import pytest
 
 from weylsim import scenarios as sc
 from weylsim.errors import DomainError
-from weylsim.evolve import TimeGrid
-from weylsim.model import SimParams
 
 
 def _passed(result):
@@ -23,13 +21,7 @@ def test_dispersion_scenario_passes():
 
 def test_dispersion_with_zero_momentum_row():
     base = sc.default_config("dispersion", n_max=12)
-    cfg = sc.ScenarioConfig(
-        name="dispersion",
-        params=base.params,
-        space=base.space,
-        grid=None,
-        sweep=(0.0, 1.19),
-    )
+    cfg = sc.ScenarioConfig("dispersion", base.values | {"sweep": (0.0, 1.19)})
     res = sc.run_dispersion(cfg)
     table = res.tables["dispersion"]
     assert abs(table["E_over_2pi(kHz)"][0]) < 1e-3 * 4.75
@@ -39,29 +31,15 @@ def test_dispersion_with_zero_momentum_row():
 def test_dispersion_requires_sweep_and_free_model():
     cfg = sc.default_config("dispersion")
     with pytest.raises(DomainError):
-        sc.ScenarioConfig(
-            name="dispersion",
-            params=cfg.params,
-            space=cfg.space,
-            grid=None,
-            sweep=(),
-        )
+        sc.ScenarioConfig("dispersion", cfg.values | {"sweep": ()})
+    with pytest.raises(DomainError):
+        sc.ScenarioConfig("dispersion", cfg.values | {"r": 1.0, "sweep": (1.0,)})
+    landau = sc.default_config("landau", n_max=18, noise_on=False)
     with pytest.raises(DomainError):
         sc.ScenarioConfig(
-            name="dispersion",
-            params=SimParams.from_khz(4.75, r=1.0),
-            space=cfg.space,
-            grid=None,
-            sweep=(1.0,),
-        )
-    with pytest.raises(DomainError):
-        sc.ScenarioConfig(
-            name="landau",
-            params=SimParams.from_khz(4.2, r=1.0),
-            space=cfg.space,
-            grid=TimeGrid(0.0, 0.6, 11),
-            sweep=(1.0,),  # sweep is dispersion-only
-        )
+            "landau",
+            landau.values | {"t_end_us": 600.0, "n_samples": 11, "sweep": (1.0,)},
+        )  # sweep is dispersion-only
 
 
 def test_landau_scenario_noiseless_small():
