@@ -90,14 +90,13 @@ def dump_config(cfg: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+CSV_BLOCK = 512  # rows formatted at once, which bounds the floats held
 
 
-def _json_float(value) -> float | str:
-    """Strict-JSON float; non-finite values become strings."""
-    v = float(value)
-    return v if math.isfinite(v) else str(v)
+def _json_floats(column) -> list:
+    """Strict-JSON floats; non-finite values become strings."""
+    values = np.asarray(column, float).tolist()
+    return [v if math.isfinite(v) else str(v) for v in values]
 
 
 def _atomic_write(path: Path, data: str):
@@ -113,11 +112,13 @@ def _atomic_write(path: Path, data: str):
 
 
 def _csv_text(columns: dict[str, np.ndarray]) -> str:
-    names = list(columns)
-    rows = [", ".join(names)]
-    length = len(next(iter(columns.values()))) if columns else 0
-    for i in range(length):
-        rows.append(", ".join(_fmt(float(columns[n][i])) for n in names))
+    """Header and rows of 9-significant-digit floats, ', '-separated."""
+    arrays = [np.asarray(col, float) for col in columns.values()]
+    rows = [", ".join(columns)]
+    row = ", ".join(["{:.9g}"] * len(arrays)).format
+    for start in range(0, len(arrays[0]) if arrays else 0, CSV_BLOCK):
+        block = (a[start : start + CSV_BLOCK].tolist() for a in arrays)
+        rows.extend(row(*values) for values in zip(*block, strict=True))
     return "\n".join(rows) + "\n"
 
 
@@ -164,7 +165,7 @@ def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path
         payload = {
             "scenario": result.name,
             "tables": {
-                t: {k: [_json_float(v) for v in col] for k, col in cols.items()}
+                t: {k: _json_floats(col) for k, col in cols.items()}
                 for t, cols in result.tables.items()
             },
             "checks": _check_rows(result),

@@ -3,14 +3,15 @@
 The unitary path splits the Weyl Hamiltonian into its conserved-p_y
 sectors and diagonalizes each once, from one real SVD of its spin-flip
 block as the master equation does; one decomposition serves any number of
-output grids and is exact at every sample, and an observable diagonal on
-qubit (x) mode x and in p_y is read from |psi|^2 alone.  The
-master equation is a 4th-order split step (Strang steps composed by
-Yoshida's triple jump) of an exact unitary factor and an exact elementwise
-dephasing factor.  It runs in a diagonal gauge where every Weyl unitary
-factor is a real orthogonal matrix built from one SVD, on one real array
-that holds the real and imaginary parts of the density matrix's parity
-sectors, stepped as a batch.
+output grids and is exact at every sample, and an observable that weighs
+only each sector's spin populations (sigma_z, p_y) is read from the sector
+amplitudes with no eigenvector product.  The master equation is a
+4th-order split step (Strang steps composed by Yoshida's triple jump) of
+an exact unitary factor and an exact elementwise dephasing factor.  It
+runs in a diagonal gauge where every Weyl unitary factor is a real
+orthogonal matrix built from one SVD, on one real array that holds the
+real and imaginary parts of the density matrix's parity sectors, stepped
+as a batch.
 """
 
 from __future__ import annotations
@@ -101,17 +102,23 @@ def _in_sectors(terms, basis, keep):
     return out
 
 
-def _population_weights(terms) -> np.ndarray | None:
-    """w[k, i] = sum_j B'_j[k] A_j[i, i] if every A_j is diagonal and every
-    B'_j is a sector diagonal, else None.
+def _spin_weights(terms) -> np.ndarray | None:
+    """w[:, k] = sum_j B'_j[k] ((a+_j + a-_j) / 2, a+_j - a-_j) if every A_j
+    is diag(a+_j 1, a-_j 1) on qubit (x) mode x and every B'_j is a sector
+    diagonal, else None.
 
-    Such an observable reads sum_ki w[k, i] |phi_k(t)[i]|^2, which needs no
-    phase of phi.
+    Such an observable weighs only each sector's spin populations.  With
+    W_k = [[U, U], [V, -V]] / sqrt(2), U and V orthogonal, those are
+    |x_k+ + x_k-|^2 / 2 and |x_k+ - x_k-|^2 / 2 for x_k = (x_k+, x_k-), so
+    the observable reads sum_k w[0, k] |x_k|^2 + w[1, k] Re<x_k+, x_k->.
     """
-    diagonal = (np.array_equal(a, np.diag(np.diagonal(a))) for a, _ in terms)
-    if not terms or not all(b.ndim == 1 for _, b in terms) or not all(diagonal):
-        return None
-    return sum(np.multiply.outer(b.real, np.diagonal(a).real) for a, b in terms)
+    weights = 0
+    for a, b in terms:
+        spin = np.array([a[0, 0], a[-1, -1]]).real
+        if b.ndim != 1 or not np.array_equal(a, np.diag(np.repeat(spin, len(a) // 2))):
+            return None
+        weights = weights + np.multiply.outer([spin.mean(), spin[0] - spin[1]], b.real)
+    return weights if terms else None
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,10 @@ class Sectors:
     Sector k is a qubit (x) mode-x vector phi_k with phi_k(t) = S W_k x_k(t),
     S = diag(1, i) on the spin and x_k(t) = exp(-i evals_k t) coeffs_k;
     `keep` indexes the kept sectors in p_y's eigenbasis `basis[1]`, the
-    eigenvectors of `basis[0]`.
+    eigenvectors of `basis[0]`.  The first half of x_k belongs to the
+    eigenvalues +s, the second to -s; `sector_series` uses
+    W_k = [[U, U], [V, -V]] / sqrt(2) only for an observable that weighs
+    more than the spin populations.
     """
 
     space: SpaceSpec
@@ -176,24 +186,28 @@ def sector_series(
 
     An observable is a list of products (A, B), A on qubit (x) mode x and B
     on mode y; with B' = V^dag B V, <A (x) B>(t) = sum_kl B'_kl
-    <phi_k(t)|A|phi_l(t)>, only k = l if B commutes with p_y.  If every A is
-    diagonal too (sigma_z), the value is read from |phi_k(t)|^2 alone.
-    SECTOR_CHUNK samples are held at a time; one `Sectors` serves any number
-    of grids, each starting from the input at grid.t_start.  `norm_drift` is
-    |norm - 1| per sample; above 1e-6 it raises ConvergenceError.
+    <phi_k(t)|A|phi_l(t)>, only k = l if B commutes with p_y.  If every A
+    is also diag(a+ 1, a- 1) (sigma_z, or 1 for p_y), the value is
+    sum_k B'_k [(a+ + a-)/2 |x_k|^2 + (a+ - a-) Re<x_k+, x_k->], read from
+    the amplitudes x_k(t) in O(K m) per sample (`_spin_weights`); only the
+    other observables form phi_k = S W_k x_k.  SECTOR_CHUNK samples are
+    held at a time; one `Sectors` serves any number of grids, each starting
+    from the input at grid.t_start.  `norm_drift` is |norm - 1| per sample,
+    the norm of the amplitudes x_k(t); above 1e-6 it raises ConvergenceError.
     """
     space, evals, w, coeffs = sectors.space, sectors.evals, sectors.w, sectors.coeffs
     ops = {
         k: _in_sectors(_checked(k, v, space), sectors.basis, sectors.keep)
         for k, v in observables.items()
     }
-    weights = {label: _population_weights(terms) for label, terms in ops.items()}
+    weights = {label: _spin_weights(terms) for label, terms in ops.items()}
     products = any(wt is None for wt in weights.values())
-    spin_phase = np.repeat([1, 1j], w.shape[1] // 2)
+    half = w.shape[1] // 2
+    spin_phase = np.repeat([1, 1j], half)
 
     times = grid.times - grid.t_start
-    # on a uniform grid every chunk's phases are the first chunk's times
-    # the phase of its first sample
+    # on a uniform grid each chunk's phases are the first chunk's, times the
+    # phase of the chunk's own first sample
     steps = np.exp(-1j * evals[:, :, None] * times[:SECTOR_CHUNK])
     values = {label: np.empty(grid.n_samples, dtype=complex) for label in ops}
     norms = np.empty(grid.n_samples)
@@ -201,19 +215,21 @@ def sector_series(
         now = slice(start, min(start + SECTOR_CHUNK, grid.n_samples))
         n = now.stop - start
         x = steps[:, :, :n] * (coeffs * np.exp(-1j * evals * times[start]))[:, :, None]
-        # W_k x_k(t_s) with one real product for the real and imaginary
-        # parts of x; S only moves phases, so |phi_k|^2 = |W_k x_k|^2
-        both = w @ np.concatenate([x.real, x.imag], axis=2)
-        # squared norms of the real and imaginary columns
-        squares = np.einsum("kis,kis->s", both, both)
-        norms[now] = np.sqrt(squares[:n] + squares[n:])
+        # |x_k|^2 and Re<x_k+, x_k-> per sector and sample, from the float
+        # view of x, in which real and imaginary parts alternate
+        parts = x.view(float)
+        squares = np.einsum("kis,kis->ks", parts, parts)
+        cross = np.einsum("kis,kis->ks", parts[:, :half], parts[:, half:])
+        pops = np.stack([squares, cross]).reshape(2, len(x), n, 2).sum(axis=3)
+        norms[now] = np.sqrt(pops[0].sum(axis=0))
         if products:
+            # W_k x_k with one real product for the real and imaginary parts
+            both = w @ np.concatenate([x.real, x.imag], axis=2)
             psi = spin_phase[:, None] * (both[:, :, :n] + 1j * both[:, :, n:])
             bra = psi.conj()
         for label, terms in ops.items():
             if weights[label] is not None:
-                total = np.einsum("ki,kis,kis->s", weights[label], both, both)
-                total = total[:n] + total[n:]
+                total = np.einsum("jk,jks->s", weights[label], pops)
             else:
                 total = 0
                 for a, b in terms:

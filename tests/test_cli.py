@@ -12,6 +12,7 @@ from weylsim.errors import ConfigError
 from weylsim.scenarios import (
     FIELDS,
     SCENARIO_NAMES,
+    ScenarioResult,
     build_config,
     config_dict,
     default_config,
@@ -306,3 +307,49 @@ def test_csv_float_format(tmp_path):
     value = rows[1].split(", ")[1]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 10
     float(value)  # parses
+
+
+def test_writers_match_per_cell_formatting(tmp_path):
+    # the block writers against per-cell formatting: special floats, int
+    # and bool columns, more rows than one block, no rows and no columns
+    rng = np.random.default_rng(0)
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-7]
+    long = cli.CSV_BLOCK * 2 + 7
+    tables = {
+        "special": {
+            "float": np.array(special),
+            "int": np.arange(-3, 5),
+            "bool": np.array([True, False] * 4),
+        },
+        "long": {"a": rng.normal(size=long), "b": rng.normal(size=long) * 1e12},
+        "no_rows": {"a": np.array([]), "b": np.array([], dtype=int)},
+        "empty": {},
+    }
+    result = ScenarioResult("custom", tables, [], {})
+
+    def cell(v):
+        return f"{float(v):.9g}"
+
+    def json_cell(v):
+        return float(v) if math.isfinite(v) else str(float(v))
+
+    cli.write_tables(result, tmp_path / "csv")
+    for name, columns in tables.items():
+        rows = [", ".join(columns)]
+        length = len(next(iter(columns.values()))) if columns else 0
+        for i in range(length):
+            rows.append(", ".join(cell(col[i]) for col in columns.values()))
+        want = "\n".join(rows) + "\n"
+        assert (tmp_path / "csv" / f"{name}.csv").read_bytes() == want.encode()
+
+    cli.write_tables(result, tmp_path / "json", fmt="json")
+    payload = {
+        "scenario": "custom",
+        "tables": {
+            t: {k: [json_cell(v) for v in col] for k, col in cols.items()}
+            for t, cols in tables.items()
+        },
+        "checks": [],
+    }
+    want = json.dumps(payload, indent=1) + "\n"
+    assert (tmp_path / "json" / "result.json").read_bytes() == want.encode()

@@ -257,36 +257,90 @@ def test_sector_basis_is_orthogonal(r, n_max):
     assert np.all(defect <= 1e-12 * scale)
 
 
+def _forced_products(sectors, grid, observables):
+    """sector_series with every observable on the W_k x_k product path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ev, "_spin_weights", lambda terms: None)
+        return ev.sector_series(sectors, grid, observables)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_population_path_matches_product_path(monkeypatch, seed):
-    # observables with a diagonal A and a B that commutes with p_y are read
-    # from |phi_k|^2; the product path, forced here, is the reference
+def test_population_path_matches_product_path(seed):
+    # observables whose every A is diag(a+ 1, a- 1) on qubit (x) mode x and
+    # whose every B commutes with p_y are read from the sector amplitudes;
+    # the product path, forced here, is the reference.  A diagonal A that
+    # varies over mode x keeps the product path, checked on the dense H
     rng = np.random.default_rng(seed)
     n_x, n_y = rng.choice(np.arange(4, 13), size=2, replace=False)
     space = SpaceSpec(int(n_x), int(n_y))
     params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
     obs = md.field_observables(space, params)
-    m, dy = 2 * (space.n_max_x + 1), space.n_max_y + 1
-    diagonal = [np.diag(rng.normal(size=m)) for _ in range(2)]
+    half, dy = space.n_max_x + 1, space.n_max_y + 1
+    p_y = fs.mode_matrix(dy, "momentum")
+    spins = [np.diag(np.repeat(rng.normal(size=2), half)) for _ in range(2)]
+    varying = np.diag(rng.normal(size=2 * half))
     terms = {
         "sigma_z": obs["sigma_z"],
-        "diagonal": [
-            (diagonal[0], rng.normal() * np.eye(dy)),
-            (diagonal[1], fs.mode_matrix(dy, "momentum")),
-        ],
+        "p_y": obs["p_y"],
+        "spins": [(spins[0], rng.normal() * np.eye(dy)), (spins[1], p_y)],
+        "varying": [(varying, rng.normal() * np.eye(dy)), (spins[1], p_y)],
     }
+    h = full_operator(md.weyl_terms(space, params))
     grid = TimeGrid(0.0, rng.uniform(0.2, 0.6), int(rng.integers(20, 60)))
     for entangled in (False, True):
-        sectors = ev.weyl_sectors(params, _random_pure(rng, space, entangled))
-        for t in terms.values():
+        psi0 = _random_pure(rng, space, entangled)
+        sectors = ev.weyl_sectors(params, psi0)
+        for label, t in terms.items():
             in_sectors = ev._in_sectors(t, sectors.basis, sectors.keep)
-            assert ev._population_weights(in_sectors) is not None
+            assert (ev._spin_weights(in_sectors) is None) == (label == "varying")
         got = ev.sector_series(sectors, grid, terms)
-        with monkeypatch.context() as patch:
-            patch.setattr(ev, "_population_weights", lambda terms: None)
-            want = ev.sector_series(sectors, grid, terms)
+        want = _forced_products(sectors, grid, terms)
         for label in (*terms, "norm_drift"):
             assert np.abs(got[label].values - want[label].values).max() <= 1e-13, label
+        varying = {"varying": full_operator(terms["varying"])}
+        dense = dense_unitary(h, psi0, grid, varying)["varying"].values
+        assert np.abs(got["varying"].values - dense).max() <= 1e-10
+
+
+def test_sigma_z_does_no_eigenvector_product():
+    # sigma_z is read from the sector amplitudes alone: with W all NaN the
+    # noiseless landau record and its norm drift are unchanged
+    cfg = sc.default_config("landau", n_max=12, noise_on=False)
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
+    sectors = ev.weyl_sectors(cfg.params, psi0)
+    blind = replace(sectors, w=np.full_like(sectors.w, np.nan))
+    got = ev.sector_series(blind, cfg.grid, sz)
+    want = ev.sector_series(sectors, cfg.grid, sz)
+    for label in ("sigma_z", "norm_drift"):
+        assert np.array_equal(got[label].values, want[label].values), label
+
+
+@pytest.mark.parametrize("n_max", [17, 40, 80])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_landau_sigma_z_matches_product_path(r, n_max):
+    # the landau record and its 5 ms inset, read from the sector amplitudes,
+    # against the forced W_k x_k product path
+    cfg = sc.build_config("landau", {"noise": False, "r": r, "n_max_x": n_max})
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
+    sectors = ev.weyl_sectors(cfg.params, psi0)
+    inset_grid = TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)
+    for grid in (cfg.grid, inset_grid):
+        got = ev.sector_series(sectors, grid, sz)
+        want = _forced_products(sectors, grid, sz)
+        for label in ("sigma_z", "norm_drift"):
+            assert np.abs(got[label].values - want[label].values).max() <= 1e-13
+
+
+@pytest.mark.parametrize("r, n_max", [(1.0, 40), (2.0, 80)])
+def test_predictor_check_unmoved_by_population_path(monkeypatch, r, n_max):
+    # the analytic predictor's cross-check reads the same record either way
+    cfg = sc.build_config("landau", {"noise": False, "r": r, "n_max_x": n_max})
+    got = {c.name: c.actual for c in sc.run_landau(cfg).checks}
+    monkeypatch.setattr(ev, "_spin_weights", lambda terms: None)
+    want = {c.name: c.actual for c in sc.run_landau(cfg).checks}
+    assert abs(got["predictor_max_dev"] - want["predictor_max_dev"]) < 1e-14
 
 
 def test_noiseless_landau_decomposes_once(monkeypatch):
