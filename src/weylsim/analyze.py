@@ -65,7 +65,6 @@ class SlopeFit:
 
     coefficients: np.ndarray  # c0, c1, ... of the polynomial in t - t0
     slope_at_zero: float  # = c1, the slope at the first sample t0
-    window: tuple[float, float]
     residual_rms: float
 
 
@@ -175,7 +174,6 @@ def fit_polynomial(series: TimeSeries, order: int) -> SlopeFit:
     return SlopeFit(
         coefficients=coeffs / scale,
         slope_at_zero=float(coeffs[1] / series.span),
-        window=(float(series.times[0]), float(series.times[-1])),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
 

@@ -6,12 +6,13 @@ block as the master equation does; one decomposition serves any number of
 output grids and is exact at every sample, and an observable that weighs
 only each sector's spin populations (sigma_z, p_y) is read from the sector
 amplitudes with no eigenvector product.  The master equation is a
-4th-order split step (Strang steps composed by Yoshida's triple jump) of
+4th-order split step (Blanes and Moan's 6-stage palindromic splitting) of
 an exact unitary factor and an exact elementwise dephasing factor.  It
 runs in a diagonal gauge where every Weyl unitary factor is a real
 orthogonal matrix built from one SVD, on one real array that holds the
 real and imaginary parts of the density matrix's parity sectors, stepped
-as a batch.
+as a batch; its positivity monitor is a Cholesky factorization, with an
+eigenvalue solve only where that breaks down.
 """
 
 from __future__ import annotations
@@ -27,9 +28,16 @@ from .analyze import TimeSeries
 from .errors import ConvergenceError, DomainError, NonHermitianError, PositivityError
 from .fockspace import QState, SpaceSpec
 
-# ms; on the 600 us noisy Landau record at n_max 10, a 1 us split step is
-# within 1.9e-9 of a converged reference (1.5 us: 9.8e-9, 3 us: 1.6e-7)
-DT_MAX_DEFAULT = 1e-3
+# ms; the landau and trajectory defaults sample every 3 us, so each sample
+# is one split step.  Max |error| of the 600 us noisy record against a
+# 0.2 us reference, with Yoshida's triple jump at 1 us (the previous default)
+# for comparison:
+#   landau sigma_z, n_max 7:        9.2e-10  (Yoshida 1 us: 1.9e-9)
+#   landau sigma_z, n_max 10:       1.06e-9  (1.93e-9)
+#   landau sigma_z, n_max 14:       1.20e-9  (2.39e-9)
+#   coherent trajectory <x>, n_max 7: 2.0e-10 (2.5e-9)
+# Halving the step divides the error by 15.8 at n_max 7 (4th order).
+DT_MAX_DEFAULT = 3e-3
 
 
 @dataclass(frozen=True)
@@ -315,19 +323,33 @@ def _gauged_block(terms, space, rows, cols) -> np.ndarray:
     )
 
 
-# Yoshida's triple jump: S4(dt) = S2(W1 dt) S2(W0 dt) S2(W1 dt) is 4th order
-W1 = 1 / (2 - 2 ** (1 / 3))
-W0 = 1 - 2 * W1  # negative
+# Blanes & Moan's palindromic 6-stage 4th-order splitting (J. Comput. Appl.
+# Math. 142 (2002) 313), D outermost:
+# D(a1) U(b1) D(a2) U(b2) D(a3) U(b3) D(a4) U(b3) D(a3) U(b2) D(a2) U(b1) D(a1)
+D_WEIGHTS = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
+D_WEIGHTS += (1 - 2 * sum(D_WEIGHTS),)
+U_WEIGHTS = (0.209515106613362, -0.143851773179818)
+U_WEIGHTS += (0.5 - sum(U_WEIGHTS),)
+# (U weight, following D weight) of the six stages that follow D(a1)
+STAGES = ((0, 1), (1, 2), (2, 3), (2, 2), (1, 1), (0, 0))
 
 # |Tr rho - 1| above this raises.  U is orthogonal and D leaves the diagonal
-# alone, so only rounding moves the trace: on noisy landau the worst drift
-# is 1.5e-13 at n_max 10 and 1.1e-12 at n_max 19 over 600 us, and 2.9e-14
-# at n_max 30 over the first 100 us
+# alone, so only rounding moves the trace: on noisy landau at the default
+# step the worst drift is 6.5e-14 at n_max 10 and 6.7e-13 at n_max 19 over
+# 600 us, and 1.9e-14 at n_max 30 over the first 100 us
 TRACE_DRIFT_MAX = 2e-10
 
 
+def _gauged_pieces(state: QState, rows, cols) -> np.ndarray:
+    """The gauged input's blocks [rows, cols] as one real (pieces, parts, h, h)
+    array; the imaginary part is a second part only if there is one."""
+    phase = np.repeat(_gauge(state.space), state.space.n_max_y + 1)
+    rho = (phase.conj()[:, None] * state.to_density() * phase)[rows, cols]
+    return np.stack([rho.real, rho.imag] if np.any(rho.imag) else [rho.real], axis=1)
+
+
 def _split_factors(space, params, dt: float) -> np.ndarray:
-    """exp(B w dt) on each P-sector for w = W1, W0, real orthogonal.
+    """exp(B b dt) on each P-sector for each b of U_WEIGHTS, real orthogonal.
 
     The result has shape (block, weight, h, h): both sectors hold h = d/2
     states, because flipping the spin flips P.
@@ -342,12 +364,12 @@ def _split_factors(space, params, dt: float) -> np.ndarray:
     """
     terms = md.weyl_terms(space, params)
     half = space.dim // 2  # spin +z states come first
-    factors = np.empty((2, 2, half, half))
+    factors = np.empty((2, len(U_WEIGHTS), half, half))
     for block, rows in zip(factors, _blocks(space)):
         up, down = rows[rows < half], rows[rows >= half]
         u, s, vt = np.linalg.svd(_gauged_block(terms, space, up, down).imag)
         k = len(s)
-        for out, w in zip(block, (W1, W0)):
+        for out, w in zip(block, U_WEIGHTS):
             angle = s * w * dt
             cos_up = np.cos(np.pad(angle, (0, len(up) - k)))
             cos_down = np.cos(np.pad(angle, (0, len(down) - k)))
@@ -358,6 +380,41 @@ def _split_factors(space, params, dt: float) -> np.ndarray:
     return factors
 
 
+def _substeps(grid: TimeGrid) -> int:
+    """Split steps per output interval: the fewest of length <= dt_max.
+
+    An interval that exceeds dt_max by rounding alone (relative 1e-9) takes
+    one step, not two.
+    """
+    seg = grid.times[1] - grid.times[0]
+    return max(1, math.ceil(seg / grid.dt_max * (1 - 1e-9)))
+
+
+def _min_eig(parts: np.ndarray, sample: int) -> float:
+    """min(lambda_min, 0) over the stacked Hermitian `parts`.
+
+    Below -1e-6 (or NaN) it raises PositivityError.  A Cholesky factor that
+    completes with finite entries certifies every part positive definite up
+    to a few rounding units of its norm (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), so the margin is 0 with no eigenvalue
+    computed; only a part on which the factorization breaks down (a pure or
+    rank-deficient state, or a negative eigenvalue) costs an eigvalsh.  The
+    factor's entries are checked because the factorization completes
+    through a NaN off the diagonal; on such parts eigvalsh may raise
+    instead of returning NaN, so they read NaN without it.
+    """
+    try:
+        if np.isfinite(np.linalg.cholesky(parts)).all():
+            return 0.0
+    except np.linalg.LinAlgError:
+        pass
+    finite = np.isfinite(parts).all()
+    margin = min(np.linalg.eigvalsh(parts).min(), 0.0) if finite else math.nan
+    if not margin >= -1e-6:
+        raise PositivityError(f"eigenvalue {margin:.2e} at sample {sample}")
+    return margin
+
+
 def evolve_lindblad(
     params, state: QState, grid: TimeGrid, observables: dict[str, list]
 ) -> dict[str, TimeSeries]:
@@ -366,11 +423,13 @@ def evolve_lindblad(
     drho/dt = -i[H, rho] + sum_j (2/tau_j)(N_j rho N_j - {N_j^2, rho}/2)
     with H from `model.weyl_terms`, N_j = a_j^dag a_j and tau_j from
     `params.tau_d_x` and `params.tau_d_y` (inf switches a channel off),
-    integrated by a fixed-step 4th-order split step: Yoshida's triple jump
-    over the Strang step S2(h) = D(h/2) U(h) D(h/2).  U maps rho_ab to
-    U_a rho_ab U_b^T with the exact, real orthogonal U_a of
-    `_split_factors`; D is the exact elementwise dephasing factor
-    exp(mask h).  Observables are products (A, B) as for `evolve_unitary`.
+    integrated by a fixed-step 4th-order split step, Blanes and Moan's
+    palindromic 6-stage splitting with D outermost (D_WEIGHTS, U_WEIGHTS):
+    seven D and six U factors per step of at most grid.dt_max, the fewest
+    steps that fit each output interval (`_substeps`).  U(b h) maps rho_ab
+    to U_a rho_ab U_b^T with the exact, real orthogonal U_a of
+    `_split_factors`; D(a h) is the exact elementwise dephasing factor
+    exp(mask a h).  Observables are products (A, B) as for `evolve_unitary`.
     A pure input is promoted to a rank-1 density matrix.
 
     The input and the observables are taken to the gauge G of `_gauge`,
@@ -390,10 +449,14 @@ def evolve_lindblad(
     result also holds the monitor margins of that state: `trace_drift`
     |Tr rho - 1| (above TRACE_DRIFT_MAX raises ConvergenceError),
     `hermiticity` max |rho_aa - rho_aa^dag|, and `min_eig`, the least
-    eigenvalue of its Hermitian part, taken per block when pinched (below
-    -1e-6 raises PositivityError).  W0 < 0 makes the middle D
-    anti-dissipative, so positivity is monitored, never repaired, and a
-    step whose D overflows raises ConvergenceError.
+    eigenvalue of its Hermitian part clipped at 0, over the blocks when
+    pinched (below -1e-6 raises PositivityError; `_min_eig`).  It is 0
+    wherever a Cholesky factorization certifies the state positive
+    definite, and only elsewhere (a pure input's first samples) is the
+    eigenvalue computed.  a3 < 0 makes D(a3 h) anti-dissipative, so
+    positivity is monitored, never repaired, and a step whose D overflows
+    raises ConvergenceError.  Each sample is read with stacked calls: one
+    trace, one hermiticity, one Cholesky and one flat dot per observable.
     """
     space = state.space
     if not isinstance(space, SpaceSpec):
@@ -407,65 +470,56 @@ def evolve_lindblad(
     left, right = np.array(pieces).T
     rows, cols = np.array(blocks)[left, :, None], np.array(blocks)[right, None, :]
 
-    seg = grid.times[1] - grid.times[0]
-    n_sub = max(1, math.ceil(seg / grid.dt_max))
-    dt = seg / n_sub
-    # U_a(W1 dt), U_a(W0 dt) and U_b(W1 dt)^T, U_b(W0 dt)^T per piece,
-    # broadcast over the parts; contiguous transposes multiply faster
-    factors = _split_factors(space, params, dt)
-    u1, u0 = np.moveaxis(factors[left, None], 2, 0).copy()
-    v1, v0 = np.moveaxis(factors[right, None], 2, 0).swapaxes(-1, -2).copy()
+    r = _gauged_pieces(state, rows, cols)
+    n_sub = _substeps(grid)
+    dt = (grid.times[1] - grid.times[0]) / n_sub
+    # U_a(b dt) and U_b(b dt)^T per weight and piece, broadcast over the
+    # parts; contiguous transposes multiply faster.  Only u and v are held
+    # while stepping
+    factors = np.moveaxis(_split_factors(space, params, dt), 1, 0)[:, :, None]
+    u, v = factors[:, left], factors[:, right].swapaxes(-1, -2).copy()
+    del factors
     mask = _dephasing_mask(space, params)[rows, cols][:, None]
-    # D over the outer half step, the two fused inner ones, and the fused
-    # half steps where one S4 step meets the next; W0 < 0 makes the inner
-    # one grow, so it overflows first when dt is far too large for the taus
+    # D(a dt) for each a of D_WEIGHTS; a3 < 0 makes D(a3 dt) grow, so it
+    # overflows first when dt is far too large for the taus
     with np.errstate(over="ignore"):
-        damping = np.exp(np.multiply.outer([W1 / 2, (W1 + W0) / 2, W1], mask * dt))
+        damping = np.exp(np.multiply.outer(D_WEIGHTS, mask * dt))
     if not np.isfinite(damping).all():
         raise ConvergenceError(
             f"dephasing factor overflows at substep {dt * 1e3:.3g} us with "
             f"tau_d_x = {params.tau_d_x:g} ms, tau_d_y = {params.tau_d_y:g} ms"
         )
-    edge, inner, join = damping
-    phase = np.repeat(_gauge(space), space.n_max_y + 1)
-    rho = (phase.conj()[:, None] * state.to_density() * phase)[rows, cols]
-    r = np.stack([rho.real, rho.imag] if np.any(rho.imag) else [rho.real], axis=1)
 
+    # Tr(O p) = sum_ij O^T_ij p_ij: one flat dot per observable and sample
     views = [np.concatenate(blocks)] if coherent else blocks
     ops = {
-        label: [_gauged_block(t, space, v, v) for v in views]
+        label: np.array([_gauged_block(t, space, w, w).T for w in views]).ravel()
         for label, t in observables.items()
     }
     values = {label: np.empty(grid.n_samples, dtype=complex) for label in observables}
     values |= {m: np.empty(grid.n_samples) for m in MONITORS if m != "norm_drift"}
     for k in range(grid.n_samples):
         if k:
-            r = r * edge
-            for s in range(n_sub):
-                r = u1 @ r @ v1
-                r *= inner
-                r = u0 @ r @ v0
-                r *= inner
-                r = u1 @ r @ v1
-                r *= join if s < n_sub - 1 else edge
+            for _ in range(n_sub):
+                r *= damping[0]
+                for i, j in STAGES:
+                    r = u[i] @ r @ v[i]
+                    r *= damping[j]
         current = r[:, 0] + 1j * r[:, 1] if r.shape[1] == 2 else r[:, 0]
         diagonal = current[:2]
-        parts = [(p + p.conj().T) / 2 for p in diagonal]
+        adjoint = diagonal.conj().swapaxes(1, 2)
+        parts = (diagonal + adjoint) / 2
         if coherent:
             off = current[2]
-            parts = [np.block([[parts[0], off], [off.conj().T, parts[1]]])]
-        trace = sum(np.trace(p).real for p in parts)
+            parts = np.block([[parts[0], off], [off.conj().T, parts[1]]])[None]
+        trace = np.trace(parts, axis1=1, axis2=2).real.sum()
         drift = abs(trace - 1.0)
         if not drift <= TRACE_DRIFT_MAX:
             raise ConvergenceError(f"trace drift {drift:.2e} at sample {k}")
-        min_eig = min(np.linalg.eigvalsh(p).min() for p in parts)
-        if not min_eig >= -1e-6:
-            raise PositivityError(f"eigenvalue {min_eig:.2e} at sample {k}")
+        values["min_eig"][k] = _min_eig(parts, k)
         values["trace_drift"][k] = drift
-        values["hermiticity"][k] = max(np.abs(p - p.conj().T).max() for p in diagonal)
-        values["min_eig"][k] = min_eig
-        for label, op_parts in ops.items():
-            values[label][k] = (
-                sum(np.einsum("ij,ji->", o, p) for o, p in zip(op_parts, parts)) / trace
-            )
+        values["hermiticity"][k] = np.abs(diagonal - adjoint).max()
+        flat = parts.ravel()
+        for label, op in ops.items():
+            values[label][k] = op @ flat / trace
     return {label: _series(grid, label, v) for label, v in values.items()}

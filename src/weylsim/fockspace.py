@@ -77,9 +77,6 @@ class SpaceSpec:
     def dim(self) -> int:
         return 2 * (self.n_max_x + 1) * (self.n_max_y + 1)
 
-    def n_max(self, mode: str) -> int:
-        return {"x": self.n_max_x, "y": self.n_max_y}[mode]
-
 
 @dataclass(frozen=True)
 class SingleModeSpec:

@@ -416,8 +416,8 @@ def _rk4_oracle(h, params, state, grid, observables):
 
     The reference for the split-step propagator: a dense H and dense
     observables, always stepped at dt_max = 0.2 us, with the same monitors
-    and the same evaluation of the observables on the Hermitian,
-    trace-normalized rho.
+    (min_eig is the least eigenvalue clipped at 0) and the same evaluation
+    of the observables on the Hermitian, trace-normalized rho.
     """
     mask = ev._dephasing_mask(state.space, params)
 
@@ -444,7 +444,7 @@ def _rk4_oracle(h, params, state, grid, observables):
         if drift > 1e-6:
             raise ConvergenceError(f"trace drift {drift:.2e} at sample {k}")
         rho_h = (rho + rho.conj().T) / 2
-        min_eig = np.linalg.eigvalsh(rho_h).min()
+        min_eig = min(np.linalg.eigvalsh(rho_h).min(), 0.0)
         if min_eig < -1e-6:
             raise PositivityError(f"eigenvalue {min_eig:.2e} at sample {k}")
         values["trace_drift"][k] = drift
@@ -476,7 +476,8 @@ def test_weyl_hamiltonian_is_imaginary_in_the_gauge(r, n_max_x, n_max_y):
     # G^dag H G = iB exactly; a spin +z input with imaginary alpha_x and real
     # alpha_y is real in the gauge, so its density matrix has no imaginary
     # part.  B flips the spin, so each P-sector's split-step factor, built
-    # from the SVD of its spin-flip block, is the exact exp(B w dt)
+    # from the SVD of its spin-flip block, is the exact exp(B b dt) for
+    # every distinct U weight b
     space = SpaceSpec(n_max_x, n_max_y)
     params = SimParams.from_khz(4.2, r=r)
     phase = np.repeat(ev._gauge(space), n_max_y + 1)
@@ -493,7 +494,8 @@ def test_weyl_hamiltonian_is_imaginary_in_the_gauge(r, n_max_x, n_max_y):
         spin = rows >= space.dim // 2
         assert not np.any(h_block[np.equal.outer(spin, spin)])  # H flips the spin
         evals, evecs = np.linalg.eigh(h_block)
-        for w, u in zip((ev.W1, ev.W0), pair):
+        assert len(pair) == len(set(ev.U_WEIGHTS)) == 3
+        for w, u in zip(ev.U_WEIGHTS, pair, strict=True):
             exact = (evecs * np.exp(-1j * w * dt * evals)) @ evecs.conj().T
             assert np.abs(u - exact).max() < 1e-12
 
@@ -505,25 +507,19 @@ def test_split_factors_are_orthogonal(n_max):
     # is orthogonal by construction
     space = SpaceSpec(n_max, n_max)
     params = SimParams.from_khz(4.2, r=1.0)
-    for pair in ev._split_factors(space, params, ev.DT_MAX_DEFAULT):
-        for u in pair:
-            assert np.abs(u @ u.T - np.eye(len(u))).max() <= 1e-13
+    factors = ev._split_factors(space, params, ev.DT_MAX_DEFAULT)
+    assert factors.shape[:2] == (2, len(ev.U_WEIGHTS))
+    for u in factors.reshape(-1, *factors.shape[2:]):
+        assert np.abs(u @ u.T - np.eye(len(u))).max() <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "seed, r, kind",
-    [
-        (0, 0.5, "pure"),
-        (1, 1.0, "mixed"),
-        (2, 2.0, "pure"),
-        (4, 1.0, "real"),
-    ],
-)
-def test_lindblad_matches_rk4_oracle(seed, r, kind):
-    # the split step at the default substep cap against RK4 at 0.2 us, on a
-    # P-even (sigma_z) and a P-odd (x) observable. The pure and mixed
-    # inputs have real and imaginary parts in the gauge, the "real" one
-    # only a real part
+# the RK4-oracle inputs: the pure and mixed ones have real and imaginary
+# parts in the gauge, the "real" one only a real part
+ORACLE_CASES = [(0, 0.5, "pure"), (1, 1.0, "mixed"), (2, 2.0, "pure"), (4, 1.0, "real")]
+
+
+def _oracle_case(seed, r, kind):
+    """Parameters, input and the sigma_z (P-even) and x (P-odd) products."""
     rng = np.random.default_rng(seed)
     space = SpaceSpec(4, 4)
     alpha = 0.7 * np.exp(2j * np.pi * rng.uniform())
@@ -536,7 +532,14 @@ def test_lindblad_matches_rk4_oracle(seed, r, kind):
     tau_x, tau_y = rng.uniform(1.0, 4.0, 2)
     params = SimParams.from_khz(4.2, r=r, tau_d_x=tau_x, tau_d_y=tau_y)
     obs = md.field_observables(space, params)
-    ops = {"sigma_z": obs["sigma_z"], "x": obs["x"]}
+    return params, state, {"sigma_z": obs["sigma_z"], "x": obs["x"]}
+
+
+@pytest.mark.parametrize("seed, r, kind", ORACLE_CASES)
+def test_lindblad_matches_rk4_oracle(seed, r, kind):
+    # the split step at the default substep cap against RK4 at 0.2 us
+    params, state, ops = _oracle_case(seed, r, kind)
+    space = state.space
     dense = {"sigma_z": pauli(space, "z"), "x": mode_operator(space, "x")}
     grid = TimeGrid(0.0, 0.1, 11)
     series = ev.evolve_lindblad(params, state, grid, ops)
@@ -546,19 +549,121 @@ def test_lindblad_matches_rk4_oracle(seed, r, kind):
         assert np.abs(series[label].values - values).max() < 1e-8, label
 
 
+def _run_landau_n7(dt_max=ev.DT_MAX_DEFAULT):
+    """Noisy landau at n_max 7 on the scenario's default grid."""
+    params, psi0, sz = _landau(SpaceSpec(7, 7), tau_d_x=4.0, tau_d_y=3.5)
+    return ev.evolve_lindblad(params, psi0, TimeGrid(0.0, 0.6, 201, dt_max), sz)
+
+
+@pytest.mark.parametrize("case", ["landau_n7", *ORACLE_CASES])
+def test_min_eig_is_the_clipped_least_eigenvalue(monkeypatch, case):
+    # the Cholesky-first monitor against eigvalsh on every block of every
+    # sample; its worst value over the run is eigvalsh's, clipped at 0
+    monitor, seen = ev._min_eig, []
+
+    def checked(parts, sample):
+        value = monitor(parts, sample)
+        want = [min(np.linalg.eigvalsh(p).min(), 0.0) for p in parts]
+        for p, w in zip(parts, want):
+            assert abs(monitor(p[None], sample) - w) <= 1e-13
+        assert abs(value - min(want)) <= 1e-13
+        seen.append(min(want))
+        return value
+
+    monkeypatch.setattr(ev, "_min_eig", checked)
+    if case == "landau_n7":
+        series = _run_landau_n7()
+    else:
+        params, state, ops = _oracle_case(*case)
+        series = ev.evolve_lindblad(params, state, TimeGrid(0.0, 0.1, 11), ops)
+    assert len(seen) == len(series["min_eig"].values)
+    assert abs(series["min_eig"].values.min() - min(seen)) <= 1e-13
+
+
+def test_min_eig_gate():
+    # a block below -1e-6 raises the message the eigvalsh-only monitor
+    # raised; one just above it passes with its clipped value, and a
+    # positive definite stack reads 0.  A NaN raises too, on the diagonal
+    # or off it, where the trace check cannot see it and a Cholesky
+    # factorization completes through it
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+
+    def stack(least):
+        evals = np.array([least, 0.1, 0.2, 0.3, 0.15, 0.25])
+        return np.stack([(q * evals) @ q.T, np.eye(6) / 6])
+
+    with pytest.raises(PositivityError, match=r"^eigenvalue -1\.00e-03 at sample 7$"):
+        ev._min_eig(stack(-1e-3), 7)
+    assert abs(ev._min_eig(stack(-9e-7), 7) + 9e-7) < 1e-15
+    assert ev._min_eig(stack(1e-3), 7) == 0.0
+    for where in [(0, 1, 2), (1, 0, 0)]:
+        nan = stack(1e-3)
+        nan[where] = nan[where[0], where[2], where[1]] = np.nan
+        with pytest.raises(PositivityError, match="eigenvalue nan at sample 2"):
+            ev._min_eig(nan, 2)
+
+
+@pytest.fixture(scope="module")
+def landau_n7_reference():
+    return _run_landau_n7(dt_max=2e-4)["sigma_z"].values
+
+
+def test_default_step_error_at_n_max_7(landau_n7_reference):
+    # one 3 us step per sample of the 600 us noisy landau record is within
+    # 2e-9 of a 0.2 us reference (9.2e-10 when written)
+    error = np.abs(_run_landau_n7()["sigma_z"].values - landau_n7_reference).max()
+    assert error <= 2e-9
+
+
+def test_split_step_is_4th_order(landau_n7_reference):
+    # halving the step divides the error by about 2^4
+    errors = [
+        np.abs(_run_landau_n7(dt)["sigma_z"].values - landau_n7_reference).max()
+        for dt in (3e-3, 1.5e-3)
+    ]
+    assert 12 <= errors[0] / errors[1] <= 20
+
+
+@pytest.mark.parametrize(
+    "t_end_us, n_samples", [(600, 201), (100, 11), (99, 34), (5000, 501), (0.3, 4)]
+)
+def test_substeps_tolerate_rounding(t_end_us, n_samples):
+    # an output spacing equal to dt_max up to rounding takes one step (a
+    # plain ceil takes two when dt_max is one ulp short); a spacing over a
+    # whole number of dt_max by more than rounding takes one more
+    grid = TimeGrid(0.0, t_end_us / 1e3, n_samples)
+    seg = grid.times[1] - grid.times[0]
+    short = np.nextafter(seg, 0)
+    assert math.ceil(seg / short) == 2
+    config_us = t_end_us / (n_samples - 1)  # dt_max_us as a config gives it
+    for dt_max in (seg, short, np.nextafter(seg, 1), config_us / 1e3):
+        assert ev._substeps(replace(grid, dt_max=dt_max)) == 1
+        assert ev._substeps(replace(grid, dt_max=dt_max / 3)) == 3
+    assert ev._substeps(replace(grid, dt_max=seg / (1 + 1e-6))) == 2
+    assert ev._substeps(replace(grid, dt_max=seg * 10)) == 1
+
+
+def test_default_grids_take_one_step_per_sample():
+    for name in ("landau", "trajectory"):
+        assert ev._substeps(sc.default_config(name, noise_on=True).grid) == 1
+
+
 def test_lindblad_evolves_parity_blocks(monkeypatch):
     # a Weyl H commutes with P = sigma_z (-1)^(n_x + n_y): with a P-even
     # observable only the two d/2 sectors are factorized, through one SVD
     # of each sector's spin-flip block C (d/4 x d/4 give or take a row at
-    # even n_max), and monitored; a P-odd one also needs the coherences, so
-    # min_eig is taken on full d.  The landau default input is real in the
-    # gauge, so the monitor gets real blocks; a plus_x input has an
-    # imaginary part and complex ones
+    # even n_max), and monitored by one Cholesky factorization of the two
+    # stacked blocks per sample (eigvalsh on the same stack only where it
+    # breaks down, as it does on the pure input); a P-odd one also needs the
+    # coherences, so min_eig is taken on full d.  The landau default input
+    # is real in the gauge, so the monitor gets real blocks; a plus_x input
+    # has an imaginary part and complex ones
     space = SpaceSpec(4, 4)
     params, psi0, sz = _landau(space, tau_d_x=4.0, tau_d_y=3.5)
     grid = TimeGrid(0.0, 0.05, 6)
-    shapes = {"svd": [], "eigvalsh": []}
-    kinds = {"svd": set(), "eigvalsh": set()}
+    shapes = {"svd": [], "cholesky": [], "eigvalsh": []}
+    kinds = {"svd": set(), "cholesky": set(), "eigvalsh": set()}
 
     def counting(name):
         original = getattr(np.linalg, name)
@@ -577,21 +682,26 @@ def test_lindblad_evolves_parity_blocks(monkeypatch):
         for seen in (*shapes.values(), *kinds.values()):
             seen.clear()
         ev.evolve_lindblad(params, state, grid, obs)
+        assert len(shapes["cholesky"]) == grid.n_samples
+        assert 1 <= len(shapes["eigvalsh"]) <= grid.n_samples
 
     quarter = space.dim // 4  # d = 50: C is 13 x 12 and 12 x 13
     c_shapes = {(quarter + 1, quarter), (quarter, quarter + 1)}
-    half = (space.dim // 2,) * 2
+    halves = (2, space.dim // 2, space.dim // 2)
     run(psi0, sz)
     assert set(shapes["svd"]) == c_shapes and kinds["svd"] == {"f"}
-    assert set(shapes["eigvalsh"]) == {half}
-    assert kinds["eigvalsh"] == {"f"}
+    for name in ("cholesky", "eigvalsh"):
+        assert set(shapes[name]) == {halves}
+        assert kinds[name] == {"f"}
     run(psi0, {"x": md.field_observables(space, params)["x"]})
     assert set(shapes["svd"]) == c_shapes
-    assert set(shapes["eigvalsh"]) == {(space.dim, space.dim)}
-    assert kinds["eigvalsh"] == {"f"}
+    for name in ("cholesky", "eigvalsh"):
+        assert set(shapes[name]) == {(1, space.dim, space.dim)}
+        assert kinds[name] == {"f"}
     run(fs.coherent_state(space, 1j, 0, "plus_x"), sz)
-    assert set(shapes["eigvalsh"]) == {half}
-    assert kinds["eigvalsh"] == {"c"}
+    for name in ("cholesky", "eigvalsh"):
+        assert set(shapes[name]) == {halves}
+        assert kinds[name] == {"c"}
 
 
 @pytest.mark.parametrize("spin", ["plus_z", "plus_x"])

@@ -46,7 +46,7 @@ def test_commutator_truncation_identity(space):
     for mode in ("x", "y"):
         a = mode_operator(space, mode, "lower")
         comm = a @ a.conj().T - a.conj().T @ a
-        nm = space.n_max(mode)
+        nm = {"x": space.n_max_x, "y": space.n_max_y}[mode]
         edge = fs.basis_state(
             space, "plus_z", *((nm, 0) if mode == "x" else (0, nm))
         ).data
