@@ -63,8 +63,7 @@ class Spectrum:
 class SlopeFit:
     """Least-squares polynomial fit of an early-time curve."""
 
-    coefficients: np.ndarray  # c0, c1, ... of the polynomial in t - t0
-    slope_at_zero: float  # = c1, the slope at the first sample t0
+    slope_at_zero: float  # the slope at the first sample t0
     residual_rms: float
 
 
@@ -153,11 +152,10 @@ def predict_sigma_z_series(psi0: QState, params, grid) -> TimeSeries:
 
 
 def fit_polynomial(series: TimeSeries, order: int) -> SlopeFit:
-    """Ordinary least squares polynomial fit; the slope is coefficient c1.
+    """Ordinary least squares polynomial fit, with its slope and residual.
 
-    The fit runs in (t - t0)/span for conditioning, t0 the first sample; the
-    coefficients are those of the polynomial in t - t0, so c1 is the slope
-    at t0, not at t = 0.
+    The fit runs in (t - t0)/span for conditioning, t0 the first sample, so
+    the slope is the one at t0, not at t = 0.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -170,9 +168,7 @@ def fit_polynomial(series: TimeSeries, order: int) -> SlopeFit:
     if rank < order + 1:
         raise RankError("degenerate design matrix")
     resid = series.values - design @ coeffs
-    scale = series.span ** np.arange(order + 1)
     return SlopeFit(
-        coefficients=coeffs / scale,
         slope_at_zero=float(coeffs[1] / series.span),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )

@@ -2,8 +2,9 @@
 
 Output units follow the figure-axis conventions: time in us, frequencies
 as omega/2pi in kHz, phase-space quantities dimensionless.  Every run
-directory receives a manifest.json with the resolved config, tool version,
-timestamps, a check summary, and content digests of the written files.
+directory receives the runner's manifest (resolved config, tool version,
+timestamps, check counts and rows) as manifest.json, with content digests
+of the written files added.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from .scenarios import (
     FIELDS,
     RUNNERS,
     SCENARIO_NAMES,
+    Check,
     ScenarioConfig,
     ScenarioResult,
     build_config,
@@ -122,27 +125,14 @@ def _csv_text(columns: dict[str, np.ndarray]) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _check_rows(result: ScenarioResult) -> list[dict]:
-    return [
-        {
-            "name": c.name,
-            "expected": c.expected,
-            "actual": c.actual,
-            "tolerance": c.tolerance,
-            "passed": c.passed,
-            "basis": c.basis,
-        }
-        for c in result.checks
-    ]
-
-
 def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path]:
     """Write the result tables plus manifest.json into a directory.
 
-    csv: one file per table, 9-significant-digit floats, '\\n' newlines.
+    csv: one file per table, 9-significant-digit floats, '\\n' newlines,
+    and checks.csv with one column per field of `Check`.
     json: a single result.json with columnar arrays and the check list.
     Files are written to a temp name and atomically renamed; the manifest
-    records a sha256 digest of every data file.
+    is the result's, plus a sha256 digest of every data file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -153,12 +143,8 @@ def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path
             _atomic_write(path, _csv_text(columns))
             written.append(path)
         path = out / "checks.csv"
-        lines = ["name, expected, actual, tolerance, passed, basis"]
-        for c in result.checks:
-            lines.append(
-                f"{c.name}, {c.expected}, {c.actual}, {c.tolerance}, "
-                f"{c.passed}, {c.basis}"
-            )
+        lines = [", ".join(f.name for f in fields(Check))]
+        lines += [", ".join(map(str, astuple(c))) for c in result.checks]
         _atomic_write(path, "\n".join(lines) + "\n")
         written.append(path)
     elif fmt == "json":
@@ -168,7 +154,7 @@ def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path
                 t: {k: _json_floats(col) for k, col in cols.items()}
                 for t, cols in result.tables.items()
             },
-            "checks": _check_rows(result),
+            "checks": [asdict(c) for c in result.checks],
         }
         path = out / "result.json"
         _atomic_write(path, json.dumps(payload, indent=1) + "\n")
@@ -184,7 +170,6 @@ def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path
         }
         for p in written
     ]
-    manifest["checks"] = _check_rows(result)
     mpath = out / "manifest.json"
     _atomic_write(mpath, json.dumps(manifest, indent=1) + "\n")
     written.append(mpath)

@@ -28,15 +28,13 @@ def khz(value: float) -> float:
 class SimParams:
     """Physical knobs of a run.
 
-    omega        sideband Rabi frequency, rad/ms
-    r            dimensionless synthetic field strength
-    omega_probe  probe Rabi frequency, rad/ms (defaults to omega)
-    tau_d_x/y    motional dephasing times in ms, math.inf for noiseless
+    omega      sideband and probe Rabi frequency, rad/ms
+    r          dimensionless synthetic field strength
+    tau_d_x/y  motional dephasing times in ms, math.inf for noiseless
     """
 
     omega: float
     r: float = 0.0
-    omega_probe: float | None = None
     tau_d_x: float = math.inf
     tau_d_y: float = math.inf
 
@@ -47,24 +45,18 @@ class SimParams:
             raise DomainError("r must be non-negative and finite")
         if not (self.tau_d_x > 0 and self.tau_d_y > 0):
             raise DomainError("dephasing times must be positive (inf for none)")
-        if self.omega_probe is None:
-            object.__setattr__(self, "omega_probe", self.omega)
-        elif not 0 < self.omega_probe < math.inf:
-            raise DomainError("omega_probe must be positive and finite")
 
     @classmethod
     def from_khz(
         cls,
         omega_khz: float,
         r: float = 0.0,
-        omega_probe_khz: float | None = None,
         tau_d_x: float = math.inf,
         tau_d_y: float = math.inf,
     ) -> "SimParams":
         return cls(
             omega=khz(omega_khz),
             r=r,
-            omega_probe=None if omega_probe_khz is None else khz(omega_probe_khz),
             tau_d_x=tau_d_x,
             tau_d_y=tau_d_y,
         )

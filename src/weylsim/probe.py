@@ -3,12 +3,12 @@
 Quadratures are read out by resetting the qubit, rotating it onto +x,
 driving a spin-dependent force conditioned on the target quadrature, and
 cubic-fitting the early spin-z response; the slope at zero is
--sqrt(2) omega_probe <Q>, so the estimator divides the fitted slope by
--sqrt(2) omega_probe.  The average energy of a free wavepacket comes from
+-sqrt(2) omega <Q>, so the estimator divides the fitted slope by
+-sqrt(2) omega.  The average energy of a free wavepacket comes from
 the early slope of the spin component perpendicular to the momentum
 direction, which falls as -2 E(p) t.
 
-Both drives conserve quadratures: the probe (omega_probe/sqrt(2)) sigma_y Q
+Both drives conserve quadratures: the probe (omega/sqrt(2)) sigma_y Q
 conserves Q, and the free Hamiltonian (omega/sqrt(2)) (sigma_x p_x +
 sigma_y p_y) conserves p_x and p_y.  In each joint eigensector the qubit
 precesses in a fixed field, so each readout signal is a weighted sum of
@@ -32,7 +32,7 @@ from .fockspace import QState, SpaceSpec
 __all__ = ["SlopeFit", "measure_quadrature", "measure_energy_slope"]
 
 PROBE_SAMPLES = 12
-PROBE_PHASE_BUDGET = 0.25  # max sqrt(2) omega_probe t |<Q>| over the window
+PROBE_PHASE_BUDGET = 0.25  # max sqrt(2) omega t |<Q>| over the window
 FIT_RESIDUAL_LIMIT = 0.01
 
 # the quadrature a probe target names: (mode, kind)
@@ -46,7 +46,7 @@ _TARGETS = {
 
 def _default_probe_grid(params, q_estimate: float) -> ev.TimeGrid:
     t_end = PROBE_PHASE_BUDGET / (
-        math.sqrt(2) * params.omega_probe * max(1.0, abs(q_estimate))
+        math.sqrt(2) * params.omega * max(1.0, abs(q_estimate))
     )
     return ev.TimeGrid(0.0, t_end, PROBE_SAMPLES)
 
@@ -93,27 +93,27 @@ def measure_quadrature(
 
     The qubit of the input state is discarded (reset), so the estimate
     refers to the motional reduced state.  The reset qubit starts on +x
-    and, in the eigensector Q = q_k, turns about y by sqrt(2) omega_probe
-    q_k t, so <sigma_z>(t) = -sum_k w_k sin(sqrt(2) omega_probe q_k t)
+    and, in the eigensector Q = q_k, turns about y by sqrt(2) omega
+    q_k t, so <sigma_z>(t) = -sum_k w_k sin(sqrt(2) omega q_k t)
     with w_k the distribution of the target quadrature.  The default probe
     window is sized from <Q> = sum_k w_k q_k to stay in the small-angle
     regime; an explicit probe_grid overrides it, and must satisfy
-    sqrt(2) omega_probe t_end |<Q>| < 0.5.
+    sqrt(2) omega t_end |<Q>| < 0.5.
     """
     q, weights = _target_distribution(state, target)
     q_mean = float(weights @ q)  # window sizing only
     if probe_grid is None:
         probe_grid = _default_probe_grid(params, q_mean)
-    angle = math.sqrt(2) * params.omega_probe * probe_grid.t_end * abs(q_mean)
+    angle = math.sqrt(2) * params.omega * probe_grid.t_end * abs(q_mean)
     if angle >= 0.5:
         raise RegimeError(
             f"probe window leaves the small-angle regime (phase {angle:.3f})"
         )
-    rates = math.sqrt(2) * params.omega_probe * q
+    rates = math.sqrt(2) * params.omega * q
     t = probe_grid.times - probe_grid.t_start
     sigma_z = -np.sin(np.outer(t, rates)) @ weights
     slope = _fitted_slope(probe_grid, sigma_z, "probe")
-    return -slope / (math.sqrt(2) * params.omega_probe)
+    return -slope / (math.sqrt(2) * params.omega)
 
 
 def measure_energy_slope(

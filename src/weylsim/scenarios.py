@@ -3,18 +3,21 @@
 Four named scenarios cover the model's headline behaviours: the linear
 dispersion of the free particle, the discrete level spectrum in a synthetic
 field, helicity conservation, and the opposite-chirality trajectories of
-the two spin orientations.  Each runner consumes a declarative config and
-returns columnar tables, a list of checks (each naming the basis its
-expected value rests on), and a manifest of the resolved run.
+the two spin orientations.  Each runner consumes a declarative config; its
+body computes columnar tables and a list of checks (each naming the basis
+its expected value rests on), and one wrapper, `_runner`, times the body
+and returns them with the run's manifest.  Every field grid starts at 0,
+the sample of the prepared state.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from types import MappingProxyType
 
@@ -78,10 +81,7 @@ class ScenarioConfig:
         grid, taus = None, {}
         if "t_end_us" in v:
             grid = TimeGrid(
-                v["t_start_us"] / 1e3,
-                v["t_end_us"] / 1e3,
-                v["n_samples"],
-                v["dt_max_us"] / 1e3,
+                0.0, v["t_end_us"] / 1e3, v["n_samples"], v["dt_max_us"] / 1e3
             )
             taus = {"tau_d_x": v["tau_d_x_ms"], "tau_d_y": v["tau_d_y_ms"]}
         object.__setattr__(self, "values", MappingProxyType(v))
@@ -168,7 +168,6 @@ FIELDS = {
     "tau_d_y_ms": _tau,
     "n_max_x": int,
     "n_max_y": int,
-    "t_start_us": _float,
     "t_end_us": _float,
     "n_samples": int,
     "dt_max_us": _float,
@@ -212,7 +211,6 @@ def _default_values(name: str, n_max: int | None, noise_on: bool | None) -> dict
     values.update(noise=noise, n_max_x=nm, n_max_y=nm)
     if "t_end_us" in values:
         values.update(
-            t_start_us=0.0,
             n_samples=201,
             dt_max_us=ev.DT_MAX_DEFAULT * 1e3,
             alpha_y=0j,
@@ -314,18 +312,33 @@ def _evolve(cfg: ScenarioConfig, spin: str, labels) -> dict:
     return propagate(cfg.params, psi0, cfg.grid, observables)
 
 
-def _finish(name, cfg, tables, checks, started, t0) -> ScenarioResult:
-    manifest = {
-        "scenario": name,
-        "config": config_dict(cfg),
-        "version": __version__,
-        "started_utc": started,
-        "finished_utc": datetime.now(timezone.utc).isoformat(),
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "checks_passed": sum(c.passed for c in checks),
-        "checks_failed": sum(not c.passed for c in checks),
-    }
-    return ScenarioResult(name=name, tables=tables, checks=checks, manifest=manifest)
+def _runner(body):
+    """A scenario runner from a body that returns its (tables, checks).
+
+    The runner times the body and records the run in the manifest: the
+    resolved config, the version, the timestamps, the check counts and
+    every check as `asdict(check)`.
+    """
+
+    @functools.wraps(body)
+    def run(cfg: ScenarioConfig) -> ScenarioResult:
+        started = datetime.now(timezone.utc).isoformat()
+        t0 = time.perf_counter()
+        tables, checks = body(cfg)
+        manifest = {
+            "scenario": cfg.name,
+            "config": config_dict(cfg),
+            "version": __version__,
+            "started_utc": started,
+            "finished_utc": datetime.now(timezone.utc).isoformat(),
+            "wall_time_s": round(time.perf_counter() - t0, 3),
+            "checks_passed": sum(c.passed for c in checks),
+            "checks_failed": sum(not c.passed for c in checks),
+            "checks": [asdict(c) for c in checks],
+        }
+        return ScenarioResult(cfg.name, tables, checks, manifest)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +346,9 @@ def _finish(name, cfg, tables, checks, started, t0) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def run_dispersion(cfg: ScenarioConfig) -> ScenarioResult:
+@_runner
+def run_dispersion(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     """Energy-versus-momentum sweep of the free particle."""
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.perf_counter()
     ps = np.array(cfg.sweep)
     energies = np.array(
         [pr.measure_energy_slope(p, 0.0, cfg.params, space=cfg.space) for p in cfg.sweep]
@@ -367,7 +379,7 @@ def run_dispersion(cfg: ScenarioConfig) -> ScenarioResult:
             "E_over_2pi(kHz)": energies / (2 * math.pi),
         }
     }
-    return _finish("dispersion", cfg, tables, checks, started, t0)
+    return tables, checks
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +411,9 @@ def _spectrum_tables(series: an.TimeSeries, suffix: str, frac: float):
     return spec, peaks, tables
 
 
-def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
+@_runner
+def run_landau(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     """Spin dynamics in the synthetic field and their level spectrum."""
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.perf_counter()
     grid = cfg.grid
     params = cfg.params
     tables: dict = {}
@@ -466,7 +477,7 @@ def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
             )
         )
 
-    return _finish("landau", cfg, tables, checks, started, t0)
+    return tables, checks
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +485,9 @@ def run_landau(cfg: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def run_helicity(cfg: ScenarioConfig) -> ScenarioResult:
+@_runner
+def run_helicity(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     """Spin and kinetic-momentum alignment during cyclotron-like motion."""
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.perf_counter()
     grid = cfg.grid
     labels = ("sigma_x", "sigma_y", "pi_x", "pi_y", "p_y")
     series = _evolve(cfg, cfg.initial_spin, labels)
@@ -526,7 +536,7 @@ def run_helicity(cfg: ScenarioConfig) -> ScenarioResult:
         checks.append(
             _cat_check("full_rotation_swept", True, swept >= 2 * math.pi, "oracle")
         )
-    return _finish("helicity", cfg, tables, checks, started, t0)
+    return tables, checks
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +554,9 @@ def _circle_radial_rms(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.mean((rr - radius) ** 2)))
 
 
-def run_trajectory(cfg: ScenarioConfig) -> ScenarioResult:
+@_runner
+def run_trajectory(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     """Mean-position orbits for the two opposite-helicity preparations."""
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.perf_counter()
     grid = cfg.grid
 
     def branch(spin):
@@ -619,7 +628,7 @@ def run_trajectory(cfg: ScenarioConfig) -> ScenarioResult:
                 "orbit_wobble_indicator", True, rms > WOBBLE_RMS_MIN, "oracle"
             )
         )
-    return _finish("trajectory", cfg, tables, checks, started, t0)
+    return tables, checks
 
 
 RUNNERS = {

@@ -116,12 +116,12 @@ PROBE_TARGETS = {
 
 
 def probe_hamiltonian(space, params, target):
-    """Probe Hamiltonian (omega_probe/sqrt(2)) sigma_y Q on the full space.
+    """Probe Hamiltonian (omega/sqrt(2)) sigma_y Q on the full space.
 
     The oracle the probe protocol's closed form is checked against.
     """
     q = mode_operator(space, *PROBE_TARGETS[target])
-    return (params.omega_probe / math.sqrt(2)) * (pauli(space, "y") @ q)
+    return (params.omega / math.sqrt(2)) * (pauli(space, "y") @ q)
 
 
 # --- dense propagation -------------------------------------------------------------

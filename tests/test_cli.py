@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from weylsim import cli
+from weylsim import scenarios as sc
 from weylsim.errors import ConfigError
 from weylsim.scenarios import (
     FIELDS,
     SCENARIO_NAMES,
+    Check,
     ScenarioResult,
     build_config,
     config_dict,
@@ -93,7 +95,6 @@ def test_config_roundtrip(tmp_path):
                 "tau_d_y_ms": math.inf,
                 "n_max_x": 7,
                 "n_max_y": 6,
-                "t_start_us": 10.0,
                 "t_end_us": 450.0,
                 "n_samples": 151,
                 "dt_max_us": 0.1,
@@ -127,7 +128,7 @@ def test_config_roundtrip(tmp_path):
             assert set(config_dict(cfg)) == {
                 "scenario", "omega_khz", "r", "n_max_x", "n_max_y", "noise_on", "sweep"
             }
-    assert len(FIELDS) == 15
+    assert len(FIELDS) == 14
     assert manifest_keys == {"scenario", "noise_on"} | set(FIELDS) - {"noise"}
 
 
@@ -170,6 +171,8 @@ INVALID_VALUES = [
     ("landau", "noise = false\nn_max_x = 20\nalpha_x = 3j"),
     # noise = false would silently drop the dephasing
     ("landau", "noise = false\ntau_d_x_ms = 4"),
+    # every field grid starts at 0, the sample of the prepared state
+    ("landau", "t_start_us = 10"),
     # configparser would merge a [DEFAULT] section into every scenario
     ("helicity", "[DEFAULT]\nn_max_x = 8"),
 ]
@@ -353,3 +356,49 @@ def test_writers_match_per_cell_formatting(tmp_path):
     }
     want = json.dumps(payload, indent=1) + "\n"
     assert (tmp_path / "json" / "result.json").read_bytes() == want.encode()
+
+
+def test_check_writers_match_literal_rows(tmp_path):
+    # checks.csv, result.json and the manifest carry Check's own fields;
+    # the references below spell each row out field by field
+    nan, inf = math.nan, math.inf
+    checks = [
+        Check("nan_actual", 0.0, nan, 1e-9, False, "analytic"),
+        Check("infinities", inf, -inf, 5e-324, False, "identity"),
+        Check("signed_zero", -0.0, 0.0, 0.0, True, "oracle"),
+        Check("category", "clockwise", "counterclockwise", 0.0, False, "analytic"),
+        Check("flag", "True", "True", 0.0, True, "oracle"),
+    ]
+    tables = {"t": {"a": np.array([1.0, 2.0])}}
+    cfg = default_config("helicity", n_max=4)
+    result = sc._runner(lambda _: (tables, checks))(cfg)
+    rows = [
+        {
+            "name": c.name,
+            "expected": c.expected,
+            "actual": c.actual,
+            "tolerance": c.tolerance,
+            "passed": c.passed,
+            "basis": c.basis,
+        }
+        for c in checks
+    ]
+
+    cli.write_tables(result, tmp_path / "csv")
+    lines = ["name, expected, actual, tolerance, passed, basis"]
+    for c in checks:
+        lines.append(
+            f"{c.name}, {c.expected}, {c.actual}, {c.tolerance}, "
+            f"{c.passed}, {c.basis}"
+        )
+    want = "\n".join(lines) + "\n"
+    assert (tmp_path / "csv" / "checks.csv").read_bytes() == want.encode()
+
+    cli.write_tables(result, tmp_path / "json", fmt="json")
+    payload = {"scenario": "helicity", "tables": {"t": {"a": [1.0, 2.0]}}}
+    want = json.dumps(payload | {"checks": rows}, indent=1) + "\n"
+    assert (tmp_path / "json" / "result.json").read_bytes() == want.encode()
+    for fmt in ("csv", "json"):
+        manifest = json.loads((tmp_path / fmt / "manifest.json").read_text())
+        assert json.dumps(manifest["checks"]) == json.dumps(rows)
+        assert manifest["checks_passed"] == 2 and manifest["checks_failed"] == 3

@@ -135,7 +135,7 @@ def test_probe_heisenberg_identity(space, params):
 
     x = mode_operator(space, "x", "position")
     xe, xv = np.linalg.eigh(x)
-    arg = math.sqrt(2) * params.omega_probe * tau * xe
+    arg = math.sqrt(2) * params.omega * tau * xe
     cos_x = xv @ np.diag(np.cos(arg)) @ xv.conj().T
     sin_x = xv @ np.diag(np.sin(arg)) @ xv.conj().T
     rhs = cos_x @ sz + sin_x @ sx
@@ -259,13 +259,9 @@ def test_sim_params_validation():
         dict(omega=1.0, r=nan),
         dict(omega=1.0, r=inf),
         dict(omega=1.0, tau_d_y=nan),
-        dict(omega=1.0, omega_probe=nan),
-        dict(omega=1.0, omega_probe=0.0),  # a zero probe Rabi reads out nothing
     ]:
         with pytest.raises(DomainError):
             SimParams(**kwargs)
-    p = SimParams(omega=2.0)
-    assert p.omega_probe == 2.0
 
 
 # --- single-mode frame reduction -------------------------------------------------

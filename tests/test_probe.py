@@ -89,7 +89,7 @@ def test_probe_series_matches_dense_oracle(fitted):
     # entangled input and a mixed one, every target
     rng = np.random.default_rng(11)
     space = SpaceSpec(10, 7)  # unequal modes catch a swapped axis
-    params = SimParams.from_khz(4.75, r=0.0, omega_probe_khz=rng.uniform(2, 6))
+    params = SimParams.from_khz(rng.uniform(2, 6), r=0.0)
 
     def coherent(spin):
         alpha_x = rng.uniform(0, 1.5) * np.exp(1j * rng.uniform(0, 2 * math.pi))

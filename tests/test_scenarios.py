@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -154,3 +155,29 @@ def test_one_eigendecomposition_per_hamiltonian(monkeypatch, name):
     res = sc.RUNNERS[name](cfg)
     assert all(c.passed for c in res.checks)
     assert dims.count(cfg.space.dim) == 0
+
+
+@pytest.mark.parametrize("name", sorted(sc.RUNNERS))
+def test_runner_manifest_records_its_checks(name):
+    # the wrapper stamps every runner's manifest: the scenario's own name,
+    # the run record's keys, and each check as asdict(check)
+    overrides = {"n_max_x": 8}
+    if name == "dispersion":  # the default sweep does not fit n_max 8
+        overrides["sweep"] = (0.59, 1.19)
+    cfg = sc.build_config(name, overrides)
+    res = sc.RUNNERS[name](cfg)
+    m = res.manifest
+    assert m["scenario"] == res.name == cfg.name
+    assert set(m) == {
+        "scenario",
+        "config",
+        "version",
+        "started_utc",
+        "finished_utc",
+        "wall_time_s",
+        "checks_passed",
+        "checks_failed",
+        "checks",
+    }
+    assert m["checks"] == [asdict(c) for c in res.checks]
+    assert m["checks_passed"] + m["checks_failed"] == len(res.checks) > 0
