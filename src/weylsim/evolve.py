@@ -2,17 +2,18 @@
 
 The unitary path splits the Weyl Hamiltonian into its conserved-p_y
 sectors and diagonalizes each once, from one real SVD of its spin-flip
-block as the master equation does; one decomposition serves any number of
-output grids and is exact at every sample, and an observable that weighs
-only each sector's spin populations (sigma_z, p_y) is read from the sector
-amplitudes with no eigenvector product.  The master equation is a
-4th-order split step (Blanes and Moan's 6-stage palindromic splitting) of
-an exact unitary factor and an exact elementwise dephasing factor.  It
-runs in a diagonal gauge where every Weyl unitary factor is a real
-orthogonal matrix built from one SVD, on one real array that holds the
-real and imaginary parts of the density matrix's parity sectors, stepped
-as a batch; its positivity monitor is a Cholesky factorization, with an
-eigenvalue solve only where that breaks down.
+block as the master equation does, one SVD per +-p_y pair of sectors; one
+decomposition serves any number of output grids and is exact at every
+sample.  An observable that weighs only each sector's spin populations
+(sigma_z, p_y) is a closed-form sum over its transition frequencies, read
+with no eigenvector product and no per-sample amplitudes.  The master
+equation is a 4th-order split step (Blanes and Moan's 6-stage palindromic
+splitting) of an exact unitary factor and an exact elementwise dephasing
+factor.  It runs in a diagonal gauge where every Weyl unitary factor is a
+real orthogonal matrix built from one SVD, on one real array that holds
+the real and imaginary parts of the density matrix's parity sectors,
+stepped as a batch; its positivity monitor is a Cholesky factorization,
+with an eigenvalue solve only where that breaks down.
 """
 
 from __future__ import annotations
@@ -67,11 +68,16 @@ class TimeGrid:
 # series the propagators add to their results; no observable may reuse one
 MONITORS = ("norm_drift", "trace_drift", "hermiticity", "min_eig")
 
-SECTOR_CHUNK = 16  # samples the unitary path propagates at once
+# samples the unitary path propagates at once; the population path reads
+# SECTOR_CHUNK**2 samples from one product of two phase tables
+SECTOR_CHUNK = 16
 
 
 def _series(grid: TimeGrid, label: str, values: np.ndarray) -> TimeSeries:
-    """Real series of one expectation; refuses an imaginary residual."""
+    """Real series of one expectation; refuses a non-finite value and an
+    imaginary residual above 1e-9."""
+    if not np.isfinite(values).all():
+        raise ConvergenceError(f"<{label}> is not finite")
     residual = np.abs(np.imag(values)).max()
     if residual > 1e-9:
         raise NonHermitianError(f"<{label}> has imaginary residual {residual:.2e}")
@@ -137,9 +143,11 @@ class Sectors:
     S = diag(1, i) on the spin and x_k(t) = exp(-i evals_k t) coeffs_k;
     `keep` indexes the kept sectors in p_y's eigenbasis `basis[1]`, the
     eigenvectors of `basis[0]`.  The first half of x_k belongs to the
-    eigenvalues +s, the second to -s; `sector_series` uses
+    eigenvalues +s, the second to -s, so a sector's spin populations
+    oscillate at the frequencies 2s only; `sector_series` uses
     W_k = [[U, U], [V, -V]] / sqrt(2) only for an observable that weighs
-    more than the spin populations.
+    more than the spin populations.  The sectors at p and -p share their
+    s, and their U and V differ by the signs (-1)^n_x (`weyl_sectors`).
     """
 
     space: SpaceSpec
@@ -157,9 +165,17 @@ def weyl_sectors(params, state: QState) -> Sectors:
     the pure two-mode input is rotated into p_y's eigenbasis V; sector k is
     dropped if ||phi_k|| < 1e-16.  In the qubit basis (|+z>, i|-z>) each
     H_k flips the spin and is real, H_k = [[0, C_k], [C_k^T, 0]] with C_k
-    square; one batched real SVD C_k = U S V^T gives the eigenvalues +-S
-    and the eigenvectors W_k = [[U, U], [V, -V]] / sqrt(2), orthogonal by
+    square; a real SVD C_k = U S V^T gives the eigenvalues +-S and the
+    eigenvectors W_k = [[U, U], [V, -V]] / sqrt(2), orthogonal by
     construction.
+
+    p_y's truncated spectrum is symmetric, p_k = -p_(dy-1-k) in eigh's
+    ascending order, and C(p) = C_0 + p C_1, where the p = 0 block C_0
+    holds only a and a^dag terms and C_1 is diagonal, so C(-p) =
+    -Pi C(p) Pi with Pi = (-1)^n_x.  One batched SVD decomposes the
+    representatives min(k, dy-1-k) of the kept sectors; a mirrored sector
+    takes the same S with U -> Pi U and V -> -Pi V.  A kept sector whose
+    partner is dropped still has its representative decomposed.
     """
     space = state.space
     if state.kind != "pure" or not isinstance(space, SpaceSpec):
@@ -169,22 +185,114 @@ def weyl_sectors(params, state: QState) -> Sectors:
     basis = fs.mode_matrix(dy, "momentum"), fs.quadrature_eigenbasis(dy, "momentum")[1]
     phi = state.data.reshape(m, dy) @ basis[1].conj()
     keep = np.flatnonzero(np.linalg.norm(phi, axis=0) >= 1e-16)
+    mirrored = keep > dy - 1 - keep
+    paired = np.minimum(keep, dy - 1 - keep)
+    is_rep = np.zeros(dy, dtype=bool)
+    is_rep[paired] = True
+    reps = np.flatnonzero(is_rep)
     # spin-flip block of S^dag A S for each term; C_k = sum_j B'_j[k] A_j
-    h_terms = _in_sectors(md.weyl_terms(space, params), basis, keep)
+    h_terms = _in_sectors(md.weyl_terms(space, params), basis, reps)
     c = np.einsum(
         "jk,jab->kab",
         [b.real for _, b in h_terms],
         [(1j * a[:half, half:]).real for a, _ in h_terms],
     )
     u, s, vt = np.linalg.svd(c)
+    rep = np.cumsum(is_rep)[paired] - 1  # the representative's place in reps
+    # a mirrored sector's U and V take the row signs Pi and -Pi
+    parity = (-1.0) ** np.arange(half)
+    signs = np.where(mirrored[:, None, None], [parity, -parity], 1.0) * math.sqrt(0.5)
+    v = np.swapaxes(vt, 1, 2)[rep] * signs[:, 1, :, None]
     w = np.empty((len(keep), m, m))
-    w[:, :half, :half] = w[:, :half, half:] = u
-    w[:, half:, :half] = np.swapaxes(vt, 1, 2)
-    w[:, half:, half:] = -w[:, half:, :half]
-    w *= math.sqrt(0.5)
+    w[:, :half, :half] = w[:, :half, half:] = u[rep] * signs[:, 0, :, None]
+    w[:, half:, :half] = v
+    w[:, half:, half:] = np.negative(v, out=v)
     spin_phase = np.repeat([1, 1j], half)
     coeffs = np.einsum("kji,jk->ki", w, spin_phase.conj()[:, None] * phi[:, keep])
+    s = s[rep]
     return Sectors(space, basis, keep, np.concatenate([s, -s], axis=1), w, coeffs)
+
+
+def _population_values(sectors: Sectors, weights: dict, times) -> dict:
+    """Series of each population observable (`_spin_weights`), unnormalized.
+
+    With x_k(t) = exp(-i E_k t) c_k and E_k = (s_k, -s_k), |x_k|^2 = |c_k|^2
+    and Re<x_k+, x_k-> = Re sum_i conj(c+_ki) c-_ki exp(2i s_ki t), so each
+    value is sum_k w0_k |c_k|^2 + Re sum_j a_j exp(i f_j t) over
+    J = K m / 2 terms j = (k, i), a_j = w1_k conj(c+_ki) c-_ki, f_j = 2 s_ki;
+    terms of one frequency are summed first, which about halves J, because
+    the sectors at +-p_y share their s (`weyl_sectors`).
+    On the uniform grid t_(aB+b) = t_(aB) + t_b, B = SECTOR_CHUNK: a (J, B)
+    table of the first B samples, folded with every observable's a_j, and
+    a (B, J) table of B chunk starts give B^2 samples of every observable
+    from one real matrix product, in memory of order B J.
+    """
+    if not weights:
+        return {}
+    evals, coeffs = sectors.evals, sectors.coeffs
+    half = coeffs.shape[1] // 2
+    w = np.array(list(weights.values()))  # (observables, 2, sectors)
+    steady = w[:, 0] @ np.einsum("ki,ki->k", coeffs.conj(), coeffs).real
+    amps = (w[:, 1, :, None] * (coeffs[:, :half].conj() * coeffs[:, half:])).reshape(
+        len(w), -1
+    )
+    freqs = 2 * evals[:, :half].ravel()
+    order = np.argsort(freqs, kind="stable")
+    freqs = freqs[order]
+    distinct = np.flatnonzero(np.concatenate([[True], freqs[1:] != freqs[:-1]]))
+    freqs, amps = freqs[distinct], np.add.reduceat(amps[:, order], distinct, axis=1)
+    offsets = times[:SECTOR_CHUNK]
+    # T_jb = a_j exp(i f_j t_b) per observable, shape (J, observables * B)
+    table = np.exp(1j * np.outer(freqs, offsets))[:, None] * amps.T[:, :, None]
+    table = table.reshape(len(freqs), -1)
+    # Re(exp(i f_j t_a) T_jb) = cos(f_j t_a) Re T_jb - sin(f_j t_a) Im T_jb:
+    # one real product with the phases' float view, in which cos and sin
+    # alternate (a complex GEMM would load ~0.45 MB more of BLAS for it)
+    table = np.stack([table.real, -table.imag], axis=1).reshape(2 * len(freqs), -1)
+    starts = times[:: len(offsets)]
+    out = np.empty((len(w), len(starts), len(offsets)))
+    for first in range(0, len(starts), SECTOR_CHUNK):
+        rows = slice(first, first + SECTOR_CHUNK)
+        phases = np.exp(1j * np.outer(starts[rows], freqs)).view(float)
+        block = (phases @ table).reshape(len(phases), len(w), len(offsets))
+        out[:, rows] = block.swapaxes(0, 1)
+    out = out.reshape(len(w), -1)[:, : len(times)]
+    return {label: steady[i] + out[i] for i, label in enumerate(weights)}
+
+
+def _product_values(sectors: Sectors, ops: dict, times) -> dict:
+    """Series of each observable from phi_k = S W_k x_k, unnormalized.
+
+    SECTOR_CHUNK samples are held at a time; on the uniform grid each
+    chunk's amplitudes are the first chunk's, times the phase of the
+    chunk's own first sample.
+    """
+    if not ops:
+        return {}
+    evals, w, coeffs = sectors.evals, sectors.w, sectors.coeffs
+    half = w.shape[1] // 2
+    spin_phase = np.repeat([1, 1j], half)
+    steps = np.exp(-1j * evals[:, :, None] * times[:SECTOR_CHUNK])
+    values = {label: np.empty(len(times), dtype=complex) for label in ops}
+    for start in range(0, len(times), SECTOR_CHUNK):
+        now = slice(start, min(start + SECTOR_CHUNK, len(times)))
+        n = now.stop - start
+        x = steps[:, :, :n] * (coeffs * np.exp(-1j * evals * times[start]))[:, :, None]
+        # W_k x_k with one real product for the real and imaginary parts
+        both = w @ np.concatenate([x.real, x.imag], axis=2)
+        psi = spin_phase[:, None] * (both[:, :, :n] + 1j * both[:, :, n:])
+        bra = psi.conj()
+        for label, terms in ops.items():
+            total = 0
+            for a, b in terms:
+                a_psi = a @ psi
+                if b.ndim == 1:
+                    a_psi *= b[:, None, None]
+                else:  # B' couples the sectors
+                    a_psi = (b @ a_psi.reshape(len(b), -1)).reshape(psi.shape)
+                total = total + (bra * a_psi).sum(axis=(0, 1))
+            values[label][now] = total
+    return values
 
 
 def sector_series(
@@ -196,63 +304,39 @@ def sector_series(
     on mode y; with B' = V^dag B V, <A (x) B>(t) = sum_kl B'_kl
     <phi_k(t)|A|phi_l(t)>, only k = l if B commutes with p_y.  If every A
     is also diag(a+ 1, a- 1) (sigma_z, or 1 for p_y), the value is
-    sum_k B'_k [(a+ + a-)/2 |x_k|^2 + (a+ - a-) Re<x_k+, x_k->], read from
-    the amplitudes x_k(t) in O(K m) per sample (`_spin_weights`); only the
-    other observables form phi_k = S W_k x_k.  SECTOR_CHUNK samples are
-    held at a time; one `Sectors` serves any number of grids, each starting
-    from the input at grid.t_start.  `norm_drift` is |norm - 1| per sample,
-    the norm of the amplitudes x_k(t); above 1e-6 it raises ConvergenceError.
+    sum_k B'_k [(a+ + a-)/2 |x_k|^2 + (a+ - a-) Re<x_k+, x_k->], a
+    closed-form sum over the J = K m / 2 transition frequencies 2s, read as
+    one real matrix product per SECTOR_CHUNK**2 samples
+    (`_population_values`).
+    Only the other observables form x_k(t) and phi_k = S W_k x_k,
+    SECTOR_CHUNK samples at a time (`_product_values`).  One `Sectors`
+    serves any number of grids, each starting from the input at
+    grid.t_start.
+
+    Every phase has unit modulus, so |x_k(t)| = ||c_k|| at every sample:
+    `norm_drift` is |||c|| - 1|, which still sees a defect of W because
+    c_k = W_k^T S^dag phi_k; above 1e-6 it raises ConvergenceError, as do
+    non-finite eigenvalues or coefficients, before any sample is read.
     """
-    space, evals, w, coeffs = sectors.space, sectors.evals, sectors.w, sectors.coeffs
+    space, evals, coeffs = sectors.space, sectors.evals, sectors.coeffs
+    if not (np.isfinite(evals).all() and np.isfinite(coeffs).all()):
+        raise ConvergenceError("the sector eigenvalues or coefficients are not finite")
+    norm = np.linalg.norm(coeffs)
+    drift = abs(norm - 1.0)
+    if drift > 1e-6:
+        raise ConvergenceError(f"norm drift {drift:.2e} of the sector coefficients")
     ops = {
         k: _in_sectors(_checked(k, v, space), sectors.basis, sectors.keep)
         for k, v in observables.items()
     }
     weights = {label: _spin_weights(terms) for label, terms in ops.items()}
-    products = any(wt is None for wt in weights.values())
-    half = w.shape[1] // 2
-    spin_phase = np.repeat([1, 1j], half)
-
     times = grid.times - grid.t_start
-    # on a uniform grid each chunk's phases are the first chunk's, times the
-    # phase of the chunk's own first sample
-    steps = np.exp(-1j * evals[:, :, None] * times[:SECTOR_CHUNK])
-    values = {label: np.empty(grid.n_samples, dtype=complex) for label in ops}
-    norms = np.empty(grid.n_samples)
-    for start in range(0, grid.n_samples, SECTOR_CHUNK):
-        now = slice(start, min(start + SECTOR_CHUNK, grid.n_samples))
-        n = now.stop - start
-        x = steps[:, :, :n] * (coeffs * np.exp(-1j * evals * times[start]))[:, :, None]
-        # |x_k|^2 and Re<x_k+, x_k-> per sector and sample, from the float
-        # view of x, in which real and imaginary parts alternate
-        parts = x.view(float)
-        squares = np.einsum("kis,kis->ks", parts, parts)
-        cross = np.einsum("kis,kis->ks", parts[:, :half], parts[:, half:])
-        pops = np.stack([squares, cross]).reshape(2, len(x), n, 2).sum(axis=3)
-        norms[now] = np.sqrt(pops[0].sum(axis=0))
-        if products:
-            # W_k x_k with one real product for the real and imaginary parts
-            both = w @ np.concatenate([x.real, x.imag], axis=2)
-            psi = spin_phase[:, None] * (both[:, :, :n] + 1j * both[:, :, n:])
-            bra = psi.conj()
-        for label, terms in ops.items():
-            if weights[label] is not None:
-                total = np.einsum("jk,jks->s", weights[label], pops)
-            else:
-                total = 0
-                for a, b in terms:
-                    a_psi = a @ psi
-                    if b.ndim == 1:
-                        a_psi *= b[:, None, None]
-                    else:  # B' couples the sectors
-                        a_psi = (b @ a_psi.reshape(len(b), -1)).reshape(psi.shape)
-                    total = total + (bra * a_psi).sum(axis=(0, 1))
-            values[label][now] = total / norms[now] ** 2
-    drift = np.abs(norms - 1.0)
-    bad = np.flatnonzero(~(drift <= 1e-6))
-    if bad.size:
-        raise ConvergenceError(f"norm drift {drift[bad[0]]:.2e} at sample {bad[0]}")
-    values["norm_drift"] = drift
+    populations = {k: wt for k, wt in weights.items() if wt is not None}
+    products = {k: ops[k] for k, wt in weights.items() if wt is None}
+    values = _population_values(sectors, populations, times)
+    values |= _product_values(sectors, products, times)
+    values = {label: values[label] / norm**2 for label in ops}
+    values["norm_drift"] = np.full(grid.n_samples, drift)
     return {label: _series(grid, label, v) for label, v in values.items()}
 
 

@@ -148,6 +148,28 @@ def test_propagators_reject_invalid_inputs(small_space, propagate):
             propagate(params, rho, grid, {"sigma_z": sz})
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        complex(math.nan, 0),
+        complex(0, math.nan),
+        math.inf,
+        -math.inf,
+        complex(0, math.inf),
+    ],
+    ids=["nan_real", "nan_imag", "inf", "-inf", "inf_imag"],
+)
+def test_series_refuses_non_finite_values(bad):
+    # a NaN compares False with any bound, so it is refused as such
+    grid = TimeGrid(0.0, 1.0, 5)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        ev._series(grid, "x", np.array([bad, 1, 2, 3, 4], dtype=complex))
+    with pytest.raises(NonHermitianError, match="imaginary residual"):
+        ev._series(grid, "x", np.array([1e-8j, 1, 2, 3, 4]))
+    within = ev._series(grid, "x", np.arange(5) + 1e-10j)
+    assert np.array_equal(within.values, np.arange(5))
+
+
 def _random_hermitian(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (m + m.conj().T) / (2 * math.sqrt(d))  # spectrum within about +-2
@@ -244,10 +266,24 @@ def test_sector_basis_is_orthogonal(r, n_max):
     space = SpaceSpec(n_max, n_max)
     params = SimParams.from_khz(4.2, r=r)
     psi0 = _random_pure(np.random.default_rng(n_max), space, entangled=True)
-    sectors = ev.weyl_sectors(params, psi0)
-    phase = np.repeat([1, 1j], n_max + 1)
-    terms = ev._in_sectors(md.weyl_terms(space, params), sectors.basis, sectors.keep)
-    h = sum(np.multiply.outer(b, phase.conj()[:, None] * a * phase) for a, b in terms)
+    _assert_sector_basis(params, ev.weyl_sectors(params, psi0))
+
+
+def _sector_hamiltonians(params, sectors) -> np.ndarray:
+    """H_k of each kept sector, from the product terms in the qubit basis
+    (|+z>, i|-z>)."""
+    phase = np.repeat([1, 1j], sectors.space.n_max_x + 1)
+    terms = md.weyl_terms(sectors.space, params)
+    terms = ev._in_sectors(terms, sectors.basis, sectors.keep)
+    return sum(
+        np.multiply.outer(b, phase.conj()[:, None] * a * phase) for a, b in terms
+    )
+
+
+def _assert_sector_basis(params, sectors):
+    """Every W_k is orthogonal within 1e-13 and diagonalizes H_k within
+    1e-12 ||H_k||."""
+    h = _sector_hamiltonians(params, sectors)
     w, evals = sectors.w, sectors.evals
     eye = np.eye(w.shape[1])
     assert np.abs(np.swapaxes(w, 1, 2) @ w - eye).max() <= 1e-13
@@ -255,6 +291,55 @@ def test_sector_basis_is_orthogonal(r, n_max):
     scale = np.linalg.norm(h, ord=2, axis=(1, 2))
     defect = np.abs(rotated - evals[:, :, None] * eye).max(axis=(1, 2))
     assert np.all(defect <= 1e-12 * scale)
+
+
+def _unpaired_input(rng, space, dropped: int) -> QState:
+    """A random qubit (x) mode-x vector times a mode-y vector on Fock levels
+    0 and 1 with no amplitude on p_y eigenvector `dropped`: its overlap
+    v0* y0 + v1* y1 cancels to the rounding of one product.  Its partner
+    at -p keeps amplitude 2 v0* y0, because the two eigenvectors differ by
+    (-1)^n_y up to a phase."""
+    v = fs.quadrature_eigenbasis(space.n_max_y + 1, "momentum")[1][:, dropped]
+    y = np.zeros(space.n_max_y + 1, dtype=complex)
+    y[:2] = v[1].conj(), -v[0].conj()
+    m = 2 * (space.n_max_x + 1)
+    spin_x = rng.normal(size=m) + 1j * rng.normal(size=m)
+    vec = np.kron(spin_x, y)
+    return QState("pure", vec / np.linalg.norm(vec), space)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "n_max_x, n_max_y, unpaired",
+    [(9, 12, False), (12, 9, False), (9, 12, True), (12, 9, True)],
+    ids=["dy13", "dy10", "dy13-unpaired", "dy10-unpaired"],
+)
+def test_paired_sectors_match_one_svd_per_sector(r, n_max_x, n_max_y, unpaired):
+    # weyl_sectors decomposes one sector of each +-p_y pair and mirrors the
+    # other; against one SVD per kept sector of its own spin-flip block,
+    # with an odd (p = 0 unpaired) and an even number of sectors, and with
+    # a kept sector whose partner was dropped
+    space = SpaceSpec(n_max_x, n_max_y)
+    params = SimParams.from_khz(4.2, r=r)
+    rng = np.random.default_rng(n_max_y)
+    dy, half = n_max_y + 1, n_max_x + 1
+    if unpaired:
+        psi0 = _unpaired_input(rng, space, dropped=1)
+    else:
+        psi0 = _random_pure(rng, space, entangled=True)
+    sectors = ev.weyl_sectors(params, psi0)
+    keep = list(sectors.keep)
+    if unpaired:
+        assert 1 not in keep and dy - 2 in keep
+        assert keep == [k for k in range(dy) if k != 1]
+    else:
+        assert keep == list(range(dy))
+    flip_blocks = _sector_hamiltonians(params, sectors)[:, :half, half:]
+    for c, evals in zip(flip_blocks, sectors.evals):
+        want = np.linalg.svd(c, compute_uv=False)
+        assert np.abs(np.sort(evals[:half])[::-1] - want).max() <= 1e-12 * want[0]
+        assert np.array_equal(evals[half:], -evals[:half])
+    _assert_sector_basis(params, sectors)
 
 
 def _forced_products(sectors, grid, observables):
@@ -302,6 +387,57 @@ def test_population_path_matches_product_path(seed):
         assert np.abs(got["varying"].values - dense).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n_samples", [2, 15, 16, 17, 255, 256, 257, 1001])
+def test_frequency_sum_matches_product_path_on_any_grid(n_samples):
+    # grids shorter than one chunk, one chunk off either side of a full
+    # chunk and of a full group of chunks, and a long one, all starting
+    # after 0; norm_drift is |||c|| - 1| at every sample
+    rng = np.random.default_rng(n_samples)
+    space = SpaceSpec(7, 10)
+    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    obs = md.field_observables(space, params)
+    spins = [np.diag(np.repeat(rng.normal(size=2), 8)) for _ in range(2)]
+    terms = {  # every one is read as a sum over transition frequencies
+        "sigma_z": obs["sigma_z"],
+        "p_y": obs["p_y"],
+        "spins": [
+            (spins[0], rng.normal() * np.eye(11)),
+            (spins[1], fs.mode_matrix(11, "momentum")),
+        ],
+    }
+    t_start = rng.uniform(0.05, 0.5)
+    grid = TimeGrid(t_start, t_start + rng.uniform(0.2, 0.6), n_samples)
+    sectors = ev.weyl_sectors(params, _random_pure(rng, space, entangled=True))
+    for label, t in terms.items():
+        in_sectors = ev._in_sectors(t, sectors.basis, sectors.keep)
+        assert ev._spin_weights(in_sectors) is not None, label
+    got = ev.sector_series(sectors, grid, terms)
+    want = _forced_products(sectors, grid, terms)
+    for label in terms:
+        assert len(got[label].values) == n_samples
+        assert np.abs(got[label].values - want[label].values).max() <= 1e-13, label
+    drift = abs(np.linalg.norm(sectors.coeffs) - 1.0)
+    assert np.abs(got["norm_drift"].values - drift).max() <= 1e-15
+    assert np.all(got["norm_drift"].values == got["norm_drift"].values[0])
+
+
+@pytest.mark.parametrize("field", ["evals", "coeffs"])
+def test_non_finite_sectors_are_refused(field):
+    # one NaN eigenvalue or coefficient raises before any sample is read,
+    # for the population and the product path alike
+    space = SpaceSpec(5, 6)
+    params = SimParams.from_khz(4.2, r=1.0)
+    rng = np.random.default_rng(3)
+    sectors = ev.weyl_sectors(params, _random_pure(rng, space, entangled=True))
+    bad = getattr(sectors, field).copy()
+    bad[1, 2] = math.nan
+    grid = TimeGrid(0.0, 0.3, 20)
+    obs = md.field_observables(space, params)
+    for terms in ({"sigma_z": obs["sigma_z"]}, {"x": obs["x"]}):
+        with pytest.raises(ConvergenceError, match="eigenvalues or coefficients"):
+            ev.sector_series(replace(sectors, **{field: bad}), grid, terms)
+
+
 def test_sigma_z_does_no_eigenvector_product():
     # sigma_z is read from the sector amplitudes alone: with W all NaN the
     # noiseless landau record and its norm drift are unchanged
@@ -345,8 +481,8 @@ def test_predictor_check_unmoved_by_population_path(monkeypatch, r, n_max):
 
 def test_noiseless_landau_decomposes_once(monkeypatch):
     # the 600 us record and the 5 ms inset are sampled from one batched SVD
-    # of the sectors' spin-flip blocks, with no eigendecomposition, and equal
-    # separate propagations of the same input
+    # of the spin-flip blocks of one sector of each +-p_y pair, with no
+    # eigendecomposition, and equal separate propagations of the same input
     cfg = sc.default_config("landau", n_max=12, noise_on=False)
     fs.quadrature_eigenbasis(cfg.space.n_max_y + 1, "momentum")  # fill the cache
     calls = {"svd": [], "eigh": []}
@@ -365,7 +501,8 @@ def test_noiseless_landau_decomposes_once(monkeypatch):
             patch.setattr(np.linalg, name, counting(name))
         res = sc.run_landau(cfg)
     k = cfg.space.n_max_x + 1
-    assert calls == {"svd": [(cfg.space.n_max_y + 1, k, k)], "eigh": []}
+    pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
+    assert calls == {"svd": [(pairs, k, k)], "eigh": []}
     assert all(c.passed for c in res.checks)
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
