@@ -2,24 +2,27 @@
 
 The unitary path splits the Weyl Hamiltonian into its conserved-p_y
 sectors and diagonalizes each once, from one real SVD of its spin-flip
-block as the master equation does, one SVD per +-p_y pair of sectors; one
-decomposition serves any number of output grids and is exact at every
-sample.  An observable that weighs only each sector's spin populations
-(sigma_z, p_y) is a closed-form sum over its transition frequencies, read
-with no eigenvector product and no per-sample amplitudes.  The master
-equation is a 4th-order split step (Blanes and Moan's 6-stage palindromic
-splitting) of an exact unitary factor and an exact elementwise dephasing
-factor.  It runs in a diagonal gauge where every Weyl unitary factor is a
-real orthogonal matrix built from one SVD, on one real array that holds
-the real and imaginary parts of the density matrix's parity sectors,
-stepped as a batch; its positivity monitor is a Cholesky factorization,
-with an eigenvalue solve only where that breaks down.
+block as the master equation does, one SVD per +-p_y pair of sectors;
+one decomposition serves any number of output grids, and any input that
+occupies the same sectors (`project`), and is exact at every sample.  An
+observable that weighs only each sector's spin populations (sigma_z,
+p_y) is a closed-form sum over its transition frequencies, read with no
+eigenvector product and no per-sample amplitudes; any other is read from
+the eigenvector products in real arithmetic, with no complex matrix
+product.  The master equation is a 4th-order split step (Blanes and
+Moan's 6-stage palindromic splitting) of an exact unitary factor and an
+exact elementwise dephasing factor.  It runs in a diagonal gauge where
+every Weyl unitary factor is a real orthogonal matrix built from one
+SVD, on one real array that holds the real and imaginary parts of the
+density matrix's parity sectors, stepped as a batch; its positivity
+monitor is a Cholesky factorization, with an eigenvalue solve only where
+that breaks down.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,22 +143,41 @@ class Sectors:
     """The Weyl Hamiltonian's p_y sectors and a pure input's coefficients.
 
     Sector k is a qubit (x) mode-x vector phi_k with phi_k(t) = S W_k x_k(t),
-    S = diag(1, i) on the spin and x_k(t) = exp(-i evals_k t) coeffs_k;
-    `keep` indexes the kept sectors in p_y's eigenbasis `basis[1]`, the
-    eigenvectors of `basis[0]`.  The first half of x_k belongs to the
-    eigenvalues +s, the second to -s, so a sector's spin populations
-    oscillate at the frequencies 2s only; `sector_series` uses
-    W_k = [[U, U], [V, -V]] / sqrt(2) only for an observable that weighs
-    more than the spin populations.  The sectors at p and -p share their
-    s, and their U and V differ by the signs (-1)^n_x (`weyl_sectors`).
+    S = diag(1, i) on the spin, x_k(t) = exp(-i evals_k t) coeffs_k and
+    W_k = [[U_k, U_k], [V_k, -V_k]] / sqrt(2), from the real orthogonal
+    halves U_k = u[k] and V_k = v[k]; `keep` indexes the kept sectors in
+    p_y's eigenbasis `basis[1]`, the eigenvectors of `basis[0]`.  The first
+    half of x_k belongs to the eigenvalues +s, the second to -s, so a
+    sector's spin populations oscillate at the frequencies 2s only;
+    `sector_series` forms W_k x_k, as two half-size real products, only for
+    an observable that weighs more than the spin populations.  The sectors
+    at p and -p share their s, and their U and V differ by the signs
+    (-1)^n_x (`weyl_sectors`).  `project` puts another input on the same
+    sectors.
     """
 
     space: SpaceSpec
     basis: tuple[np.ndarray, np.ndarray]
     keep: np.ndarray
     evals: np.ndarray  # (sectors, m)
-    w: np.ndarray  # (sectors, m, m), real orthogonal
+    u: np.ndarray  # (sectors, m/2, m/2), real orthogonal
+    v: np.ndarray  # (sectors, m/2, m/2), real orthogonal
     coeffs: np.ndarray  # (sectors, m), at t = 0
+
+
+def _sector_amplitudes(state: QState, basis) -> tuple[np.ndarray, np.ndarray]:
+    """The pure input's columns phi_k, mode y rotated into p_y's eigenbasis
+    basis[1], and the mask of the sectors it occupies, ||phi_k|| >= 1e-16."""
+    phi = state.data.reshape(-1, len(basis[1])) @ basis[1].conj()
+    return phi, np.linalg.norm(phi, axis=0) >= 1e-16
+
+
+def _coefficients(u, v, phi) -> np.ndarray:
+    """c_k = W_k^T S^dag phi_k for the kept columns phi_k, shape (m, sectors)."""
+    half = u.shape[1]
+    up = np.einsum("kji,jk->ki", u, phi[:half])
+    down = np.einsum("kji,jk->ki", v, -1j * phi[half:])
+    return np.concatenate([up + down, up - down], axis=1) * math.sqrt(0.5)
 
 
 def weyl_sectors(params, state: QState) -> Sectors:
@@ -167,7 +189,7 @@ def weyl_sectors(params, state: QState) -> Sectors:
     H_k flips the spin and is real, H_k = [[0, C_k], [C_k^T, 0]] with C_k
     square; a real SVD C_k = U S V^T gives the eigenvalues +-S and the
     eigenvectors W_k = [[U, U], [V, -V]] / sqrt(2), orthogonal by
-    construction.
+    construction, of which `Sectors` keeps U and V.
 
     p_y's truncated spectrum is symmetric, p_k = -p_(dy-1-k) in eigh's
     ascending order, and C(p) = C_0 + p C_1, where the p = 0 block C_0
@@ -180,11 +202,11 @@ def weyl_sectors(params, state: QState) -> Sectors:
     space = state.space
     if state.kind != "pure" or not isinstance(space, SpaceSpec):
         raise DomainError("the unitary path propagates pure two-mode states only")
-    m, dy = 2 * (space.n_max_x + 1), space.n_max_y + 1
-    half = m // 2
+    dy = space.n_max_y + 1
     basis = fs.mode_matrix(dy, "momentum"), fs.quadrature_eigenbasis(dy, "momentum")[1]
-    phi = state.data.reshape(m, dy) @ basis[1].conj()
-    keep = np.flatnonzero(np.linalg.norm(phi, axis=0) >= 1e-16)
+    phi, occupied = _sector_amplitudes(state, basis)
+    keep = np.flatnonzero(occupied)
+    half = len(phi) // 2
     mirrored = keep > dy - 1 - keep
     paired = np.minimum(keep, dy - 1 - keep)
     is_rep = np.zeros(dy, dtype=bool)
@@ -201,16 +223,29 @@ def weyl_sectors(params, state: QState) -> Sectors:
     rep = np.cumsum(is_rep)[paired] - 1  # the representative's place in reps
     # a mirrored sector's U and V take the row signs Pi and -Pi
     parity = (-1.0) ** np.arange(half)
-    signs = np.where(mirrored[:, None, None], [parity, -parity], 1.0) * math.sqrt(0.5)
+    signs = np.where(mirrored[:, None, None], [parity, -parity], 1.0)
+    u = u[rep] * signs[:, 0, :, None]
     v = np.swapaxes(vt, 1, 2)[rep] * signs[:, 1, :, None]
-    w = np.empty((len(keep), m, m))
-    w[:, :half, :half] = w[:, :half, half:] = u[rep] * signs[:, 0, :, None]
-    w[:, half:, :half] = v
-    w[:, half:, half:] = np.negative(v, out=v)
-    spin_phase = np.repeat([1, 1j], half)
-    coeffs = np.einsum("kji,jk->ki", w, spin_phase.conj()[:, None] * phi[:, keep])
     s = s[rep]
-    return Sectors(space, basis, keep, np.concatenate([s, -s], axis=1), w, coeffs)
+    evals = np.concatenate([s, -s], axis=1)
+    return Sectors(space, basis, keep, evals, u, v, _coefficients(u, v, phi[:, keep]))
+
+
+def project(sectors: Sectors, state: QState) -> Sectors:
+    """The same sectors with the coefficients of another pure input.
+
+    The input is rotated as in `weyl_sectors`; it must occupy no sector
+    that `sectors` dropped (DomainError).  Inputs that differ only in
+    their spin, as the trajectory's two preparations, occupy the same
+    sectors, so one decomposition serves both.
+    """
+    if state.kind != "pure" or state.space != sectors.space:
+        raise DomainError("the input is not a pure state on the sectors' space")
+    phi, occupied = _sector_amplitudes(state, sectors.basis)
+    if np.delete(occupied, sectors.keep).any():
+        raise DomainError("the input occupies a p_y sector that was dropped")
+    coeffs = _coefficients(sectors.u, sectors.v, phi[:, sectors.keep])
+    return replace(sectors, coeffs=coeffs)
 
 
 def _population_values(sectors: Sectors, weights: dict, times) -> dict:
@@ -260,38 +295,84 @@ def _population_values(sectors: Sectors, weights: dict, times) -> dict:
     return {label: steady[i] + out[i] for i, label in enumerate(weights)}
 
 
-def _product_values(sectors: Sectors, ops: dict, times) -> dict:
-    """Series of each observable from phi_k = S W_k x_k, unnormalized.
+def _real_parts(f) -> tuple:
+    """(R, I) of a factor f = R + iI, each None where it is zero."""
+    return tuple(part if np.any(part) else None for part in (f.real, f.imag))
 
+
+def _apply(parts, z, matmul) -> np.ndarray:
+    """(R + iI) z for a complex z held as its float view, real and imaginary
+    parts interleaved on the last axis: one real product per nonzero part."""
+    re, im = parts
+    out = np.zeros_like(z) if re is None else matmul(re, z)
+    if im is not None:
+        i_im = matmul(im, z).view(complex)
+        i_im *= 1j
+        out = i_im.view(float) if re is None else out + i_im.view(float)
+    return out
+
+
+def _on_sectors(b, z) -> np.ndarray:
+    """A real (sectors, sectors) factor applied on the sector axis of z."""
+    return (b @ z.reshape(len(b), -1)).reshape(z.shape)
+
+
+def _phases(st) -> np.ndarray:
+    """exp(-i E t) for the eigenvalues E = (s, -s) of the sectors, from the
+    angles s t, shape (sectors, m/2, samples): the -s half is the conjugate."""
+    phases = np.exp(-1j * st)
+    return np.concatenate([phases, phases.conj()], axis=1)
+
+
+def _product_values(sectors: Sectors, ops: dict, times) -> dict:
+    """Series of each observable from phi_k = S W_k x_k, unnormalized, in
+    real arithmetic.
+
+    Each A is taken once to A' = S^dag A S, so that
+    <phi_k|A|phi_l> = <psi_k|A'|psi_l> with psi_k = W_k x_k, and split
+    into its real and imaginary parts, each applied as a real product only
+    if it is nonzero; an identity A' takes none.  psi_k is
+    [U (x+ + x-); V (x+ - x-)] / sqrt(2): two half-size real products on
+    the float view of x_k, which hold its real and imaginary parts
+    interleaved and return psi_k's the same way.  A sector-diagonal B'
+    weighs the per-sector sums Re<psi_k|A' psi_k>; a coupling B' (y) is
+    applied on the sector axis, a real product for each nonzero part.
     SECTOR_CHUNK samples are held at a time; on the uniform grid each
     chunk's amplitudes are the first chunk's, times the phase of the
     chunk's own first sample.
     """
     if not ops:
         return {}
-    evals, w, coeffs = sectors.evals, sectors.w, sectors.coeffs
-    half = w.shape[1] // 2
+    u, v = sectors.u, sectors.v
+    half = u.shape[1]
+    s = sectors.evals[:, :half, None]
     spin_phase = np.repeat([1, 1j], half)
-    steps = np.exp(-1j * evals[:, :, None] * times[:SECTOR_CHUNK])
-    values = {label: np.empty(len(times), dtype=complex) for label in ops}
+    eye = np.eye(2 * half)
+    factors = {}
+    for label, terms in ops.items():
+        factors[label] = []
+        for a, b in terms:
+            a = spin_phase.conj()[:, None] * a * spin_phase
+            a = None if np.array_equal(a, eye) else _real_parts(a)
+            factors[label].append((a, b.real if b.ndim == 1 else _real_parts(b)))
+    steps = _phases(s * times[:SECTOR_CHUNK])
+    coeffs = sectors.coeffs[:, :, None] * math.sqrt(0.5)  # W_k's 1 / sqrt(2)
+    values = {label: np.empty(len(times)) for label in ops}
     for start in range(0, len(times), SECTOR_CHUNK):
         now = slice(start, min(start + SECTOR_CHUNK, len(times)))
         n = now.stop - start
-        x = steps[:, :, :n] * (coeffs * np.exp(-1j * evals * times[start]))[:, :, None]
-        # W_k x_k with one real product for the real and imaginary parts
-        both = w @ np.concatenate([x.real, x.imag], axis=2)
-        psi = spin_phase[:, None] * (both[:, :, :n] + 1j * both[:, :, n:])
-        bra = psi.conj()
-        for label, terms in ops.items():
-            total = 0
+        x = steps[:, :, :n] * (coeffs * _phases(s * times[start]))
+        top, bottom = x.view(float)[:, :half], x.view(float)[:, half:]
+        psi = np.concatenate([u @ (top + bottom), v @ (top - bottom)], axis=1)
+        for label, terms in factors.items():
+            total = np.zeros(2 * n)
             for a, b in terms:
-                a_psi = a @ psi
-                if b.ndim == 1:
-                    a_psi *= b[:, None, None]
-                else:  # B' couples the sectors
-                    a_psi = (b @ a_psi.reshape(len(b), -1)).reshape(psi.shape)
-                total = total + (bra * a_psi).sum(axis=(0, 1))
-            values[label][now] = total
+                a_psi = psi if a is None else _apply(a, psi, np.matmul)
+                if isinstance(b, np.ndarray):  # sector-diagonal
+                    total += b @ np.einsum("kit,kit->kt", psi, a_psi)
+                else:
+                    total += np.einsum("kit,kit->t", psi, _apply(b, a_psi, _on_sectors))
+            values[label][now] = total[0::2] + total[1::2]
     return values
 
 
@@ -308,10 +389,11 @@ def sector_series(
     closed-form sum over the J = K m / 2 transition frequencies 2s, read as
     one real matrix product per SECTOR_CHUNK**2 samples
     (`_population_values`).
-    Only the other observables form x_k(t) and phi_k = S W_k x_k,
-    SECTOR_CHUNK samples at a time (`_product_values`).  One `Sectors`
-    serves any number of grids, each starting from the input at
-    grid.t_start.
+    Only the other observables form x_k(t) and W_k x_k, SECTOR_CHUNK
+    samples at a time, and read them in real arithmetic with S folded into
+    each A (`_product_values`).  One `Sectors` serves any number of grids,
+    each starting from the input at grid.t_start; `project` gives it
+    another input's coefficients.
 
     Every phase has unit modulus, so |x_k(t)| = ||c_k|| at every sample:
     `norm_drift` is |||c|| - 1|, which still sees a defect of W because

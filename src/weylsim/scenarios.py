@@ -31,7 +31,7 @@ from . import model as md
 from . import probe as pr
 from .errors import ConfigError, DomainError, WeylSimError
 from .evolve import TimeGrid
-from .fockspace import SpaceSpec
+from .fockspace import QState, SpaceSpec
 from .model import SimParams
 
 SCENARIO_NAMES = ("dispersion", "landau", "helicity", "trajectory")
@@ -301,15 +301,16 @@ def config_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
-def _evolve(cfg: ScenarioConfig, spin: str, labels) -> dict:
-    """Series of the named field observables, under dephasing if noise is on.
-
-    The run starts from |spin>|alpha_x>|alpha_y>."""
-    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
+def _observables(cfg: ScenarioConfig, labels) -> dict:
+    """The named field observables, each a list of products (A, B)."""
     terms = md.field_observables(cfg.space, cfg.params)
-    observables = {label: terms[label] for label in labels}
+    return {label: terms[label] for label in labels}
+
+
+def _evolve(cfg: ScenarioConfig, psi0: QState, labels) -> dict:
+    """Series of the named field observables, under dephasing if noise is on."""
     propagate = ev.evolve_lindblad if cfg.noise_on else ev.evolve_unitary
-    return propagate(cfg.params, psi0, cfg.grid, observables)
+    return propagate(cfg.params, psi0, cfg.grid, _observables(cfg, labels))
 
 
 def _runner(body):
@@ -490,7 +491,8 @@ def run_helicity(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     """Spin and kinetic-momentum alignment during cyclotron-like motion."""
     grid = cfg.grid
     labels = ("sigma_x", "sigma_y", "pi_x", "pi_y", "p_y")
-    series = _evolve(cfg, cfg.initial_spin, labels)
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    series = _evolve(cfg, psi0, labels)
     sx, sy, pix, piy = (series[k] for k in ("sigma_x", "sigma_y", "pi_x", "pi_y"))
     py_series = series["p_y"]
     az = an.azimuth_pair_series(sx, sy, pix, piy)
@@ -558,13 +560,24 @@ def _circle_radial_rms(x: np.ndarray, y: np.ndarray) -> float:
 def run_trajectory(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     """Mean-position orbits for the two opposite-helicity preparations."""
     grid = cfg.grid
-
-    def branch(spin):
-        series = _evolve(cfg, spin, ("x", "y"))
-        return series["x"], series["y"]
-
-    xp, yp = branch("plus_x")
-    xm, ym = branch("minus_x")
+    # each input is prepared once, for its orbit and its initial velocity.
+    # Without noise the two differ only in spin, so they occupy the same p_y
+    # sectors: one decomposition serves both
+    states = {
+        spin: fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
+        for spin in ("plus_x", "minus_x")
+    }
+    if cfg.noise_on:
+        series = {spin: _evolve(cfg, psi0, ("x", "y")) for spin, psi0 in states.items()}
+    else:
+        sectors = ev.weyl_sectors(cfg.params, states["plus_x"])
+        xy = _observables(cfg, ("x", "y"))
+        series = {
+            spin: ev.sector_series(ev.project(sectors, psi0), grid, xy)
+            for spin, psi0 in states.items()
+        }
+    xp, yp = series["plus_x"]["x"], series["plus_x"]["y"]
+    xm, ym = series["minus_x"]["x"], series["minus_x"]["y"]
 
     tables = {
         "trajectory": {
@@ -592,8 +605,7 @@ def run_trajectory(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     nmx = cfg.space.n_max_x
     commutator = np.append(np.ones(nmx), -nmx)
     for spin, sign, label in (("plus_x", 1.0, "plus"), ("minus_x", -1.0, "minus")):
-        psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
-        amps = psi0.data.reshape(2, nmx + 1, cfg.space.n_max_y + 1)
+        amps = states[spin].data.reshape(2, nmx + 1, cfg.space.n_max_y + 1)
         vel = expected_v * np.vdot(amps, commutator[:, None] * amps[::-1]).real
         p_edge = float(np.sum(np.abs(amps[:, nmx, :]) ** 2))
         tol = expected_v * ((nmx + 1) * p_edge + 1e-9)

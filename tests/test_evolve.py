@@ -280,11 +280,17 @@ def _sector_hamiltonians(params, sectors) -> np.ndarray:
     )
 
 
+def _sector_basis(sectors) -> np.ndarray:
+    """W_k = [[U_k, U_k], [V_k, -V_k]] / sqrt(2) of each kept sector."""
+    u, v = sectors.u, sectors.v
+    return np.block([[u, u], [v, -v]]) / math.sqrt(2)
+
+
 def _assert_sector_basis(params, sectors):
     """Every W_k is orthogonal within 1e-13 and diagonalizes H_k within
     1e-12 ||H_k||."""
     h = _sector_hamiltonians(params, sectors)
-    w, evals = sectors.w, sectors.evals
+    w, evals = _sector_basis(sectors), sectors.evals
     eye = np.eye(w.shape[1])
     assert np.abs(np.swapaxes(w, 1, 2) @ w - eye).max() <= 1e-13
     rotated = np.swapaxes(w, 1, 2) @ h @ w
@@ -439,13 +445,15 @@ def test_non_finite_sectors_are_refused(field):
 
 
 def test_sigma_z_does_no_eigenvector_product():
-    # sigma_z is read from the sector amplitudes alone: with W all NaN the
-    # noiseless landau record and its norm drift are unchanged
+    # sigma_z is read from the sector amplitudes alone: with W's halves U
+    # and V all NaN the noiseless landau record and its norm drift are
+    # unchanged
     cfg = sc.default_config("landau", n_max=12, noise_on=False)
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
     sectors = ev.weyl_sectors(cfg.params, psi0)
-    blind = replace(sectors, w=np.full_like(sectors.w, np.nan))
+    nan = np.full_like(sectors.u, np.nan)
+    blind = replace(sectors, u=nan, v=nan)
     got = ev.sector_series(blind, cfg.grid, sz)
     want = ev.sector_series(sectors, cfg.grid, sz)
     for label in ("sigma_z", "norm_drift"):
@@ -479,11 +487,9 @@ def test_predictor_check_unmoved_by_population_path(monkeypatch, r, n_max):
     assert abs(got["predictor_max_dev"] - want["predictor_max_dev"]) < 1e-14
 
 
-def test_noiseless_landau_decomposes_once(monkeypatch):
-    # the 600 us record and the 5 ms inset are sampled from one batched SVD
-    # of the spin-flip blocks of one sector of each +-p_y pair, with no
-    # eigendecomposition, and equal separate propagations of the same input
-    cfg = sc.default_config("landau", n_max=12, noise_on=False)
+def _decompositions(monkeypatch, run, cfg):
+    """run(cfg) and the shapes of its np.linalg.svd and eigh calls, with
+    p_y's eigenbasis cached beforehand."""
     fs.quadrature_eigenbasis(cfg.space.n_max_y + 1, "momentum")  # fill the cache
     calls = {"svd": [], "eigh": []}
 
@@ -499,7 +505,15 @@ def test_noiseless_landau_decomposes_once(monkeypatch):
     with monkeypatch.context() as patch:
         for name in calls:
             patch.setattr(np.linalg, name, counting(name))
-        res = sc.run_landau(cfg)
+        return run(cfg), calls
+
+
+def test_noiseless_landau_decomposes_once(monkeypatch):
+    # the 600 us record and the 5 ms inset are sampled from one batched SVD
+    # of the spin-flip blocks of one sector of each +-p_y pair, with no
+    # eigendecomposition, and equal separate propagations of the same input
+    cfg = sc.default_config("landau", n_max=12, noise_on=False)
+    res, calls = _decompositions(monkeypatch, sc.run_landau, cfg)
     k = cfg.space.n_max_x + 1
     pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
     assert calls == {"svd": [(pairs, k, k)], "eigh": []}
@@ -512,32 +526,124 @@ def test_noiseless_landau_decomposes_once(monkeypatch):
         assert np.abs(res.tables[table]["sigma_z"] - want).max() <= 1e-15
 
 
+def test_noiseless_trajectory_decomposes_once(monkeypatch):
+    # the two spin preparations occupy the same p_y sectors and are both
+    # projected onto one batched SVD of the spin-flip blocks of one sector
+    # of each +-p_y pair, with no eigendecomposition; the four orbit
+    # columns equal two separate propagations
+    cfg = sc.default_config("trajectory", n_max=12, noise_on=False)
+    res, calls = _decompositions(monkeypatch, sc.run_trajectory, cfg)
+    k = cfg.space.n_max_x + 1
+    pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
+    assert calls == {"svd": [(pairs, k, k)], "eigh": []}
+    assert all(c.passed for c in res.checks)
+    obs = md.field_observables(cfg.space, cfg.params)
+    xy = {label: obs[label] for label in ("x", "y")}
+    for spin in ("plus", "minus"):
+        psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, f"{spin}_x")
+        want = ev.evolve_unitary(cfg.params, psi0, cfg.grid, xy)
+        for label in xy:
+            got = res.tables["trajectory"][f"{label}_{spin}"]
+            assert np.abs(got - want[label].values).max() <= 1e-13, (label, spin)
+
+
+def test_projection_matches_own_decomposition():
+    # another input on the same sectors gets the coefficients of its own
+    # decomposition; one that occupies a dropped sector, a mixed state and
+    # another space are refused
+    rng = np.random.default_rng(5)
+    space = SpaceSpec(6, 9)
+    params = SimParams.from_khz(4.2, r=1.0)
+    plus, minus = (
+        fs.coherent_state(space, 0.8j, 0.5 - 0.3j, spin)
+        for spin in ("plus_x", "minus_x")
+    )
+    sectors = ev.weyl_sectors(params, plus)
+    own = ev.weyl_sectors(params, minus)
+    moved = ev.project(sectors, minus)
+    assert np.array_equal(moved.keep, own.keep)
+    assert np.abs(moved.coeffs - own.coeffs).max() <= 1e-15
+    assert np.abs(ev.project(sectors, plus).coeffs - sectors.coeffs).max() == 0
+    narrow = ev.weyl_sectors(params, _unpaired_input(rng, space, dropped=1))
+    refused = (
+        (narrow, plus),
+        (sectors, QState("mixed", plus.to_density(), space)),
+        (sectors, fs.coherent_state(SpaceSpec(6, 8), 0.8j, 0.5, "plus_x")),
+    )
+    for base, state in refused:
+        with pytest.raises(DomainError):
+            ev.project(base, state)
+
+
+FACTOR_KINDS = ["identity", "real", "imaginary", "complex", "zero"]
+
+
+def _random_factor(rng, kind, d) -> np.ndarray:
+    """A random Hermitian d x d factor: the identity, real, imaginary,
+    complex or zero."""
+    if kind == "identity":
+        return np.eye(d)
+    m = _random_hermitian(rng, d)
+    return {"real": m.real, "imaginary": 1j * m.imag, "complex": m, "zero": 0 * m}[kind]
+
+
+@pytest.mark.parametrize("kind", FACTOR_KINDS)
+def test_product_path_matches_dense_oracle(kind):
+    # each kind of A on qubit (x) mode x with B = c 1, the sector-diagonal
+    # p_y and the sector coupling y, alone and summed, all forced onto the
+    # product path, against the dense H on the full space
+    rng = np.random.default_rng(FACTOR_KINDS.index(kind))
+    space = SpaceSpec(5, 8)
+    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    m, dy = 2 * (space.n_max_x + 1), space.n_max_y + 1
+    a = _random_factor(rng, kind, m)
+    terms = {
+        "one": [(a, rng.normal() * np.eye(dy))],
+        "p_y": [(a, fs.mode_matrix(dy, "momentum"))],
+        "y": [(a, fs.mode_matrix(dy, "position"))],
+    }
+    terms["sum"] = [t for label in ("one", "p_y", "y") for t in terms[label]]
+    h = full_operator(md.weyl_terms(space, params))
+    t_start = rng.uniform(0, 0.1)
+    grid = TimeGrid(t_start, t_start + rng.uniform(0.2, 0.6), 37)
+    dense = {label: full_operator(t) for label, t in terms.items()}
+    for entangled in (False, True):
+        psi0 = _random_pure(rng, space, entangled)
+        got = _forced_products(ev.weyl_sectors(params, psi0), grid, terms)
+        want = dense_unitary(h, psi0, grid, dense)
+        for label in terms:
+            assert np.abs(got[label].values - want[label].values).max() <= 1e-12, label
+
+
 def test_unitary_memory_does_not_grow_with_samples():
     # samples are propagated in bounded chunks: 2001 samples of noiseless
     # Landau cost no more than 201 beyond the output series themselves
     # (one sector block at most), also when one decomposition is sampled
-    # over two grids
+    # over two grids, for sigma_z on the population path and for x and y
+    # on the product path
     cfg = sc.default_config("landau", n_max=12, noise_on=False)
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
+    obs = md.field_observables(cfg.space, cfg.params)
     sectors = ev.weyl_sectors(cfg.params, psi0)
     m = 2 * (cfg.space.n_max_x + 1)
     block = m * m * 16
     series = (2001 - 201) * 8 * 8  # grid, values, drift and their copies
-    for propagate in (
-        lambda grid: ev.evolve_unitary(cfg.params, psi0, grid, sz),
-        lambda grid: ev.sector_series(sectors, grid, sz),
-    ):
-        peaks = {}
-        for n_samples in (201, 2001):
-            grid = TimeGrid(0.0, 0.6, n_samples)
-            tracemalloc.start()
-            try:
-                propagate(grid)
-                peaks[n_samples] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[2001] - peaks[201] < block + series
+    for label in ("sigma_z", "x", "y"):
+        observables = {label: obs[label]}
+        for propagate in (
+            lambda grid: ev.evolve_unitary(cfg.params, psi0, grid, observables),
+            lambda grid: ev.sector_series(sectors, grid, observables),
+        ):
+            peaks = {}
+            for n_samples in (201, 2001):
+                grid = TimeGrid(0.0, 0.6, n_samples)
+                tracemalloc.start()
+                try:
+                    propagate(grid)
+                    peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peaks[2001] - peaks[201] < block + series, label
 
 
 # --- dephasing master equation ---------------------------------------------------
