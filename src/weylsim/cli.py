@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, astuple, fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -154,10 +154,10 @@ def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path
                 t: {k: _json_floats(col) for k, col in cols.items()}
                 for t, cols in result.tables.items()
             },
-            "checks": [asdict(c) for c in result.checks],
+            "checks": [c.record() for c in result.checks],
         }
         path = out / "result.json"
-        _atomic_write(path, json.dumps(payload, indent=1) + "\n")
+        _atomic_write(path, json.dumps(payload, indent=1, allow_nan=False) + "\n")
         written.append(path)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -171,7 +171,7 @@ def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path
         for p in written
     ]
     mpath = out / "manifest.json"
-    _atomic_write(mpath, json.dumps(manifest, indent=1) + "\n")
+    _atomic_write(mpath, json.dumps(manifest, indent=1, allow_nan=False) + "\n")
     written.append(mpath)
     return written
 

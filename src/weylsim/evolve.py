@@ -3,26 +3,26 @@
 The unitary path splits the Weyl Hamiltonian into its conserved-p_y
 sectors and diagonalizes each once, from one real SVD of its spin-flip
 block as the master equation does, one SVD per +-p_y pair of sectors;
-one decomposition serves any number of output grids, and any input that
-occupies the same sectors (`project`), and is exact at every sample.  An
-observable that weighs only each sector's spin populations (sigma_z,
-p_y) is a closed-form sum over its transition frequencies, read with no
-eigenvector product and no per-sample amplitudes; any other is read from
-the eigenvector products in real arithmetic, with no complex matrix
-product.  The master equation is a 4th-order split step (Blanes and
-Moan's 6-stage palindromic splitting) of an exact unitary factor and an
-exact elementwise dephasing factor.  It runs in a diagonal gauge where
-every Weyl unitary factor is a real orthogonal matrix built from one
-SVD, on one real array that holds the real and imaginary parts of the
-density matrix's parity sectors, stepped as a batch; its positivity
-monitor is a Cholesky factorization, with an eigenvalue solve only where
-that breaks down.
+one decomposition of H serves any input and any number of output grids,
+and is exact at every sample.  An observable that weighs only each
+sector's spin populations (sigma_z, p_y) is a closed-form sum over its
+transition frequencies, read with no eigenvector product and no
+per-sample amplitudes; any other is read from the eigenvector products
+in real arithmetic, with no complex matrix product.  The master
+equation is a 4th-order split step (Blanes and Moan's 6-stage
+palindromic splitting) of an exact unitary factor and an exact
+elementwise dephasing factor.  It runs in a diagonal gauge where every
+Weyl unitary factor is a real orthogonal matrix built from one SVD, on
+one real array that holds the real and imaginary parts of the density
+matrix's parity sectors, stepped as a batch; its positivity monitor is a
+Cholesky factorization, with an eigenvalue solve only where that breaks
+down.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,8 +105,8 @@ def _checked(label: str, terms: list, space: SpaceSpec) -> list:
     return terms
 
 
-def _in_sectors(terms, basis, keep):
-    """An observable's products (A, B'), B' = V^dag B V on the kept sectors.
+def _in_sectors(terms, basis):
+    """An observable's products (A, B'), B' = V^dag B V in p_y's eigenbasis V.
 
     B' is its diagonal when B commutes with p_y, whose spectrum is simple.
     """
@@ -115,7 +115,7 @@ def _in_sectors(terms, basis, keep):
     for a, b in terms:
         b_v = v.conj().T @ b @ v
         diagonal = np.array_equal(b @ p_y, p_y @ b)
-        out.append((a, np.diagonal(b_v)[keep] if diagonal else b_v[np.ix_(keep, keep)]))
+        out.append((a, np.diagonal(b_v) if diagonal else b_v))
     return out
 
 
@@ -140,115 +140,77 @@ def _spin_weights(terms) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class Sectors:
-    """The Weyl Hamiltonian's p_y sectors and a pure input's coefficients.
+    """The eigenbasis of each p_y sector of the Weyl Hamiltonian.
 
-    Sector k is a qubit (x) mode-x vector phi_k with phi_k(t) = S W_k x_k(t),
-    S = diag(1, i) on the spin, x_k(t) = exp(-i evals_k t) coeffs_k and
+    Sector k, the k-th eigenvector of p_y = basis[0] in basis[1], is a
+    qubit (x) mode-x space with the eigenvalues evals[k] and the
+    eigenvectors S W_k, S = diag(1, i) on the spin and
     W_k = [[U_k, U_k], [V_k, -V_k]] / sqrt(2), from the real orthogonal
-    halves U_k = u[k] and V_k = v[k]; `keep` indexes the kept sectors in
-    p_y's eigenbasis `basis[1]`, the eigenvectors of `basis[0]`.  The first
-    half of x_k belongs to the eigenvalues +s, the second to -s, so a
-    sector's spin populations oscillate at the frequencies 2s only;
-    `sector_series` forms W_k x_k, as two half-size real products, only for
-    an observable that weighs more than the spin populations.  The sectors
-    at p and -p share their s, and their U and V differ by the signs
-    (-1)^n_x (`weyl_sectors`).  `project` puts another input on the same
-    sectors.
+    halves U_k = u[k] and V_k = v[k].  The first half of evals[k] is +s,
+    the second -s, so a sector's spin populations oscillate at the
+    frequencies 2s only.  The sectors at p and -p share their s, and their
+    U and V differ by the signs (-1)^n_x (`weyl_sectors`).
     """
 
     space: SpaceSpec
     basis: tuple[np.ndarray, np.ndarray]
-    keep: np.ndarray
     evals: np.ndarray  # (sectors, m)
     u: np.ndarray  # (sectors, m/2, m/2), real orthogonal
     v: np.ndarray  # (sectors, m/2, m/2), real orthogonal
-    coeffs: np.ndarray  # (sectors, m), at t = 0
 
 
-def _sector_amplitudes(state: QState, basis) -> tuple[np.ndarray, np.ndarray]:
-    """The pure input's columns phi_k, mode y rotated into p_y's eigenbasis
-    basis[1], and the mask of the sectors it occupies, ||phi_k|| >= 1e-16."""
-    phi = state.data.reshape(-1, len(basis[1])) @ basis[1].conj()
-    return phi, np.linalg.norm(phi, axis=0) >= 1e-16
-
-
-def _coefficients(u, v, phi) -> np.ndarray:
-    """c_k = W_k^T S^dag phi_k for the kept columns phi_k, shape (m, sectors)."""
+def _coefficients(sectors: Sectors, state: QState) -> np.ndarray:
+    """c_k = W_k^T S^dag phi_k, shape (sectors, m), of the pure input's
+    columns phi_k: its mode y rotated into p_y's eigenbasis."""
+    phi = state.data.reshape(-1, len(sectors.basis[1])) @ sectors.basis[1].conj()
+    u, v = sectors.u, sectors.v
     half = u.shape[1]
     up = np.einsum("kji,jk->ki", u, phi[:half])
     down = np.einsum("kji,jk->ki", v, -1j * phi[half:])
     return np.concatenate([up + down, up - down], axis=1) * math.sqrt(0.5)
 
 
-def weyl_sectors(params, state: QState) -> Sectors:
-    """The eigenbasis of each p_y sector of the Weyl H and the input in it.
+def weyl_sectors(params, space: SpaceSpec) -> Sectors:
+    """The eigenbasis of every p_y sector of the Weyl H on a two-mode space.
 
-    H (`model.weyl_terms`) conserves p_y on the truncated space.  Mode y of
-    the pure two-mode input is rotated into p_y's eigenbasis V; sector k is
-    dropped if ||phi_k|| < 1e-16.  In the qubit basis (|+z>, i|-z>) each
-    H_k flips the spin and is real, H_k = [[0, C_k], [C_k^T, 0]] with C_k
-    square; a real SVD C_k = U S V^T gives the eigenvalues +-S and the
-    eigenvectors W_k = [[U, U], [V, -V]] / sqrt(2), orthogonal by
-    construction, of which `Sectors` keeps U and V.
+    H (`model.weyl_terms`) conserves p_y on the truncated space.  In the
+    qubit basis (|+z>, i|-z>) each H_k flips the spin and is real,
+    H_k = [[0, C_k], [C_k^T, 0]] with C_k square; a real SVD C_k = U S V^T
+    gives the eigenvalues +-S and the eigenvectors
+    W_k = [[U, U], [V, -V]] / sqrt(2), orthogonal by construction, of which
+    `Sectors` keeps U and V.
 
     p_y's truncated spectrum is symmetric, p_k = -p_(dy-1-k) in eigh's
     ascending order, and C(p) = C_0 + p C_1, where the p = 0 block C_0
     holds only a and a^dag terms and C_1 is diagonal, so C(-p) =
     -Pi C(p) Pi with Pi = (-1)^n_x.  One batched SVD decomposes the
-    representatives min(k, dy-1-k) of the kept sectors; a mirrored sector
-    takes the same S with U -> Pi U and V -> -Pi V.  A kept sector whose
-    partner is dropped still has its representative decomposed.
+    representatives min(k, dy-1-k); a mirrored sector takes the same S with
+    U -> Pi U and V -> -Pi V.
     """
-    space = state.space
-    if state.kind != "pure" or not isinstance(space, SpaceSpec):
-        raise DomainError("the unitary path propagates pure two-mode states only")
-    dy = space.n_max_y + 1
+    if not isinstance(space, SpaceSpec):
+        raise DomainError("the p_y sectors need a two-mode space")
+    dy, half = space.n_max_y + 1, space.n_max_x + 1
     basis = fs.mode_matrix(dy, "momentum"), fs.quadrature_eigenbasis(dy, "momentum")[1]
-    phi, occupied = _sector_amplitudes(state, basis)
-    keep = np.flatnonzero(occupied)
-    half = len(phi) // 2
-    mirrored = keep > dy - 1 - keep
-    paired = np.minimum(keep, dy - 1 - keep)
-    is_rep = np.zeros(dy, dtype=bool)
-    is_rep[paired] = True
-    reps = np.flatnonzero(is_rep)
+    sector = np.arange(dy)
+    rep = np.minimum(sector, dy - 1 - sector)
     # spin-flip block of S^dag A S for each term; C_k = sum_j B'_j[k] A_j
-    h_terms = _in_sectors(md.weyl_terms(space, params), basis, reps)
+    h_terms = _in_sectors(md.weyl_terms(space, params), basis)
     c = np.einsum(
         "jk,jab->kab",
-        [b.real for _, b in h_terms],
+        [b.real[: (dy + 1) // 2] for _, b in h_terms],  # the representatives
         [(1j * a[:half, half:]).real for a, _ in h_terms],
     )
     u, s, vt = np.linalg.svd(c)
-    rep = np.cumsum(is_rep)[paired] - 1  # the representative's place in reps
     # a mirrored sector's U and V take the row signs Pi and -Pi
     parity = (-1.0) ** np.arange(half)
-    signs = np.where(mirrored[:, None, None], [parity, -parity], 1.0)
+    signs = np.where((sector > rep)[:, None, None], [parity, -parity], 1.0)
     u = u[rep] * signs[:, 0, :, None]
     v = np.swapaxes(vt, 1, 2)[rep] * signs[:, 1, :, None]
     s = s[rep]
-    evals = np.concatenate([s, -s], axis=1)
-    return Sectors(space, basis, keep, evals, u, v, _coefficients(u, v, phi[:, keep]))
+    return Sectors(space, basis, np.concatenate([s, -s], axis=1), u, v)
 
 
-def project(sectors: Sectors, state: QState) -> Sectors:
-    """The same sectors with the coefficients of another pure input.
-
-    The input is rotated as in `weyl_sectors`; it must occupy no sector
-    that `sectors` dropped (DomainError).  Inputs that differ only in
-    their spin, as the trajectory's two preparations, occupy the same
-    sectors, so one decomposition serves both.
-    """
-    if state.kind != "pure" or state.space != sectors.space:
-        raise DomainError("the input is not a pure state on the sectors' space")
-    phi, occupied = _sector_amplitudes(state, sectors.basis)
-    if np.delete(occupied, sectors.keep).any():
-        raise DomainError("the input occupies a p_y sector that was dropped")
-    coeffs = _coefficients(sectors.u, sectors.v, phi[:, sectors.keep])
-    return replace(sectors, coeffs=coeffs)
-
-
-def _population_values(sectors: Sectors, weights: dict, times) -> dict:
+def _population_values(sectors: Sectors, coeffs, weights: dict, times) -> dict:
     """Series of each population observable (`_spin_weights`), unnormalized.
 
     With x_k(t) = exp(-i E_k t) c_k and E_k = (s_k, -s_k), |x_k|^2 = |c_k|^2
@@ -264,7 +226,7 @@ def _population_values(sectors: Sectors, weights: dict, times) -> dict:
     """
     if not weights:
         return {}
-    evals, coeffs = sectors.evals, sectors.coeffs
+    evals = sectors.evals
     half = coeffs.shape[1] // 2
     w = np.array(list(weights.values()))  # (observables, 2, sectors)
     steady = w[:, 0] @ np.einsum("ki,ki->k", coeffs.conj(), coeffs).real
@@ -324,7 +286,7 @@ def _phases(st) -> np.ndarray:
     return np.concatenate([phases, phases.conj()], axis=1)
 
 
-def _product_values(sectors: Sectors, ops: dict, times) -> dict:
+def _product_values(sectors: Sectors, coeffs, ops: dict, times) -> dict:
     """Series of each observable from phi_k = S W_k x_k, unnormalized, in
     real arithmetic.
 
@@ -356,7 +318,7 @@ def _product_values(sectors: Sectors, ops: dict, times) -> dict:
             a = None if np.array_equal(a, eye) else _real_parts(a)
             factors[label].append((a, b.real if b.ndim == 1 else _real_parts(b)))
     steps = _phases(s * times[:SECTOR_CHUNK])
-    coeffs = sectors.coeffs[:, :, None] * math.sqrt(0.5)  # W_k's 1 / sqrt(2)
+    coeffs = coeffs[:, :, None] * math.sqrt(0.5)  # W_k's 1 / sqrt(2)
     values = {label: np.empty(len(times)) for label in ops}
     for start in range(0, len(times), SECTOR_CHUNK):
         now = slice(start, min(start + SECTOR_CHUNK, len(times)))
@@ -377,10 +339,13 @@ def _product_values(sectors: Sectors, ops: dict, times) -> dict:
 
 
 def sector_series(
-    sectors: Sectors, grid: TimeGrid, observables: dict[str, list]
+    sectors: Sectors, state: QState, grid: TimeGrid, observables: dict[str, list]
 ) -> dict[str, TimeSeries]:
-    """Expectation series of each observable on the sectors' evolved input.
+    """Expectation series of each observable on the evolved pure input.
 
+    Mode y of the input, rotated into p_y's eigenbasis, gives each
+    sector's vector phi_k and its coefficients c_k = W_k^T S^dag phi_k
+    (`_coefficients`), which evolve as x_k(t) = exp(-i evals_k t) c_k.
     An observable is a list of products (A, B), A on qubit (x) mode x and B
     on mode y; with B' = V^dag B V, <A (x) B>(t) = sum_kl B'_kl
     <phi_k(t)|A|phi_l(t)>, only k = l if B commutes with p_y.  If every A
@@ -391,32 +356,33 @@ def sector_series(
     (`_population_values`).
     Only the other observables form x_k(t) and W_k x_k, SECTOR_CHUNK
     samples at a time, and read them in real arithmetic with S folded into
-    each A (`_product_values`).  One `Sectors` serves any number of grids,
-    each starting from the input at grid.t_start; `project` gives it
-    another input's coefficients.
+    each A (`_product_values`).  Each grid starts from the input at
+    grid.t_start.
 
     Every phase has unit modulus, so |x_k(t)| = ||c_k|| at every sample:
-    `norm_drift` is |||c|| - 1|, which still sees a defect of W because
-    c_k = W_k^T S^dag phi_k; above 1e-6 it raises ConvergenceError, as do
-    non-finite eigenvalues or coefficients, before any sample is read.
+    `norm_drift` is |||c|| - 1|, which still sees a defect of W; above 1e-6
+    it raises ConvergenceError, as do non-finite eigenvalues or
+    coefficients, before any sample is read.
     """
-    space, evals, coeffs = sectors.space, sectors.evals, sectors.coeffs
-    if not (np.isfinite(evals).all() and np.isfinite(coeffs).all()):
+    if state.kind != "pure" or state.space != sectors.space:
+        raise DomainError("the input is not a pure state on the sectors' space")
+    coeffs = _coefficients(sectors, state)
+    if not (np.isfinite(sectors.evals).all() and np.isfinite(coeffs).all()):
         raise ConvergenceError("the sector eigenvalues or coefficients are not finite")
     norm = np.linalg.norm(coeffs)
     drift = abs(norm - 1.0)
     if drift > 1e-6:
         raise ConvergenceError(f"norm drift {drift:.2e} of the sector coefficients")
     ops = {
-        k: _in_sectors(_checked(k, v, space), sectors.basis, sectors.keep)
+        k: _in_sectors(_checked(k, v, sectors.space), sectors.basis)
         for k, v in observables.items()
     }
     weights = {label: _spin_weights(terms) for label, terms in ops.items()}
     times = grid.times - grid.t_start
     populations = {k: wt for k, wt in weights.items() if wt is not None}
     products = {k: ops[k] for k, wt in weights.items() if wt is None}
-    values = _population_values(sectors, populations, times)
-    values |= _product_values(sectors, products, times)
+    values = _population_values(sectors, coeffs, populations, times)
+    values |= _product_values(sectors, coeffs, products, times)
     values = {label: values[label] / norm**2 for label in ops}
     values["norm_drift"] = np.full(grid.n_samples, drift)
     return {label: _series(grid, label, v) for label, v in values.items()}
@@ -427,12 +393,11 @@ def evolve_unitary(
 ) -> dict[str, TimeSeries]:
     """Expectation series of each observable under the Weyl Hamiltonian.
 
-    The pure two-mode input is decomposed into the Hamiltonian's p_y
-    sectors (`weyl_sectors`), which are applied exactly at every sample
-    (`sector_series`).  To sample several grids from one input, call the
-    two directly and decompose once.
+    The Hamiltonian's p_y sectors (`weyl_sectors`) are applied to the pure
+    two-mode input exactly at every sample (`sector_series`).  To sample
+    several inputs or grids, call the two directly and decompose once.
     """
-    return sector_series(weyl_sectors(params, state), grid, observables)
+    return sector_series(weyl_sectors(params, state.space), state, grid, observables)
 
 
 def _dephasing_mask(space, params) -> np.ndarray:

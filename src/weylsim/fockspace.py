@@ -214,9 +214,10 @@ def coherent_leakage(alpha: complex, n_max: int) -> float:
 
 
 def guard_alpha(alpha: complex, n_max: int, mode: str):
-    if abs(alpha) ** 2 > n_max / 4:
+    weight = abs(alpha) * abs(alpha)  # inf for a huge alpha, where ** overflows
+    if weight > n_max / 4:
         raise TruncationError(
-            f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds n_max/4 = {n_max/4:.3f} "
+            f"|alpha|^2 = {weight:.3f} exceeds n_max/4 = {n_max/4:.3f} "
             f"on mode {mode}; raise the truncation"
         )
 

@@ -252,6 +252,10 @@ class Check:
     passed: bool
     basis: str  # "analytic" | "identity" | "oracle"
 
+    def record(self) -> dict:
+        """asdict(self) for strict JSON: a non-finite float becomes a string."""
+        return {k: _encode(v) for k, v in asdict(self).items()}
+
 
 @dataclass
 class ScenarioResult:
@@ -286,8 +290,8 @@ def _cat_check(name, expected, actual, basis) -> Check:
 def _encode(value):
     if isinstance(value, complex):
         return str(value)
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     if isinstance(value, tuple):
         return list(value)
     return value
@@ -318,7 +322,7 @@ def _runner(body):
 
     The runner times the body and records the run in the manifest: the
     resolved config, the version, the timestamps, the check counts and
-    every check as `asdict(check)`.
+    every check as `check.record()`.
     """
 
     @functools.wraps(body)
@@ -335,7 +339,7 @@ def _runner(body):
             "wall_time_s": round(time.perf_counter() - t0, 3),
             "checks_passed": sum(c.passed for c in checks),
             "checks_failed": sum(not c.passed for c in checks),
-            "checks": [asdict(c) for c in checks],
+            "checks": [c.record() for c in checks],
         }
         return ScenarioResult(cfg.name, tables, checks, manifest)
 
@@ -426,10 +430,10 @@ def run_landau(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     sz = {"sigma_z": md.field_observables(cfg.space, params)["sigma_z"]}
     if cfg.noise_on:
         main = ev.evolve_lindblad(params, psi0, grid, sz)["sigma_z"]
-        sectors = ev.weyl_sectors(params, psi0)
+        sectors = ev.weyl_sectors(params, cfg.space)
     else:
-        sectors = ev.weyl_sectors(params, psi0)
-        main = ev.sector_series(sectors, grid, sz)["sigma_z"]
+        sectors = ev.weyl_sectors(params, cfg.space)
+        main = ev.sector_series(sectors, psi0, grid, sz)["sigma_z"]
 
     spec, peaks, main_tables = _spectrum_tables(main, "", PEAK_FRAC_MAIN)
     tables.update(main_tables)
@@ -466,7 +470,7 @@ def run_landau(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
 
     # long noiseless record resolving the higher levels
     inset_grid = TimeGrid(0.0, INSET_SPAN_MS, INSET_SAMPLES, grid.dt_max)
-    inset = ev.sector_series(sectors, inset_grid, sz)["sigma_z"]
+    inset = ev.sector_series(sectors, psi0, inset_grid, sz)["sigma_z"]
     ispec, ipeaks, inset_tables = _spectrum_tables(inset, "_ideal", PEAK_FRAC_FINE)
     tables.update(inset_tables)
     for n_level in (1, 2, 3, 4):
@@ -560,9 +564,8 @@ def _circle_radial_rms(x: np.ndarray, y: np.ndarray) -> float:
 def run_trajectory(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     """Mean-position orbits for the two opposite-helicity preparations."""
     grid = cfg.grid
-    # each input is prepared once, for its orbit and its initial velocity.
-    # Without noise the two differ only in spin, so they occupy the same p_y
-    # sectors: one decomposition serves both
+    # each input is prepared once, for its orbit and its initial velocity;
+    # without noise one decomposition of H serves both
     states = {
         spin: fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
         for spin in ("plus_x", "minus_x")
@@ -570,10 +573,10 @@ def run_trajectory(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     if cfg.noise_on:
         series = {spin: _evolve(cfg, psi0, ("x", "y")) for spin, psi0 in states.items()}
     else:
-        sectors = ev.weyl_sectors(cfg.params, states["plus_x"])
+        sectors = ev.weyl_sectors(cfg.params, cfg.space)
         xy = _observables(cfg, ("x", "y"))
         series = {
-            spin: ev.sector_series(ev.project(sectors, psi0), grid, xy)
+            spin: ev.sector_series(sectors, psi0, grid, xy)
             for spin, psi0 in states.items()
         }
     xp, yp = series["plus_x"]["x"], series["plus_x"]["y"]

@@ -169,6 +169,9 @@ INVALID_VALUES = [
     ("dispersion", "sweep = 1.0, 5.0"),
     ("helicity", "alpha_x = 3j"),
     ("landau", "noise = false\nn_max_x = 20\nalpha_x = 3j"),
+    # ... also where |alpha|^2 overflows a float
+    ("landau", "alpha_x = 1e200j\nnoise = false"),
+    ("dispersion", "sweep = 1e300"),
     # noise = false would silently drop the dephasing
     ("landau", "noise = false\ntau_d_x_ms = 4"),
     # every field grid starts at 0, the sample of the prepared state
@@ -358,6 +361,11 @@ def test_writers_match_per_cell_formatting(tmp_path):
     assert (tmp_path / "json" / "result.json").read_bytes() == want.encode()
 
 
+def _strict(value):
+    """A check field as strict JSON holds it: non-finite floats as strings."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def test_check_writers_match_literal_rows(tmp_path):
     # checks.csv, result.json and the manifest carry Check's own fields;
     # the references below spell each row out field by field
@@ -375,9 +383,9 @@ def test_check_writers_match_literal_rows(tmp_path):
     rows = [
         {
             "name": c.name,
-            "expected": c.expected,
-            "actual": c.actual,
-            "tolerance": c.tolerance,
+            "expected": _strict(c.expected),
+            "actual": _strict(c.actual),
+            "tolerance": _strict(c.tolerance),
             "passed": c.passed,
             "basis": c.basis,
         }
@@ -402,3 +410,22 @@ def test_check_writers_match_literal_rows(tmp_path):
         manifest = json.loads((tmp_path / fmt / "manifest.json").read_text())
         assert json.dumps(manifest["checks"]) == json.dumps(rows)
         assert manifest["checks_passed"] == 2 and manifest["checks_failed"] == 3
+
+
+def test_nan_check_writes_strict_json(tmp_path):
+    # a check without a peak reads NaN; strict JSON has no NaN token, so
+    # result.json and the manifest spell it as a string in both formats
+    checks = [Check("peak_n1_kHz", 4.2, math.nan, 1.67, False, "analytic")]
+    cfg = default_config("landau", n_max=4, noise_on=False)
+    result = sc._runner(lambda _: ({"t": {"a": np.array([1.0])}}, checks))(cfg)
+
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    for fmt in ("csv", "json"):
+        cli.write_tables(result, tmp_path / fmt, fmt=fmt)
+        names = ["manifest.json"] + ["result.json"] * (fmt == "json")
+        for name in names:
+            text = (tmp_path / fmt / name).read_text()
+            payload = json.loads(text, parse_constant=refuse)
+            assert payload["checks"][0]["actual"] == "nan"

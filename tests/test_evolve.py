@@ -219,14 +219,10 @@ def _random_pure(rng, space, entangled):
     return QState("pure", vec / np.linalg.norm(vec), space)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_sector_propagator_matches_dense_oracle(seed):
-    # the p_y-sector propagator against the dense H on the full space, built
-    # here from the embedded operators (not from the product terms)
-    rng = np.random.default_rng(seed)
-    n_x, n_y = rng.choice(np.arange(4, 13), size=2, replace=False)
-    space = SpaceSpec(int(n_x), int(n_y))
-    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+def _assert_matches_dense(params, grid, inputs):
+    """evolve_unitary of each input against the dense H on the full space,
+    built here from the embedded operators (not from the product terms)."""
+    space = inputs[0].space
     sx, sy = pauli(space, "x"), pauli(space, "y")
     x, y = mode_operator(space, "x", "position"), mode_operator(space, "y", "position")
     px = mode_operator(space, "x", "momentum")
@@ -245,16 +241,41 @@ def test_sector_propagator_matches_dense_oracle(seed):
     }
     terms = md.field_observables(space, params)
     assert set(terms) == set(dense)
-    t_start = rng.uniform(0, 0.1)
-    n_samples = int(rng.integers(20, 60))
-    grid = TimeGrid(t_start, t_start + rng.uniform(0.2, 0.6), n_samples)
-    for entangled in (False, True):
-        psi0 = _random_pure(rng, space, entangled)
+    for psi0 in inputs:
         got = ev.evolve_unitary(params, psi0, grid, terms)
         want = dense_unitary(h, psi0, grid, dense)
         for label in dense:
             assert np.abs(got[label].values - want[label].values).max() < 1e-10, label
         assert got["norm_drift"].values.max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sector_propagator_matches_dense_oracle(seed):
+    # the p_y-sector propagator against the dense H, on random spaces,
+    # parameters and product and entangled inputs
+    rng = np.random.default_rng(seed)
+    n_x, n_y = rng.choice(np.arange(4, 13), size=2, replace=False)
+    space = SpaceSpec(int(n_x), int(n_y))
+    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    t_start = rng.uniform(0, 0.1)
+    n_samples = int(rng.integers(20, 60))
+    grid = TimeGrid(t_start, t_start + rng.uniform(0.2, 0.6), n_samples)
+    inputs = [_random_pure(rng, space, entangled) for entangled in (False, True)]
+    _assert_matches_dense(params, grid, inputs)
+
+
+def test_sector_propagator_matches_dense_oracle_on_far_sectors():
+    # |alpha_y = 1.5i> has amplitude below 1e-16 on the four p_y sectors
+    # farthest from its mean, whose partners at -p it occupies: all
+    # n_max_y + 1 sectors are decomposed, and the series match the dense H
+    space = SpaceSpec(4, 40)
+    params = SimParams.from_khz(4.2, r=0.8)
+    psi0 = fs.coherent_state(space, 0.5 - 0.3j, 1.5j, "plus_x")
+    basis = fs.quadrature_eigenbasis(space.n_max_y + 1, "momentum")[1]
+    amplitudes = fs.coherent_amplitudes(1.5j, space.n_max_y + 1) @ basis.conj()
+    assert np.flatnonzero(np.abs(amplitudes) < 1e-16).tolist() == [0, 1, 2, 3]
+    assert len(ev.weyl_sectors(params, space).evals) == space.n_max_y + 1
+    _assert_matches_dense(params, TimeGrid(0.02, 0.5, 41), [psi0])
 
 
 @pytest.mark.parametrize("n_max", [17, 19, 23, 40])
@@ -265,23 +286,22 @@ def test_sector_basis_is_orthogonal(r, n_max):
     # the product terms in the qubit basis (|+z>, i|-z>)
     space = SpaceSpec(n_max, n_max)
     params = SimParams.from_khz(4.2, r=r)
-    psi0 = _random_pure(np.random.default_rng(n_max), space, entangled=True)
-    _assert_sector_basis(params, ev.weyl_sectors(params, psi0))
+    _assert_sector_basis(params, ev.weyl_sectors(params, space))
 
 
 def _sector_hamiltonians(params, sectors) -> np.ndarray:
-    """H_k of each kept sector, from the product terms in the qubit basis
+    """H_k of each sector, from the product terms in the qubit basis
     (|+z>, i|-z>)."""
     phase = np.repeat([1, 1j], sectors.space.n_max_x + 1)
     terms = md.weyl_terms(sectors.space, params)
-    terms = ev._in_sectors(terms, sectors.basis, sectors.keep)
+    terms = ev._in_sectors(terms, sectors.basis)
     return sum(
         np.multiply.outer(b, phase.conj()[:, None] * a * phase) for a, b in terms
     )
 
 
 def _sector_basis(sectors) -> np.ndarray:
-    """W_k = [[U_k, U_k], [V_k, -V_k]] / sqrt(2) of each kept sector."""
+    """W_k = [[U_k, U_k], [V_k, -V_k]] / sqrt(2) of each sector."""
     u, v = sectors.u, sectors.v
     return np.block([[u, u], [v, -v]]) / math.sqrt(2)
 
@@ -299,47 +319,19 @@ def _assert_sector_basis(params, sectors):
     assert np.all(defect <= 1e-12 * scale)
 
 
-def _unpaired_input(rng, space, dropped: int) -> QState:
-    """A random qubit (x) mode-x vector times a mode-y vector on Fock levels
-    0 and 1 with no amplitude on p_y eigenvector `dropped`: its overlap
-    v0* y0 + v1* y1 cancels to the rounding of one product.  Its partner
-    at -p keeps amplitude 2 v0* y0, because the two eigenvectors differ by
-    (-1)^n_y up to a phase."""
-    v = fs.quadrature_eigenbasis(space.n_max_y + 1, "momentum")[1][:, dropped]
-    y = np.zeros(space.n_max_y + 1, dtype=complex)
-    y[:2] = v[1].conj(), -v[0].conj()
-    m = 2 * (space.n_max_x + 1)
-    spin_x = rng.normal(size=m) + 1j * rng.normal(size=m)
-    vec = np.kron(spin_x, y)
-    return QState("pure", vec / np.linalg.norm(vec), space)
-
-
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize(
-    "n_max_x, n_max_y, unpaired",
-    [(9, 12, False), (12, 9, False), (9, 12, True), (12, 9, True)],
-    ids=["dy13", "dy10", "dy13-unpaired", "dy10-unpaired"],
+    "n_max_x, n_max_y", [(9, 12), (12, 9)], ids=["dy13", "dy10"]
 )
-def test_paired_sectors_match_one_svd_per_sector(r, n_max_x, n_max_y, unpaired):
+def test_paired_sectors_match_one_svd_per_sector(r, n_max_x, n_max_y):
     # weyl_sectors decomposes one sector of each +-p_y pair and mirrors the
-    # other; against one SVD per kept sector of its own spin-flip block,
-    # with an odd (p = 0 unpaired) and an even number of sectors, and with
-    # a kept sector whose partner was dropped
+    # other; against one SVD per sector of its own spin-flip block, with an
+    # odd (p = 0 unpaired) and an even number of sectors
     space = SpaceSpec(n_max_x, n_max_y)
     params = SimParams.from_khz(4.2, r=r)
-    rng = np.random.default_rng(n_max_y)
     dy, half = n_max_y + 1, n_max_x + 1
-    if unpaired:
-        psi0 = _unpaired_input(rng, space, dropped=1)
-    else:
-        psi0 = _random_pure(rng, space, entangled=True)
-    sectors = ev.weyl_sectors(params, psi0)
-    keep = list(sectors.keep)
-    if unpaired:
-        assert 1 not in keep and dy - 2 in keep
-        assert keep == [k for k in range(dy) if k != 1]
-    else:
-        assert keep == list(range(dy))
+    sectors = ev.weyl_sectors(params, space)
+    assert len(sectors.evals) == dy
     flip_blocks = _sector_hamiltonians(params, sectors)[:, :half, half:]
     for c, evals in zip(flip_blocks, sectors.evals):
         want = np.linalg.svd(c, compute_uv=False)
@@ -348,11 +340,11 @@ def test_paired_sectors_match_one_svd_per_sector(r, n_max_x, n_max_y, unpaired):
     _assert_sector_basis(params, sectors)
 
 
-def _forced_products(sectors, grid, observables):
+def _forced_products(sectors, state, grid, observables):
     """sector_series with every observable on the W_k x_k product path."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ev, "_spin_weights", lambda terms: None)
-        return ev.sector_series(sectors, grid, observables)
+        return ev.sector_series(sectors, state, grid, observables)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -378,14 +370,14 @@ def test_population_path_matches_product_path(seed):
     }
     h = full_operator(md.weyl_terms(space, params))
     grid = TimeGrid(0.0, rng.uniform(0.2, 0.6), int(rng.integers(20, 60)))
+    sectors = ev.weyl_sectors(params, space)
     for entangled in (False, True):
         psi0 = _random_pure(rng, space, entangled)
-        sectors = ev.weyl_sectors(params, psi0)
         for label, t in terms.items():
-            in_sectors = ev._in_sectors(t, sectors.basis, sectors.keep)
+            in_sectors = ev._in_sectors(t, sectors.basis)
             assert (ev._spin_weights(in_sectors) is None) == (label == "varying")
-        got = ev.sector_series(sectors, grid, terms)
-        want = _forced_products(sectors, grid, terms)
+        got = ev.sector_series(sectors, psi0, grid, terms)
+        want = _forced_products(sectors, psi0, grid, terms)
         for label in (*terms, "norm_drift"):
             assert np.abs(got[label].values - want[label].values).max() <= 1e-13, label
         varying = {"varying": full_operator(terms["varying"])}
@@ -413,16 +405,17 @@ def test_frequency_sum_matches_product_path_on_any_grid(n_samples):
     }
     t_start = rng.uniform(0.05, 0.5)
     grid = TimeGrid(t_start, t_start + rng.uniform(0.2, 0.6), n_samples)
-    sectors = ev.weyl_sectors(params, _random_pure(rng, space, entangled=True))
+    psi0 = _random_pure(rng, space, entangled=True)
+    sectors = ev.weyl_sectors(params, space)
     for label, t in terms.items():
-        in_sectors = ev._in_sectors(t, sectors.basis, sectors.keep)
+        in_sectors = ev._in_sectors(t, sectors.basis)
         assert ev._spin_weights(in_sectors) is not None, label
-    got = ev.sector_series(sectors, grid, terms)
-    want = _forced_products(sectors, grid, terms)
+    got = ev.sector_series(sectors, psi0, grid, terms)
+    want = _forced_products(sectors, psi0, grid, terms)
     for label in terms:
         assert len(got[label].values) == n_samples
         assert np.abs(got[label].values - want[label].values).max() <= 1e-13, label
-    drift = abs(np.linalg.norm(sectors.coeffs) - 1.0)
+    drift = abs(np.linalg.norm(ev._coefficients(sectors, psi0)) - 1.0)
     assert np.abs(got["norm_drift"].values - drift).max() <= 1e-15
     assert np.all(got["norm_drift"].values == got["norm_drift"].values[0])
 
@@ -430,32 +423,38 @@ def test_frequency_sum_matches_product_path_on_any_grid(n_samples):
 @pytest.mark.parametrize("field", ["evals", "coeffs"])
 def test_non_finite_sectors_are_refused(field):
     # one NaN eigenvalue or coefficient raises before any sample is read,
-    # for the population and the product path alike
+    # for the population and the product path alike; a NaN row of U gives
+    # sector 1 NaN coefficients
     space = SpaceSpec(5, 6)
     params = SimParams.from_khz(4.2, r=1.0)
     rng = np.random.default_rng(3)
-    sectors = ev.weyl_sectors(params, _random_pure(rng, space, entangled=True))
-    bad = getattr(sectors, field).copy()
+    psi0 = _random_pure(rng, space, entangled=True)
+    sectors = ev.weyl_sectors(params, space)
+    name = {"evals": "evals", "coeffs": "u"}[field]
+    bad = getattr(sectors, name).copy()
     bad[1, 2] = math.nan
     grid = TimeGrid(0.0, 0.3, 20)
     obs = md.field_observables(space, params)
     for terms in ({"sigma_z": obs["sigma_z"]}, {"x": obs["x"]}):
         with pytest.raises(ConvergenceError, match="eigenvalues or coefficients"):
-            ev.sector_series(replace(sectors, **{field: bad}), grid, terms)
+            ev.sector_series(replace(sectors, **{name: bad}), psi0, grid, terms)
 
 
 def test_sigma_z_does_no_eigenvector_product():
     # sigma_z is read from the sector amplitudes alone: with W's halves U
-    # and V all NaN the noiseless landau record and its norm drift are
-    # unchanged
+    # and V all NaN, except where the input's coefficients are formed, the
+    # noiseless landau record and its norm drift are unchanged
     cfg = sc.default_config("landau", n_max=12, noise_on=False)
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
-    sectors = ev.weyl_sectors(cfg.params, psi0)
+    sectors = ev.weyl_sectors(cfg.params, cfg.space)
     nan = np.full_like(sectors.u, np.nan)
     blind = replace(sectors, u=nan, v=nan)
-    got = ev.sector_series(blind, cfg.grid, sz)
-    want = ev.sector_series(sectors, cfg.grid, sz)
+    coefficients = ev._coefficients
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ev, "_coefficients", lambda _, state: coefficients(sectors, state))
+        got = ev.sector_series(blind, psi0, cfg.grid, sz)
+    want = ev.sector_series(sectors, psi0, cfg.grid, sz)
     for label in ("sigma_z", "norm_drift"):
         assert np.array_equal(got[label].values, want[label].values), label
 
@@ -468,11 +467,11 @@ def test_landau_sigma_z_matches_product_path(r, n_max):
     cfg = sc.build_config("landau", {"noise": False, "r": r, "n_max_x": n_max})
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
-    sectors = ev.weyl_sectors(cfg.params, psi0)
+    sectors = ev.weyl_sectors(cfg.params, cfg.space)
     inset_grid = TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)
     for grid in (cfg.grid, inset_grid):
-        got = ev.sector_series(sectors, grid, sz)
-        want = _forced_products(sectors, grid, sz)
+        got = ev.sector_series(sectors, psi0, grid, sz)
+        want = _forced_products(sectors, psi0, grid, sz)
         for label in ("sigma_z", "norm_drift"):
             assert np.abs(got[label].values - want[label].values).max() <= 1e-13
 
@@ -527,10 +526,9 @@ def test_noiseless_landau_decomposes_once(monkeypatch):
 
 
 def test_noiseless_trajectory_decomposes_once(monkeypatch):
-    # the two spin preparations occupy the same p_y sectors and are both
-    # projected onto one batched SVD of the spin-flip blocks of one sector
-    # of each +-p_y pair, with no eigendecomposition; the four orbit
-    # columns equal two separate propagations
+    # the two spin preparations both read one batched SVD of the spin-flip
+    # blocks of one sector of each +-p_y pair, with no eigendecomposition;
+    # the four orbit columns equal two separate propagations
     cfg = sc.default_config("trajectory", n_max=12, noise_on=False)
     res, calls = _decompositions(monkeypatch, sc.run_trajectory, cfg)
     k = cfg.space.n_max_x + 1
@@ -548,31 +546,29 @@ def test_noiseless_trajectory_decomposes_once(monkeypatch):
 
 
 def test_projection_matches_own_decomposition():
-    # another input on the same sectors gets the coefficients of its own
-    # decomposition; one that occupies a dropped sector, a mixed state and
-    # another space are refused
-    rng = np.random.default_rng(5)
+    # both spin inputs read, from one decomposition, exactly the series of
+    # their own propagations; a mixed state and another space are refused
     space = SpaceSpec(6, 9)
     params = SimParams.from_khz(4.2, r=1.0)
     plus, minus = (
         fs.coherent_state(space, 0.8j, 0.5 - 0.3j, spin)
         for spin in ("plus_x", "minus_x")
     )
-    sectors = ev.weyl_sectors(params, plus)
-    own = ev.weyl_sectors(params, minus)
-    moved = ev.project(sectors, minus)
-    assert np.array_equal(moved.keep, own.keep)
-    assert np.abs(moved.coeffs - own.coeffs).max() <= 1e-15
-    assert np.abs(ev.project(sectors, plus).coeffs - sectors.coeffs).max() == 0
-    narrow = ev.weyl_sectors(params, _unpaired_input(rng, space, dropped=1))
+    sectors = ev.weyl_sectors(params, space)
+    grid = TimeGrid(0.0, 0.3, 20)
+    xy = {k: md.field_observables(space, params)[k] for k in ("x", "y")}
+    for state in (plus, minus):
+        got = ev.sector_series(sectors, state, grid, xy)
+        own = ev.evolve_unitary(params, state, grid, xy)
+        for label in (*xy, "norm_drift"):
+            assert np.array_equal(got[label].values, own[label].values), label
     refused = (
-        (narrow, plus),
-        (sectors, QState("mixed", plus.to_density(), space)),
-        (sectors, fs.coherent_state(SpaceSpec(6, 8), 0.8j, 0.5, "plus_x")),
+        QState("mixed", plus.to_density(), space),
+        fs.coherent_state(SpaceSpec(6, 8), 0.8j, 0.5, "plus_x"),
     )
-    for base, state in refused:
+    for state in refused:
         with pytest.raises(DomainError):
-            ev.project(base, state)
+            ev.sector_series(sectors, state, grid, xy)
 
 
 FACTOR_KINDS = ["identity", "real", "imaginary", "complex", "zero"]
@@ -609,7 +605,7 @@ def test_product_path_matches_dense_oracle(kind):
     dense = {label: full_operator(t) for label, t in terms.items()}
     for entangled in (False, True):
         psi0 = _random_pure(rng, space, entangled)
-        got = _forced_products(ev.weyl_sectors(params, psi0), grid, terms)
+        got = _forced_products(ev.weyl_sectors(params, space), psi0, grid, terms)
         want = dense_unitary(h, psi0, grid, dense)
         for label in terms:
             assert np.abs(got[label].values - want[label].values).max() <= 1e-12, label
@@ -624,7 +620,7 @@ def test_unitary_memory_does_not_grow_with_samples():
     cfg = sc.default_config("landau", n_max=12, noise_on=False)
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     obs = md.field_observables(cfg.space, cfg.params)
-    sectors = ev.weyl_sectors(cfg.params, psi0)
+    sectors = ev.weyl_sectors(cfg.params, cfg.space)
     m = 2 * (cfg.space.n_max_x + 1)
     block = m * m * 16
     series = (2001 - 201) * 8 * 8  # grid, values, drift and their copies
@@ -632,7 +628,7 @@ def test_unitary_memory_does_not_grow_with_samples():
         observables = {label: obs[label]}
         for propagate in (
             lambda grid: ev.evolve_unitary(cfg.params, psi0, grid, observables),
-            lambda grid: ev.sector_series(sectors, grid, observables),
+            lambda grid: ev.sector_series(sectors, psi0, grid, observables),
         ):
             peaks = {}
             for n_samples in (201, 2001):
