@@ -104,15 +104,15 @@ def find_peaks(spec: Spectrum, min_amp_frac: float) -> list[tuple[float, float]]
         return []
     thresh = min_amp_frac * a.max()
     df = spec.freqs[1] - spec.freqs[0]
-    out = []
-    for k in range(1, len(a) - 1):
-        if a[k] > a[k - 1] and a[k] > a[k + 1] and a[k] >= thresh:
-            denom = a[k - 1] - 2 * a[k] + a[k + 1]
-            shift = 0.0 if denom == 0 else 0.5 * (a[k - 1] - a[k + 1]) / denom
-            freq = spec.freqs[k] + shift * df
-            amp = a[k] - 0.25 * (a[k - 1] - a[k + 1]) * shift
-            out.append((float(freq), float(amp)))
-    return out
+    below, at, above = a[:-2], a[1:-1], a[2:]
+    k = np.flatnonzero((at > below) & (at > above) & (at >= thresh))
+    below, at, above = below[k], at[k], above[k]
+    denom = below - 2 * at + above
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(denom == 0, 0.0, 0.5 * (below - above) / denom)
+    freq = spec.freqs[k + 1] + shift * df
+    amp = at - 0.25 * (below - above) * shift
+    return list(zip(freq.tolist(), amp.tolist()))
 
 
 def predict_sigma_z_series(psi0: QState, params, grid) -> TimeSeries:

@@ -118,10 +118,10 @@ def _csv_text(columns: dict[str, np.ndarray]) -> str:
     """Header and rows of 9-significant-digit floats, ', '-separated."""
     arrays = [np.asarray(col, float) for col in columns.values()]
     rows = [", ".join(columns)]
-    row = ", ".join(["{:.9g}"] * len(arrays)).format
+    row = ", ".join(["%.9g"] * len(arrays))
     for start in range(0, len(arrays[0]) if arrays else 0, CSV_BLOCK):
-        block = (a[start : start + CSV_BLOCK].tolist() for a in arrays)
-        rows.extend(row(*values) for values in zip(*block, strict=True))
+        block = np.column_stack([a[start : start + CSV_BLOCK] for a in arrays])
+        rows.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
     return "\n".join(rows) + "\n"
 
 
@@ -244,8 +244,8 @@ def main(argv=None) -> int:
                     )
             if not args.quiet:
                 print(f"[{name}] wrote {out_dir} in {result.manifest['wall_time_s']}s")
-    except (WeylSimError, np.linalg.LinAlgError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (WeylSimError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"run failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

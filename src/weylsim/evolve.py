@@ -1,19 +1,19 @@
 """Time evolution: exact unitary propagation and dephasing master equation.
 
-The unitary path splits the Weyl Hamiltonian into its conserved-p_y
-sectors and diagonalizes each once, from one real SVD of its spin-flip
-block as the master equation does, one SVD per +-p_y pair of sectors;
-one decomposition of H serves any input and any number of output grids,
-and is exact at every sample.  An observable that weighs only each
-sector's spin populations (sigma_z, p_y) is a closed-form sum over its
-transition frequencies, read with no eigenvector product and no
+Both propagators read one decomposition of the Weyl Hamiltonian
+(`weyl_sectors`): its conserved-p_y sectors, each diagonalized from one
+real SVD of its spin-flip block, one SVD per +-p_y pair of sectors.  The
+unitary path (`sector_series`) applies it to any input on any number of
+output grids, exactly at every sample.  An observable that weighs only
+each sector's spin populations (sigma_z, p_y) is a closed-form sum over
+its transition frequencies, read with no eigenvector product and no
 per-sample amplitudes; any other is read from the eigenvector products
-in real arithmetic, with no complex matrix product.  The master
-equation is a 4th-order split step (Blanes and Moan's 6-stage
-palindromic splitting) of an exact unitary factor and an exact
-elementwise dephasing factor.  It runs in a diagonal gauge where every
-Weyl unitary factor is a real orthogonal matrix built from one SVD, on
-one real array that holds the real and imaginary parts of the density
+in real arithmetic, with no complex matrix product.  The master equation
+(`lindblad_series`) is a 4th-order split step (Blanes and Moan's 6-stage
+palindromic splitting) of an exact unitary factor, summed from the
+sectors, and an exact elementwise dephasing factor.  It runs in a
+diagonal gauge where every Weyl unitary factor is real orthogonal, on one
+real array that holds the real and imaginary parts of the density
 matrix's parity sectors, stepped as a batch; its positivity monitor is a
 Cholesky factorization, with an eigenvalue solve only where that breaks
 down.
@@ -42,6 +42,9 @@ from .fockspace import QState, SpaceSpec
 #   coherent trajectory <x>, n_max 7: 2.0e-10 (2.5e-9)
 # Halving the step divides the error by 15.8 at n_max 7 (4th order).
 DT_MAX_DEFAULT = 3e-3
+# split steps per output interval beyond which a grid is refused: the
+# master equation would run for days instead of failing
+MAX_SUBSTEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,13 @@ class TimeGrid:
             raise DomainError("need at least two samples")
         if not self.dt_max > 0:
             raise DomainError("dt_max must be positive")
+        # the count of `_substeps`, from the fields alone
+        interval = (self.t_end - self.t_start) / (self.n_samples - 1)
+        if interval / self.dt_max * (1 - 1e-9) > MAX_SUBSTEPS:
+            raise DomainError(
+                f"the grid needs over {MAX_SUBSTEPS:,} split steps per output "
+                f"interval of {interval:g} ms at dt_max = {self.dt_max:g} ms"
+            )
 
     @property
     def times(self) -> np.ndarray:
@@ -153,6 +163,7 @@ class Sectors:
     """
 
     space: SpaceSpec
+    params: md.SimParams  # decomposed; the master equation reads their taus
     basis: tuple[np.ndarray, np.ndarray]
     evals: np.ndarray  # (sectors, m)
     u: np.ndarray  # (sectors, m/2, m/2), real orthogonal
@@ -185,7 +196,7 @@ def weyl_sectors(params, space: SpaceSpec) -> Sectors:
     holds only a and a^dag terms and C_1 is diagonal, so C(-p) =
     -Pi C(p) Pi with Pi = (-1)^n_x.  One batched SVD decomposes the
     representatives min(k, dy-1-k); a mirrored sector takes the same S with
-    U -> Pi U and V -> -Pi V.
+    U -> Pi U and V -> -Pi V; `sector_series` and `lindblad_series` read it.
     """
     if not isinstance(space, SpaceSpec):
         raise DomainError("the p_y sectors need a two-mode space")
@@ -207,7 +218,7 @@ def weyl_sectors(params, space: SpaceSpec) -> Sectors:
     u = u[rep] * signs[:, 0, :, None]
     v = np.swapaxes(vt, 1, 2)[rep] * signs[:, 1, :, None]
     s = s[rep]
-    return Sectors(space, basis, np.concatenate([s, -s], axis=1), u, v)
+    return Sectors(space, params, basis, np.concatenate([s, -s], axis=1), u, v)
 
 
 def _population_values(sectors: Sectors, coeffs, weights: dict, times) -> dict:
@@ -391,13 +402,12 @@ def sector_series(
 def evolve_unitary(
     params, state: QState, grid: TimeGrid, observables: dict[str, list]
 ) -> dict[str, TimeSeries]:
-    """Expectation series of each observable under the Weyl Hamiltonian.
-
-    The Hamiltonian's p_y sectors (`weyl_sectors`) are applied to the pure
-    two-mode input exactly at every sample (`sector_series`).  To sample
-    several inputs or grids, call the two directly and decompose once.
-    """
-    return sector_series(weyl_sectors(params, state.space), state, grid, observables)
+    """Expectation series of each observable under the Weyl Hamiltonian:
+    `sector_series` on `weyl_sectors(params, state.space)`, or on `params`
+    if that is a decomposition already, as it is to sample several inputs."""
+    if not isinstance(params, Sectors):
+        params = weyl_sectors(params, state.space)
+    return sector_series(params, state, grid, observables)
 
 
 def _dephasing_mask(space, params) -> np.ndarray:
@@ -466,8 +476,8 @@ STAGES = ((0, 1), (1, 2), (2, 3), (2, 2), (1, 1), (0, 0))
 
 # |Tr rho - 1| above this raises.  U is orthogonal and D leaves the diagonal
 # alone, so only rounding moves the trace: on noisy landau at the default
-# step the worst drift is 6.5e-14 at n_max 10 and 6.7e-13 at n_max 19 over
-# 600 us, and 1.9e-14 at n_max 30 over the first 100 us
+# step the worst drift is 3.7e-14 at n_max 10 and 8.5e-14 at n_max 19 over
+# 600 us, and 2.2e-14 at n_max 30 over the first 100 us
 TRACE_DRIFT_MAX = 2e-10
 
 
@@ -479,36 +489,34 @@ def _gauged_pieces(state: QState, rows, cols) -> np.ndarray:
     return np.stack([rho.real, rho.imag] if np.any(rho.imag) else [rho.real], axis=1)
 
 
-def _split_factors(space, params, dt: float) -> np.ndarray:
+def _split_factors(sectors: Sectors, dt: float) -> np.ndarray:
     """exp(B b dt) on each P-sector for each b of U_WEIGHTS, real orthogonal.
 
-    The result has shape (block, weight, h, h): both sectors hold h = d/2
+    The result has shape (weight, block, h, h): both sectors hold h = d/2
     states, because flipping the spin flips P.
 
-    In the gauge each P-sector of the Weyl H is iB, and H flips the spin, so
-    in sigma_z order B = [[0, C], [-C^T, 0]] with C real.  From one real SVD
-    C = U S V^T,
-    exp(B t) = [[U cos(S t) U^T, U sin(S t) V^T], [-V sin(S t)^T U^T, V cos(S t) V^T]],
-    which is orthogonal by construction.  For even n_max C is not square;
-    its extra direction has singular value 0, so the factor is the identity
-    there.
+    Sector k of H (`weyl_sectors`) propagates as the real orthogonal
+    Q_k(t) = S W_k exp(-i E_k t) W_k^T S^dag
+           = [[U cos(s t) U^T, -U sin(s t) V^T], [V sin(s t) U^T, V cos(s t) V^T]],
+    so exp(-iHt) = sum_k Q_k (x) P_k, P_k the projector on p_y's k-th
+    eigenvector.  In the gauge G (`_gauge`, 1 on mode y) it is the real
+    exp(B t), G^dag H G = iB: for each weight one real product over the
+    stacked sector axis sums Re(G^dag Q_k G) (x) Re P_k and
+    -Im(G^dag Q_k G) (x) Im P_k.
     """
-    terms = md.weyl_terms(space, params)
-    half = space.dim // 2  # spin +z states come first
-    factors = np.empty((2, len(U_WEIGHTS), half, half))
-    for block, rows in zip(factors, _blocks(space)):
-        up, down = rows[rows < half], rows[rows >= half]
-        u, s, vt = np.linalg.svd(_gauged_block(terms, space, up, down).imag)
-        k = len(s)
-        for out, w in zip(block, U_WEIGHTS):
-            angle = s * w * dt
-            cos_up = np.cos(np.pad(angle, (0, len(up) - k)))
-            cos_down = np.cos(np.pad(angle, (0, len(down) - k)))
-            top = (u[:, :k] * np.sin(angle)) @ vt[:k]
-            out[:] = np.block(
-                [[(u * cos_up) @ u.T, top], [-top.T, (vt.T * cos_down) @ vt]]
-            )
-    return factors
+    u, v, phi = sectors.u, sectors.v, sectors.basis[1]
+    gauged = _gauge(sectors.space).conj() * np.repeat([1, 1j], u.shape[1])  # G^dag S
+    w = gauged[:, None] * np.block([[u, u], [v, -v]])  # sqrt(2) G^dag S W_k
+    phases = np.exp(-1j * np.multiply.outer(U_WEIGHTS, sectors.evals * dt))
+    q = (w * phases[:, :, None]) @ w.conj().swapaxes(1, 2) / 2  # G^dag Q_k G
+    m, dy = q.shape[-1], len(phi)
+    q = np.concatenate([q.real, -q.imag], axis=1).reshape(len(U_WEIGHTS), 2 * dy, -1)
+    projectors = np.einsum("ak,bk->kab", phi, phi.conj()).reshape(dy, -1)
+    projectors = np.concatenate([projectors.real, projectors.imag])
+    # block entry (i, j) is [a_i, a_j, n_i, n_j] for rows a dy + n, one weight at a time
+    a, n = divmod(np.array(_blocks(sectors.space))[:, :, None], dy)
+    ij = a, a.swapaxes(1, 2), n, n.swapaxes(1, 2)
+    return np.stack([(q_b.T @ projectors).reshape(m, m, dy, dy)[ij] for q_b in q])
 
 
 def _substeps(grid: TimeGrid) -> int:
@@ -546,22 +554,22 @@ def _min_eig(parts: np.ndarray, sample: int) -> float:
     return margin
 
 
-def evolve_lindblad(
-    params, state: QState, grid: TimeGrid, observables: dict[str, list]
+def lindblad_series(
+    sectors: Sectors, state: QState, grid: TimeGrid, observables: dict[str, list]
 ) -> dict[str, TimeSeries]:
     """Expectation series of each observable under the Weyl Hamiltonian with dephasing.
 
     drho/dt = -i[H, rho] + sum_j (2/tau_j)(N_j rho N_j - {N_j^2, rho}/2)
-    with H from `model.weyl_terms`, N_j = a_j^dag a_j and tau_j from
-    `params.tau_d_x` and `params.tau_d_y` (inf switches a channel off),
+    with H decomposed in `sectors`, N_j = a_j^dag a_j and tau_j from
+    `sectors.params.tau_d_x` and `.tau_d_y` (inf switches a channel off),
     integrated by a fixed-step 4th-order split step, Blanes and Moan's
     palindromic 6-stage splitting with D outermost (D_WEIGHTS, U_WEIGHTS):
     seven D and six U factors per step of at most grid.dt_max, the fewest
     steps that fit each output interval (`_substeps`).  U(b h) maps rho_ab
-    to U_a rho_ab U_b^T with the exact, real orthogonal U_a of
-    `_split_factors`; D(a h) is the exact elementwise dephasing factor
-    exp(mask a h).  Observables are products (A, B) as for `evolve_unitary`.
-    A pure input is promoted to a rank-1 density matrix.
+    to U_a rho_ab U_b^T, U_a exact, real orthogonal and summed from the
+    sectors (`_split_factors`); D(a h) is the exact elementwise dephasing
+    factor exp(mask a h).  Observables are products (A, B) as for
+    `sector_series`; a pure input is promoted to a rank-1 density matrix.
 
     The input and the observables are taken to the gauge G of `_gauge`,
     which leaves D, the P-sectors (`_blocks`) and every expectation
@@ -589,9 +597,9 @@ def evolve_lindblad(
     raises ConvergenceError.  Each sample is read with stacked calls: one
     trace, one hermiticity, one Cholesky and one flat dot per observable.
     """
-    space = state.space
-    if not isinstance(space, SpaceSpec):
-        raise DomainError("evolve_lindblad propagates two-mode states only")
+    space, params = sectors.space, sectors.params
+    if state.space != space:
+        raise DomainError("the input is not a state on the sectors' space")
     observables = {k: _checked(k, v, space) for k, v in observables.items()}
     blocks = _blocks(space)
     coherent = any(
@@ -607,7 +615,7 @@ def evolve_lindblad(
     # U_a(b dt) and U_b(b dt)^T per weight and piece, broadcast over the
     # parts; contiguous transposes multiply faster.  Only u and v are held
     # while stepping
-    factors = np.moveaxis(_split_factors(space, params, dt), 1, 0)[:, :, None]
+    factors = _split_factors(sectors, dt)[:, :, None]
     u, v = factors[:, left], factors[:, right].swapaxes(-1, -2).copy()
     del factors
     mask = _dephasing_mask(space, params)[rows, cols][:, None]
@@ -654,3 +662,14 @@ def evolve_lindblad(
         for label, op in ops.items():
             values[label][k] = op @ flat / trace
     return {label: _series(grid, label, v) for label, v in values.items()}
+
+
+def evolve_lindblad(
+    params, state: QState, grid: TimeGrid, observables: dict[str, list]
+) -> dict[str, TimeSeries]:
+    """Expectation series of each observable under the Weyl Hamiltonian with
+    dephasing: `lindblad_series` on `weyl_sectors(params, state.space)`, or
+    on `params` if that is a decomposition already."""
+    if not isinstance(params, Sectors):
+        params = weyl_sectors(params, state.space)
+    return lindblad_series(params, state, grid, observables)

@@ -155,6 +155,19 @@ FRAME_LADDER = 34  # cyclotron Fock levels kept by the reduction
 FRAME_NODES = 80  # Gauss-Hermite nodes over the p_y distribution
 
 
+def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n-point Gauss-Hermite quadrature (weight e^(-x^2)).
+
+    Golub and Welsch (Math. Comp. 23 (1969) 221): the nodes are the
+    eigenvalues of the Jacobi matrix, symmetric tridiagonal with zero
+    diagonal and off-diagonal sqrt(k/2), k = 1 .. n-1, and the weights are
+    sqrt(pi) times the squared first components of its eigenvectors.
+    """
+    off = np.sqrt(np.arange(1, n) / 2)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, math.sqrt(math.pi) * vectors[0] ** 2
+
+
 def _cyclotron_amplitudes(alpha: complex, r: float, p: np.ndarray) -> np.ndarray:
     """<n_c|alpha> on the cyclotron ladder of each sector p, n < FRAME_LADDER.
 
@@ -193,7 +206,7 @@ def cyclotron_frame_state(
     if params.r <= 0:
         raise DomainError("the single-mode frame requires r > 0")
     sv = fs.spin_vector(spin)
-    nodes, weights = np.polynomial.hermite.hermgauss(FRAME_NODES)
+    nodes, weights = _gauss_hermite(FRAME_NODES)
     p = math.sqrt(2) * complex(alpha_y).imag + nodes
     c = _cyclotron_amplitudes(alpha_x, params.r, p)
     rho_c = (c.T * (weights / math.sqrt(math.pi))) @ c.conj()

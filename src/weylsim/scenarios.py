@@ -31,7 +31,7 @@ from . import model as md
 from . import probe as pr
 from .errors import ConfigError, DomainError, WeylSimError
 from .evolve import TimeGrid
-from .fockspace import QState, SpaceSpec
+from .fockspace import SpaceSpec
 from .model import SimParams
 
 SCENARIO_NAMES = ("dispersion", "landau", "helicity", "trajectory")
@@ -311,10 +311,9 @@ def _observables(cfg: ScenarioConfig, labels) -> dict:
     return {label: terms[label] for label in labels}
 
 
-def _evolve(cfg: ScenarioConfig, psi0: QState, labels) -> dict:
-    """Series of the named field observables, under dephasing if noise is on."""
-    propagate = ev.evolve_lindblad if cfg.noise_on else ev.evolve_unitary
-    return propagate(cfg.params, psi0, cfg.grid, _observables(cfg, labels))
+def _propagator(cfg: ScenarioConfig):
+    """evolve_lindblad if noise is on, else evolve_unitary; both take sectors."""
+    return ev.evolve_lindblad if cfg.noise_on else ev.evolve_unitary
 
 
 def _runner(body):
@@ -424,16 +423,11 @@ def run_landau(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     tables: dict = {}
     checks: list[Check] = []
 
-    # one decomposition serves the noiseless record and the inset; under
-    # dephasing it is built once the master equation has let go of its blocks
+    # one decomposition serves the record, under either propagator, and the inset
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-    sz = {"sigma_z": md.field_observables(cfg.space, params)["sigma_z"]}
-    if cfg.noise_on:
-        main = ev.evolve_lindblad(params, psi0, grid, sz)["sigma_z"]
-        sectors = ev.weyl_sectors(params, cfg.space)
-    else:
-        sectors = ev.weyl_sectors(params, cfg.space)
-        main = ev.sector_series(sectors, psi0, grid, sz)["sigma_z"]
+    sz = _observables(cfg, ("sigma_z",))
+    sectors = ev.weyl_sectors(params, cfg.space)
+    main = _propagator(cfg)(sectors, psi0, grid, sz)["sigma_z"]
 
     spec, peaks, main_tables = _spectrum_tables(main, "", PEAK_FRAC_MAIN)
     tables.update(main_tables)
@@ -496,7 +490,7 @@ def run_helicity(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     grid = cfg.grid
     labels = ("sigma_x", "sigma_y", "pi_x", "pi_y", "p_y")
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-    series = _evolve(cfg, psi0, labels)
+    series = _propagator(cfg)(cfg.params, psi0, grid, _observables(cfg, labels))
     sx, sy, pix, piy = (series[k] for k in ("sigma_x", "sigma_y", "pi_x", "pi_y"))
     py_series = series["p_y"]
     az = an.azimuth_pair_series(sx, sy, pix, piy)
@@ -565,20 +559,14 @@ def run_trajectory(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     """Mean-position orbits for the two opposite-helicity preparations."""
     grid = cfg.grid
     # each input is prepared once, for its orbit and its initial velocity;
-    # without noise one decomposition of H serves both
+    # one decomposition of H serves both
     states = {
         spin: fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
         for spin in ("plus_x", "minus_x")
     }
-    if cfg.noise_on:
-        series = {spin: _evolve(cfg, psi0, ("x", "y")) for spin, psi0 in states.items()}
-    else:
-        sectors = ev.weyl_sectors(cfg.params, cfg.space)
-        xy = _observables(cfg, ("x", "y"))
-        series = {
-            spin: ev.sector_series(sectors, psi0, grid, xy)
-            for spin, psi0 in states.items()
-        }
+    sectors = ev.weyl_sectors(cfg.params, cfg.space)
+    propagate, xy = _propagator(cfg), _observables(cfg, ("x", "y"))
+    series = {spin: propagate(sectors, psi0, grid, xy) for spin, psi0 in states.items()}
     xp, yp = series["plus_x"]["x"], series["plus_x"]["y"]
     xm, ym = series["minus_x"]["x"], series["minus_x"]["y"]
 

@@ -70,6 +70,35 @@ def test_peak_refinement_stays_within_a_bin():
         assert abs(freq - spec.freqs[k]) <= df
 
 
+def _peaks_per_bin(spec, min_amp_frac):
+    """find_peaks as one test per bin, the reference for the vectorized pass."""
+    a, df, out = spec.amps, spec.freqs[1] - spec.freqs[0], []
+    for k in range(1, len(a) - 1):
+        if a[k] > a[k - 1] and a[k] > a[k + 1] and a[k] >= min_amp_frac * a.max():
+            denom = a[k - 1] - 2 * a[k] + a[k + 1]
+            shift = 0.0 if denom == 0 else 0.5 * (a[k - 1] - a[k + 1]) / denom
+            freq = spec.freqs[k] + shift * df
+            amp = a[k] - 0.25 * (a[k - 1] - a[k + 1]) * shift
+            out.append((float(freq), float(amp)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_peaks_matches_per_bin_loop(seed):
+    # same formulas in the same order, so the results are equal, not close:
+    # on small integers (ties and plateaus), on noise, and on a spectrum
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0, 0.6, 201)
+    series = TimeSeries(t, np.cos(2 * math.pi * 8.4 * t) + rng.normal(size=201))
+    freqs = np.arange(300) * 0.37
+    for amps in (rng.integers(0, 4, 300).astype(float), rng.uniform(size=300)):
+        spec = Spectrum(freqs=freqs, amps=amps, resolution=0.37)
+        for frac in (0.02, 0.5, 0.9):
+            assert an.find_peaks(spec, frac) == _peaks_per_bin(spec, frac)
+    spec = an.fourier_spectrum(series, pad_factor=8)
+    assert an.find_peaks(spec, 0.05) == _peaks_per_bin(spec, 0.05)
+
+
 def test_nonuniform_grid_rejected():
     t = np.array([0.0, 0.1, 0.25, 0.3])
     with pytest.raises(GridError):

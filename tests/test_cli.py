@@ -178,6 +178,9 @@ INVALID_VALUES = [
     ("landau", "t_start_us = 10"),
     # configparser would merge a [DEFAULT] section into every scenario
     ("helicity", "[DEFAULT]\nn_max_x = 8"),
+    # over a million split steps per output interval: the run would not end
+    ("landau", "t_end_us = 1e308"),
+    ("landau", "dt_max_us = 1e-300"),
 ]
 
 
@@ -247,6 +250,19 @@ def test_eigensolver_failure_exits_1(tmp_path, capsys, monkeypatch):
     code = run_cli("trajectory", "--n-max", 4, "--out", tmp_path / "run", "--quiet")
     assert code == 1
     assert "run failed: injected eigensolver failure" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError for an array larger than the machine holds,
+    # as the field observables are at n_max 100000
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setitem(sc.RUNNERS, "landau", exhausted)
+    code = run_cli("landau", "--n-max", 4, "--out", tmp_path / "run", "--quiet")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "run failed: Unable to allocate 149. GiB for an array\n"
 
 
 def test_failed_checks_exit_1(tmp_path):

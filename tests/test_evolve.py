@@ -545,6 +545,60 @@ def test_noiseless_trajectory_decomposes_once(monkeypatch):
             assert np.abs(got - want[label].values).max() <= 1e-13, (label, spin)
 
 
+def test_noisy_landau_decomposes_once(monkeypatch):
+    # under dephasing the master equation's split-step factors are summed
+    # from the same one batched SVD that samples the 5 ms inset, with no
+    # eigendecomposition; both records equal separate propagations
+    cfg = sc.default_config("landau", n_max=7, noise_on=True)
+    res, calls = _decompositions(monkeypatch, sc.run_landau, cfg)
+    k = cfg.space.n_max_x + 1
+    pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
+    assert calls == {"svd": [(pairs, k, k)], "eigh": []}
+    assert all(c.passed for c in res.checks)
+    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
+    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
+    inset_grid = TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)
+    for table, grid, propagate in (
+        ("sigma_z", cfg.grid, ev.evolve_lindblad),
+        ("sigma_z_ideal", inset_grid, ev.evolve_unitary),
+    ):
+        want = propagate(cfg.params, psi0, grid, sz)["sigma_z"].values
+        assert np.abs(res.tables[table]["sigma_z"] - want).max() <= 1e-15
+
+
+def test_noisy_trajectory_decomposes_once(monkeypatch):
+    # both spin preparations run the master equation on factors summed from
+    # one batched SVD, with no eigendecomposition; the four orbit columns
+    # equal two separate propagations
+    cfg = sc.default_config("trajectory", n_max=8, noise_on=True)
+    res, calls = _decompositions(monkeypatch, sc.run_trajectory, cfg)
+    k = cfg.space.n_max_x + 1
+    pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
+    assert calls == {"svd": [(pairs, k, k)], "eigh": []}
+    assert all(c.passed for c in res.checks)
+    obs = md.field_observables(cfg.space, cfg.params)
+    xy = {label: obs[label] for label in ("x", "y")}
+    for spin in ("plus", "minus"):
+        psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, f"{spin}_x")
+        want = ev.evolve_lindblad(cfg.params, psi0, cfg.grid, xy)
+        for label in xy:
+            got = res.tables["trajectory"][f"{label}_{spin}"]
+            assert np.abs(got - want[label].values).max() <= 1e-15, (label, spin)
+
+
+def test_lindblad_series_refuses_another_space():
+    # as sector_series does, for a pure and a mixed input; the taus come
+    # from the decomposition's own params
+    params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
+    sectors = ev.weyl_sectors(params, SpaceSpec(4, 4))
+    assert sectors.params is params
+    grid = TimeGrid(0.0, 0.01, 3)
+    other = fs.coherent_state(SpaceSpec(4, 5), 0.5j, 0, "plus_z")
+    for state in (other, QState("mixed", other.to_density(), other.space)):
+        with pytest.raises(DomainError, match="sectors' space"):
+            ev.lindblad_series(sectors, state, grid, {})
+
+
 def test_projection_matches_own_decomposition():
     # both spin inputs read, from one decomposition, exactly the series of
     # their own propagations; a mixed state and another space are refused
@@ -710,13 +764,13 @@ def _landau(space, **taus):
 
 
 @pytest.mark.parametrize("r", [0.37, 1.0, 2.0])
-@pytest.mark.parametrize("n_max_x, n_max_y", [(5, 7), (7, 4)])
+@pytest.mark.parametrize("n_max_x, n_max_y", [(5, 7), (7, 4), (12, 9)])
 def test_weyl_hamiltonian_is_imaginary_in_the_gauge(r, n_max_x, n_max_y):
     # G^dag H G = iB exactly; a spin +z input with imaginary alpha_x and real
     # alpha_y is real in the gauge, so its density matrix has no imaginary
-    # part.  B flips the spin, so each P-sector's split-step factor, built
-    # from the SVD of its spin-flip block, is the exact exp(B b dt) for
-    # every distinct U weight b
+    # part.  B flips the spin, so each P-sector's split-step factor, summed
+    # from the p_y sectors' eigenbases, is the exact exp(B b dt) for every
+    # distinct U weight b
     space = SpaceSpec(n_max_x, n_max_y)
     params = SimParams.from_khz(4.2, r=r)
     phase = np.repeat(ev._gauge(space), n_max_y + 1)
@@ -727,8 +781,8 @@ def test_weyl_hamiltonian_is_imaginary_in_the_gauge(r, n_max_x, n_max_y):
     psi = phase.conj() * fs.coherent_state(space, 0.7j, 0.3, "plus_z").data
     assert not np.any(psi.imag)
     dt = ev.DT_MAX_DEFAULT
-    factors = ev._split_factors(space, params, dt)
-    for rows, pair in zip(ev._blocks(space), factors):
+    factors = ev._split_factors(ev.weyl_sectors(params, space), dt)
+    for rows, pair in zip(ev._blocks(space), factors.swapaxes(0, 1), strict=True):
         h_block = h_g[np.ix_(rows, rows)]
         spin = rows >= space.dim // 2
         assert not np.any(h_block[np.equal.outer(spin, spin)])  # H flips the spin
@@ -739,15 +793,16 @@ def test_weyl_hamiltonian_is_imaginary_in_the_gauge(r, n_max_x, n_max_y):
             assert np.abs(u - exact).max() < 1e-12
 
 
-@pytest.mark.parametrize("n_max", [17, 19, 23])
+@pytest.mark.parametrize("n_max", [16, 17, 19, 23])
 def test_split_factors_are_orthogonal(n_max):
     # at r = 1 these truncations are where an eigendecomposition of the
-    # P-sectors loses orthogonality (|V^T V - 1| up to 5e-9); the SVD form
-    # is orthogonal by construction
+    # P-sectors loses orthogonality (|V^T V - 1| up to 5e-9); each sector's
+    # factor is orthogonal by construction, and so is their sum over the
+    # orthogonal projectors of p_y
     space = SpaceSpec(n_max, n_max)
     params = SimParams.from_khz(4.2, r=1.0)
-    factors = ev._split_factors(space, params, ev.DT_MAX_DEFAULT)
-    assert factors.shape[:2] == (2, len(ev.U_WEIGHTS))
+    factors = ev._split_factors(ev.weyl_sectors(params, space), ev.DT_MAX_DEFAULT)
+    assert factors.shape[:2] == (len(ev.U_WEIGHTS), 2)
     for u in factors.reshape(-1, *factors.shape[2:]):
         assert np.abs(u @ u.T - np.eye(len(u))).max() <= 1e-13
 
@@ -890,9 +945,9 @@ def test_default_grids_take_one_step_per_sample():
 
 def test_lindblad_evolves_parity_blocks(monkeypatch):
     # a Weyl H commutes with P = sigma_z (-1)^(n_x + n_y): with a P-even
-    # observable only the two d/2 sectors are factorized, through one SVD
-    # of each sector's spin-flip block C (d/4 x d/4 give or take a row at
-    # even n_max), and monitored by one Cholesky factorization of the two
+    # observable only the two d/2 sectors are factorized, summed from the
+    # one batched SVD of `weyl_sectors` (one spin-flip block per +-p_y
+    # pair), and monitored by one Cholesky factorization of the two
     # stacked blocks per sample (eigvalsh on the same stack only where it
     # breaks down, as it does on the pure input); a P-odd one also needs the
     # coherences, so min_eig is taken on full d.  The landau default input
@@ -924,16 +979,16 @@ def test_lindblad_evolves_parity_blocks(monkeypatch):
         assert len(shapes["cholesky"]) == grid.n_samples
         assert 1 <= len(shapes["eigvalsh"]) <= grid.n_samples
 
-    quarter = space.dim // 4  # d = 50: C is 13 x 12 and 12 x 13
-    c_shapes = {(quarter + 1, quarter), (quarter, quarter + 1)}
+    pairs = math.ceil((space.n_max_y + 1) / 2)  # d = 50: 3 blocks of 5 x 5
+    c_shapes = [(pairs, space.n_max_x + 1, space.n_max_x + 1)]
     halves = (2, space.dim // 2, space.dim // 2)
     run(psi0, sz)
-    assert set(shapes["svd"]) == c_shapes and kinds["svd"] == {"f"}
+    assert shapes["svd"] == c_shapes and kinds["svd"] == {"f"}
     for name in ("cholesky", "eigvalsh"):
         assert set(shapes[name]) == {halves}
         assert kinds[name] == {"f"}
     run(psi0, {"x": md.field_observables(space, params)["x"]})
-    assert set(shapes["svd"]) == c_shapes
+    assert shapes["svd"] == c_shapes
     for name in ("cholesky", "eigvalsh"):
         assert set(shapes[name]) == {(1, space.dim, space.dim)}
         assert kinds[name] == {"f"}
@@ -1078,6 +1133,26 @@ def test_nan_inputs_are_rejected(tiny):
         for nan_factor in ((a * np.nan, b), (a, b * np.nan)):
             with pytest.raises(NonHermitianError):
                 propagate(params, psi0, grid, {"nan": [nan_factor]})
+
+
+def test_grid_refuses_a_million_substeps():
+    # a grid is refused where `_substeps` would exceed MAX_SUBSTEPS, a noisy
+    # run that would not end; the runs' grids and the oracle's pass
+    at_cap = TimeGrid(0.0, 1.0, 2, 1e-6)
+    assert ev._substeps(at_cap) == ev.MAX_SUBSTEPS
+    for args in [
+        (0.0, 1.0, 2, 0.999e-6),
+        (0.0, 1e305, 201),  # t_end_us = 1e308
+        (0.0, 0.6, 201, 1e-303),  # dt_max_us = 1e-300
+        (-1e308, 1e308, 2),  # an interval that overflows
+    ]:
+        with pytest.raises(DomainError, match="split steps"):
+            TimeGrid(*args)
+    for name in ("landau", "helicity", "trajectory"):
+        for noise in (False, True):
+            assert ev._substeps(sc.default_config(name, noise_on=noise).grid) <= 3
+    assert ev._substeps(TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)) == 4
+    assert ev._substeps(TimeGrid(0.0, 0.6, 201, 2e-4)) == 15  # the 0.2 us oracle
 
 
 def test_grid_validation():

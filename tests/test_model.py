@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,34 @@ def test_frame_state_predictor_far_from_unit_field(r, n_max):
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
     two_mode = ev.evolve_unitary(cfg.params, psi0, cfg.grid, sz)["sigma_z"].values
     assert np.abs(predicted.values - two_mode).max() < sc.PREDICTOR_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, md.FRAME_NODES])
+def test_gauss_hermite_matches_numpy(n):
+    # the Jacobi-matrix nodes and weights against numpy's hermgauss, which
+    # refines the roots of H_n by Newton steps
+    nodes, weights = md._gauss_hermite(n)
+    want_nodes, want_weights = np.polynomial.hermite.hermgauss(n)
+    assert np.abs(nodes - want_nodes).max() <= 1e-14
+    assert np.abs(weights - want_weights).max() <= 1e-14
+
+
+def test_noiseless_landau_leaves_numpy_polynomial_unloaded():
+    # the predictor check's frame reduction (n_max >= 40) imports no
+    # numpy.polynomial (nine modules at first use); a fresh interpreter shows it
+    script = (
+        "import sys\n"
+        "from weylsim import scenarios as sc\n"
+        "cfg = sc.build_config('landau', {'noise': False, 'n_max_x': 40})\n"
+        "assert 'predictor_max_dev' in [c.name for c in sc.run_landau(cfg).checks]\n"
+        "print([m for m in sys.modules if m.startswith('numpy.polynomial')])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(md.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_frame_state_keeps_spin(space):
