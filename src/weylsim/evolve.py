@@ -1,15 +1,17 @@
 """Time evolution: exact unitary propagation and dephasing master equation.
 
-Both propagators read one decomposition of the Weyl Hamiltonian
+The Weyl Hamiltonian exists here only as its decomposition
 (`weyl_sectors`): its conserved-p_y sectors, each diagonalized from one
-real SVD of its spin-flip block, one SVD per +-p_y pair of sectors.  The
-unitary path (`sector_series`) applies it to any input on any number of
-output grids, exactly at every sample.  An observable that weighs only
+real SVD of its spin-flip block, which is in closed form, one SVD per
++-p_y pair of sectors.  Each propagator is one function of that
+decomposition, `(sectors, state, grid, observables)`.  The unitary one
+(`evolve_unitary`) applies it to any pure input on any number of output
+grids, exactly at every sample.  An observable that weighs only
 each sector's spin populations (sigma_z, p_y) is a closed-form sum over
 its transition frequencies, read with no eigenvector product and no
 per-sample amplitudes; any other is read from the eigenvector products
 in real arithmetic, with no complex matrix product.  The master equation
-(`lindblad_series`) is a 4th-order split step (Blanes and Moan's 6-stage
+(`evolve_lindblad`) is a 4th-order split step (Blanes and Moan's 6-stage
 palindromic splitting) of an exact unitary factor, summed from the
 sectors, and an exact elementwise dephasing factor.  It runs in a
 diagonal gauge where every Weyl unitary factor is real orthogonal, on one
@@ -159,7 +161,8 @@ class Sectors:
     halves U_k = u[k] and V_k = v[k].  The first half of evals[k] is +s,
     the second -s, so a sector's spin populations oscillate at the
     frequencies 2s only.  The sectors at p and -p share their s, and their
-    U and V differ by the signs (-1)^n_x (`weyl_sectors`).
+    U and V differ by the signs (-1)^n_x (`weyl_sectors`).  Both
+    propagators take it in place of the Hamiltonian.
     """
 
     space: SpaceSpec
@@ -181,36 +184,38 @@ def _coefficients(sectors: Sectors, state: QState) -> np.ndarray:
     return np.concatenate([up + down, up - down], axis=1) * math.sqrt(0.5)
 
 
-def weyl_sectors(params, space: SpaceSpec) -> Sectors:
+def weyl_sectors(params: md.SimParams, space: SpaceSpec) -> Sectors:
     """The eigenbasis of every p_y sector of the Weyl H on a two-mode space.
 
-    H (`model.weyl_terms`) conserves p_y on the truncated space.  In the
-    qubit basis (|+z>, i|-z>) each H_k flips the spin and is real,
-    H_k = [[0, C_k], [C_k^T, 0]] with C_k square; a real SVD C_k = U S V^T
-    gives the eigenvalues +-S and the eigenvectors
-    W_k = [[U, U], [V, -V]] / sqrt(2), orthogonal by construction, of which
+    H = (omega/sqrt(2)) [sigma_x pi_x + sigma_y pi_y], pi_x = p_x and
+    pi_y = p_y - r x, is the sum of the four drive tones
+    red_x((1-r) omega, pi/2) + blue_x((1+r) omega, pi/2)
+    + red_y(omega, pi) + blue_y(omega, 0).  It conserves p_y, also on the
+    truncated space.  In the qubit basis (|+z>, i|-z>) its sector at p_y = p
+    flips the spin and is real, H(p) = [[0, C(p)], [C(p)^T, 0]] with
+    C(p) = (omega/sqrt(2)) [((1-r) a - (1+r) a^dag)/sqrt(2) + p 1] on mode x;
+    a real SVD C = U S V^T gives the eigenvalues +-S and the eigenvectors
+    W = [[U, U], [V, -V]] / sqrt(2), orthogonal by construction, of which
     `Sectors` keeps U and V.
 
     p_y's truncated spectrum is symmetric, p_k = -p_(dy-1-k) in eigh's
-    ascending order, and C(p) = C_0 + p C_1, where the p = 0 block C_0
-    holds only a and a^dag terms and C_1 is diagonal, so C(-p) =
-    -Pi C(p) Pi with Pi = (-1)^n_x.  One batched SVD decomposes the
-    representatives min(k, dy-1-k); a mirrored sector takes the same S with
-    U -> Pi U and V -> -Pi V; `sector_series` and `lindblad_series` read it.
+    ascending order, and C(p) = C_0 + p C_1 with C_0 odd under
+    Pi = (-1)^n_x (it holds only a and a^dag) and C_1 a multiple of the
+    identity, which is even, so C(-p) = -Pi C(p) Pi.  One batched SVD
+    decomposes the representatives min(k, dy-1-k); a mirrored sector takes
+    the same S with U -> Pi U and V -> -Pi V.
     """
     if not isinstance(space, SpaceSpec):
         raise DomainError("the p_y sectors need a two-mode space")
     dy, half = space.n_max_y + 1, space.n_max_x + 1
-    basis = fs.mode_matrix(dy, "momentum"), fs.quadrature_eigenbasis(dy, "momentum")[1]
+    p, vectors = fs.quadrature_eigenbasis(dy, "momentum")
     sector = np.arange(dy)
     rep = np.minimum(sector, dy - 1 - sector)
-    # spin-flip block of S^dag A S for each term; C_k = sum_j B'_j[k] A_j
-    h_terms = _in_sectors(md.weyl_terms(space, params), basis)
-    c = np.einsum(
-        "jk,jab->kab",
-        [b.real[: (dy + 1) // 2] for _, b in h_terms],  # the representatives
-        [(1j * a[:half, half:]).real for a, _ in h_terms],
-    )
+    scale = params.omega / math.sqrt(2)
+    a = fs.mode_matrix(half, "lower").real
+    c0 = scale * ((1 - params.r) * a - (1 + params.r) * a.T) / math.sqrt(2)
+    # the representatives' spin-flip blocks C_0 + p C_1
+    c = c0 + p[: (dy + 1) // 2, None, None] * (scale * np.eye(half))
     u, s, vt = np.linalg.svd(c)
     # a mirrored sector's U and V take the row signs Pi and -Pi
     parity = (-1.0) ** np.arange(half)
@@ -218,6 +223,7 @@ def weyl_sectors(params, space: SpaceSpec) -> Sectors:
     u = u[rep] * signs[:, 0, :, None]
     v = np.swapaxes(vt, 1, 2)[rep] * signs[:, 1, :, None]
     s = s[rep]
+    basis = fs.mode_matrix(dy, "momentum"), vectors
     return Sectors(space, params, basis, np.concatenate([s, -s], axis=1), u, v)
 
 
@@ -349,7 +355,7 @@ def _product_values(sectors: Sectors, coeffs, ops: dict, times) -> dict:
     return values
 
 
-def sector_series(
+def evolve_unitary(
     sectors: Sectors, state: QState, grid: TimeGrid, observables: dict[str, list]
 ) -> dict[str, TimeSeries]:
     """Expectation series of each observable on the evolved pure input.
@@ -397,17 +403,6 @@ def sector_series(
     values = {label: values[label] / norm**2 for label in ops}
     values["norm_drift"] = np.full(grid.n_samples, drift)
     return {label: _series(grid, label, v) for label, v in values.items()}
-
-
-def evolve_unitary(
-    params, state: QState, grid: TimeGrid, observables: dict[str, list]
-) -> dict[str, TimeSeries]:
-    """Expectation series of each observable under the Weyl Hamiltonian:
-    `sector_series` on `weyl_sectors(params, state.space)`, or on `params`
-    if that is a decomposition already, as it is to sample several inputs."""
-    if not isinstance(params, Sectors):
-        params = weyl_sectors(params, state.space)
-    return sector_series(params, state, grid, observables)
 
 
 def _dephasing_mask(space, params) -> np.ndarray:
@@ -495,7 +490,8 @@ def _split_factors(sectors: Sectors, dt: float) -> np.ndarray:
     The result has shape (weight, block, h, h): both sectors hold h = d/2
     states, because flipping the spin flips P.
 
-    Sector k of H (`weyl_sectors`) propagates as the real orthogonal
+    H exists only as its sectors (`weyl_sectors`): sector k propagates as
+    the real orthogonal
     Q_k(t) = S W_k exp(-i E_k t) W_k^T S^dag
            = [[U cos(s t) U^T, -U sin(s t) V^T], [V sin(s t) U^T, V cos(s t) V^T]],
     so exp(-iHt) = sum_k Q_k (x) P_k, P_k the projector on p_y's k-th
@@ -554,7 +550,7 @@ def _min_eig(parts: np.ndarray, sample: int) -> float:
     return margin
 
 
-def lindblad_series(
+def evolve_lindblad(
     sectors: Sectors, state: QState, grid: TimeGrid, observables: dict[str, list]
 ) -> dict[str, TimeSeries]:
     """Expectation series of each observable under the Weyl Hamiltonian with dephasing.
@@ -569,7 +565,7 @@ def lindblad_series(
     to U_a rho_ab U_b^T, U_a exact, real orthogonal and summed from the
     sectors (`_split_factors`); D(a h) is the exact elementwise dephasing
     factor exp(mask a h).  Observables are products (A, B) as for
-    `sector_series`; a pure input is promoted to a rank-1 density matrix.
+    `evolve_unitary`; a pure input is promoted to a rank-1 density matrix.
 
     The input and the observables are taken to the gauge G of `_gauge`,
     which leaves D, the P-sectors (`_blocks`) and every expectation
@@ -662,14 +658,3 @@ def lindblad_series(
         for label, op in ops.items():
             values[label][k] = op @ flat / trace
     return {label: _series(grid, label, v) for label, v in values.items()}
-
-
-def evolve_lindblad(
-    params, state: QState, grid: TimeGrid, observables: dict[str, list]
-) -> dict[str, TimeSeries]:
-    """Expectation series of each observable under the Weyl Hamiltonian with
-    dephasing: `lindblad_series` on `weyl_sectors(params, state.space)`, or
-    on `params` if that is a decomposition already."""
-    if not isinstance(params, Sectors):
-        params = weyl_sectors(params, state.space)
-    return lindblad_series(params, state, grid, observables)

@@ -1,10 +1,11 @@
-"""Hamiltonians of the simulated particle and their analytic structure.
+"""Parameters, observables and analytic level structure of the simulated particle.
 
 Energies are carried as angular frequencies in rad/ms throughout; a value
 quoted as "2 pi x f kHz" is stored as 2*pi*f.  The dimensionless model
 H = sigma_x p_x + sigma_y (p_y - r x) corresponds to the simulator operator
 divided by (omega / sqrt(2)); `natural_to_simulator` converts between the
-two unit systems.
+two unit systems.  The Weyl Hamiltonian itself is built only as its
+p_y-sector decomposition, `evolve.weyl_sectors`.
 """
 
 from __future__ import annotations
@@ -80,23 +81,6 @@ def field_observables(space: SpaceSpec, params: SimParams) -> dict[str, list]:
         "pi_y": p_y + [(-params.r * x, one_y)],
         "p_y": p_y,
     }
-
-
-def weyl_terms(space: SpaceSpec, params: SimParams) -> list:
-    """(omega/sqrt(2)) [sigma_x pi_x + sigma_y pi_y] as products (A, B).
-
-    Every B is 1 or p_y, so H conserves p_y, also on the truncated space.
-    H equals the sum of the four drive tones
-    red_x((1-r) omega, pi/2) + blue_x((1+r) omega, pi/2)
-    + red_y(omega, pi) + blue_y(omega, 0).
-    """
-    obs = field_observables(space, params)
-    c = params.omega / math.sqrt(2)
-    return [
-        (c * obs[spin][0][0] @ a, b)
-        for spin, pi in (("sigma_x", "pi_x"), ("sigma_y", "pi_y"))
-        for a, b in obs[pi]
-    ]
 
 
 # ---------------------------------------------------------------------------

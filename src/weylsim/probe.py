@@ -13,7 +13,12 @@ conserves Q, and the free Hamiltonian (omega/sqrt(2)) (sigma_x p_x +
 sigma_y p_y) conserves p_x and p_y.  In each joint eigensector the qubit
 precesses in a fixed field, so each readout signal is a weighted sum of
 single-spin precessions over the conserved eigenvalues, exact on the
-truncated space; no operator on the full space is built.
+truncated space; no operator on the full space is built.  The energy
+slope stays this closed form rather than going through
+`evolve.weyl_sectors` and `evolve.evolve_unitary` at r = 0: that path
+agrees within 3e-15 (relative) but takes 6-9 times as long per point
+(0.6 against 3.4 ms at n_max 18, 1.2 against 10.2 ms at n_max 36, warm,
+on a 2-core VM).
 """
 
 from __future__ import annotations

@@ -464,7 +464,7 @@ def run_landau(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
 
     # long noiseless record resolving the higher levels
     inset_grid = TimeGrid(0.0, INSET_SPAN_MS, INSET_SAMPLES, grid.dt_max)
-    inset = ev.sector_series(sectors, psi0, inset_grid, sz)["sigma_z"]
+    inset = ev.evolve_unitary(sectors, psi0, inset_grid, sz)["sigma_z"]
     ispec, ipeaks, inset_tables = _spectrum_tables(inset, "_ideal", PEAK_FRAC_FINE)
     tables.update(inset_tables)
     for n_level in (1, 2, 3, 4):
@@ -490,7 +490,8 @@ def run_helicity(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     grid = cfg.grid
     labels = ("sigma_x", "sigma_y", "pi_x", "pi_y", "p_y")
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-    series = _propagator(cfg)(cfg.params, psi0, grid, _observables(cfg, labels))
+    sectors = ev.weyl_sectors(cfg.params, cfg.space)
+    series = _propagator(cfg)(sectors, psi0, grid, _observables(cfg, labels))
     sx, sy, pix, piy = (series[k] for k in ("sigma_x", "sigma_y", "pi_x", "pi_y"))
     py_series = series["p_y"]
     az = an.azimuth_pair_series(sx, sy, pix, piy)

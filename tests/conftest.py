@@ -83,12 +83,29 @@ def expectation(op, state):
 
 def weyl_hamiltonian(space, params):
     """(omega/sqrt(2)) [sigma_x p_x + sigma_y (p_y - r x)] on the full space,
-    built from the embedded operators, not from `model.weyl_terms`."""
+    built from the embedded operators, not from the library's sector
+    decomposition (`evolve.weyl_sectors`)."""
     px = mode_operator(space, "x", "momentum")
     pi_y = mode_operator(space, "y", "momentum") - params.r * mode_operator(space, "x")
     return (params.omega / math.sqrt(2)) * (
         pauli(space, "x") @ px + pauli(space, "y") @ pi_y
     )
+
+
+def sector_hamiltonian(sectors):
+    """The dense H on the full space rebuilt from its sector decomposition.
+
+    H = sum_k S W_k diag(E_k) W_k^T S^dag (x) |phi_k><phi_k|, with
+    S = diag(1, i) on the spin, W_k = [[U_k, U_k], [V_k, -V_k]] / sqrt(2),
+    E_k = (s_k, -s_k) and phi_k the k-th eigenvector of p_y.  Each sector
+    term is [[0, -i C_k], [i C_k^T, 0]] with C_k = U_k diag(s_k) V_k^T, formed
+    so, which makes the sum Hermitian to the last bit.
+    """
+    u, v, phi = sectors.u, sectors.v, sectors.basis[1]
+    c = (u * sectors.evals[:, None, : u.shape[1]]) @ v.swapaxes(1, 2)
+    zero = np.zeros_like(c)
+    h_k = np.block([[zero, -1j * c], [1j * c.swapaxes(1, 2), zero]])
+    return sum(np.kron(h, np.outer(p, p.conj())) for h, p in zip(h_k, phi.T))
 
 
 def transformed_hamiltonian(space, params):

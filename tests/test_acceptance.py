@@ -48,7 +48,7 @@ def noisy_landau():
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     sz = {"sigma_z": md.field_observables(space, params)["sigma_z"]}
     t0 = time.perf_counter()
-    series = ev.evolve_lindblad(params, psi0, grid, sz)
+    series = ev.evolve_lindblad(ev.weyl_sectors(params, space), psi0, grid, sz)
     wall = time.perf_counter() - t0
     return {
         "space": space,
@@ -122,7 +122,8 @@ def test_criterion_4_analytic_spectrum_oracle():
     grid = cfg.grid
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
-    two_mode = ev.evolve_unitary(cfg.params, psi0, grid, sz)["sigma_z"].values
+    sectors = ev.weyl_sectors(cfg.params, cfg.space)
+    two_mode = ev.evolve_unitary(sectors, psi0, grid, sz)["sigma_z"].values
     reduced = md.cyclotron_frame_state(
         cfg.initial_spin, cfg.alpha_x, cfg.alpha_y, cfg.params
     )
@@ -212,8 +213,10 @@ def test_criterion_8_open_system_invariants(noisy_landau):
     psi0 = noisy_landau["psi0"]
     space, params = noisy_landau["space"], noisy_landau["params"]
     sz = {"sigma_z": md.field_observables(space, params)["sigma_z"]}
-    unit = ev.evolve_unitary(params, psi0, grid, sz)["sigma_z"]
-    noiseless = replace(params, tau_d_x=math.inf, tau_d_y=math.inf)
+    noiseless = ev.weyl_sectors(
+        replace(params, tau_d_x=math.inf, tau_d_y=math.inf), space
+    )
+    unit = ev.evolve_unitary(noiseless, psi0, grid, sz)["sigma_z"]
     nolimit = ev.evolve_lindblad(noiseless, psi0, grid, sz)["sigma_z"]
     limit_dev = float(np.abs(unit.values - nolimit.values).max())
     _report(

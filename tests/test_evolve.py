@@ -25,6 +25,7 @@ from conftest import (
     full_operator,
     mode_operator,
     pauli,
+    sector_hamiltonian,
     transformed_hamiltonian,
     weyl_hamiltonian,
 )
@@ -101,7 +102,7 @@ def test_early_slope_matches_finite_difference_oracle(space):
     obs = md.field_observables(space, params)
     labels = ("x", "y", "p_y", "sigma_x", "sigma_y", "sigma_z")
     terms = {k: obs[k] for k in labels} | {"p_x": obs["pi_x"]}  # r = 0
-    series = ev.evolve_unitary(params, psi0, grid, terms)
+    series = ev.evolve_unitary(ev.weyl_sectors(params, space), psi0, grid, terms)
     ops = observables(space) | {"sigma_y": sy}
     want = oracle_series(h, psi0.data, ops, grid.times)
     for label in ops:
@@ -112,8 +113,15 @@ def test_unitary_norm_and_energy_conserved(space):
     params = SimParams.from_khz(4.2, r=1.0)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.6, 61)
-    energy_terms = md.weyl_terms(space, params)
-    series = ev.evolve_unitary(params, psi0, grid, {"energy": energy_terms})
+    # H as products (A, B) of the field observables: sigma_x pi_x + sigma_y pi_y
+    obs = md.field_observables(space, params)
+    energy_terms = [
+        (params.omega / math.sqrt(2) * obs[spin][0][0] @ a, b)
+        for spin, pi in (("sigma_x", "pi_x"), ("sigma_y", "pi_y"))
+        for a, b in obs[pi]
+    ]
+    sectors = ev.weyl_sectors(params, space)
+    series = ev.evolve_unitary(sectors, psi0, grid, {"energy": energy_terms})
     energy = series["energy"].values
     scale = max(abs(energy[0]), params.omega)
     assert series["norm_drift"].values.max() < 1e-9
@@ -125,27 +133,31 @@ def test_unitary_norm_and_energy_conserved(space):
 )
 def test_propagators_reject_invalid_inputs(small_space, propagate):
     # both propagators take the same product observables and refuse the
-    # same malformed ones before any propagation
+    # same malformed ones before any propagation; a single-mode space has
+    # no p_y sectors, and its state is not on the sectors' space
     params = SimParams.from_khz(4.2, r=1.0)
+    sectors = ev.weyl_sectors(params, small_space)
     psi0 = fs.coherent_state(small_space, 0.5, 0)
     grid = TimeGrid(0.0, 1.0, 3)
     sz = md.field_observables(small_space, params)["sigma_z"]
     lower = fs.mode_matrix(small_space.n_max_x + 1, "lower")
     with pytest.raises(NonHermitianError):
-        propagate(params, psi0, grid, {"a": [(np.kron(np.eye(2), lower), sz[0][1])]})
+        propagate(sectors, psi0, grid, {"a": [(np.kron(np.eye(2), lower), sz[0][1])]})
     with pytest.raises(DomainError):  # observable on another space
         other = md.field_observables(SpaceSpec(4, 4), params)["sigma_z"]
-        propagate(params, psi0, grid, {"sigma_z": other})
+        propagate(sectors, psi0, grid, {"sigma_z": other})
+    sm = fs.SingleModeSpec(4)
+    with pytest.raises(DomainError):
+        ev.weyl_sectors(params, sm)
     with pytest.raises(DomainError):  # single-mode state
-        sm = fs.SingleModeSpec(4)
-        propagate(params, md.landau_eigenstate(sm, 0), grid, {})
+        propagate(sectors, md.landau_eigenstate(sm, 0), grid, {})
     for monitor in ev.MONITORS:
         with pytest.raises(DomainError):
-            propagate(params, psi0, grid, {monitor: sz})
+            propagate(sectors, psi0, grid, {monitor: sz})
     if propagate is ev.evolve_unitary:
         rho = QState("mixed", psi0.to_density(), small_space)
         with pytest.raises(DomainError):
-            propagate(params, rho, grid, {"sigma_z": sz})
+            propagate(sectors, rho, grid, {"sigma_z": sz})
 
 
 @pytest.mark.parametrize(
@@ -241,8 +253,9 @@ def _assert_matches_dense(params, grid, inputs):
     }
     terms = md.field_observables(space, params)
     assert set(terms) == set(dense)
+    sectors = ev.weyl_sectors(params, space)
     for psi0 in inputs:
-        got = ev.evolve_unitary(params, psi0, grid, terms)
+        got = ev.evolve_unitary(sectors, psi0, grid, terms)
         want = dense_unitary(h, psi0, grid, dense)
         for label in dense:
             assert np.abs(got[label].values - want[label].values).max() < 1e-10, label
@@ -278,6 +291,20 @@ def test_sector_propagator_matches_dense_oracle_on_far_sectors():
     _assert_matches_dense(params, TimeGrid(0.02, 0.5, 41), [psi0])
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "n_max_x, n_max_y", [(8, 8), (5, 9), (10, 6)], ids=["square", "dy10", "dy7"]
+)
+def test_sectors_rebuild_the_dense_hamiltonian(r, n_max_x, n_max_y):
+    # the closed-form spin-flip blocks, decomposed and summed back over
+    # p_y's projectors, give the oracle H built from the embedded operators
+    space = SpaceSpec(n_max_x, n_max_y)
+    params = SimParams.from_khz(4.2, r=r)
+    h = weyl_hamiltonian(space, params)
+    rebuilt = sector_hamiltonian(ev.weyl_sectors(params, space))
+    assert np.abs(rebuilt - h).max() <= 1e-14 * np.abs(h).max()
+
+
 @pytest.mark.parametrize("n_max", [17, 19, 23, 40])
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_sector_basis_is_orthogonal(r, n_max):
@@ -290,14 +317,21 @@ def test_sector_basis_is_orthogonal(r, n_max):
 
 
 def _sector_hamiltonians(params, sectors) -> np.ndarray:
-    """H_k of each sector, from the product terms in the qubit basis
-    (|+z>, i|-z>)."""
+    """H_k of each sector in the qubit basis (|+z>, i|-z>): conftest's
+    `weyl_hamiltonian` projected onto p_y's k-th eigenvector phi_k.
+
+    Its only mode-y factors are 1 and p_y, so the projection is the same
+    formula on qubit (x) mode x with p_y replaced by phi_k^dag p_y phi_k;
+    no full-space matrix is formed (d = 3362 at n_max 40).
+    """
+    sm = fs.SingleModeSpec(sectors.space.n_max_x)
+    p_y, phi = sectors.basis
+    p_k = np.einsum("nk,nl,lk->k", phi.conj(), p_y, phi)
+    sx, sy = pauli(sm, "x"), pauli(sm, "y")
+    base = sx @ mode_operator(sm, "x", "momentum") - params.r * sy @ mode_operator(sm)
+    h = (params.omega / math.sqrt(2)) * (base + np.multiply.outer(p_k, sy))
     phase = np.repeat([1, 1j], sectors.space.n_max_x + 1)
-    terms = md.weyl_terms(sectors.space, params)
-    terms = ev._in_sectors(terms, sectors.basis)
-    return sum(
-        np.multiply.outer(b, phase.conj()[:, None] * a * phase) for a, b in terms
-    )
+    return phase.conj()[:, None] * h * phase
 
 
 def _sector_basis(sectors) -> np.ndarray:
@@ -341,10 +375,10 @@ def test_paired_sectors_match_one_svd_per_sector(r, n_max_x, n_max_y):
 
 
 def _forced_products(sectors, state, grid, observables):
-    """sector_series with every observable on the W_k x_k product path."""
+    """evolve_unitary with every observable on the W_k x_k product path."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ev, "_spin_weights", lambda terms: None)
-        return ev.sector_series(sectors, state, grid, observables)
+        return ev.evolve_unitary(sectors, state, grid, observables)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -368,7 +402,7 @@ def test_population_path_matches_product_path(seed):
         "spins": [(spins[0], rng.normal() * np.eye(dy)), (spins[1], p_y)],
         "varying": [(varying, rng.normal() * np.eye(dy)), (spins[1], p_y)],
     }
-    h = full_operator(md.weyl_terms(space, params))
+    h = weyl_hamiltonian(space, params)
     grid = TimeGrid(0.0, rng.uniform(0.2, 0.6), int(rng.integers(20, 60)))
     sectors = ev.weyl_sectors(params, space)
     for entangled in (False, True):
@@ -376,7 +410,7 @@ def test_population_path_matches_product_path(seed):
         for label, t in terms.items():
             in_sectors = ev._in_sectors(t, sectors.basis)
             assert (ev._spin_weights(in_sectors) is None) == (label == "varying")
-        got = ev.sector_series(sectors, psi0, grid, terms)
+        got = ev.evolve_unitary(sectors, psi0, grid, terms)
         want = _forced_products(sectors, psi0, grid, terms)
         for label in (*terms, "norm_drift"):
             assert np.abs(got[label].values - want[label].values).max() <= 1e-13, label
@@ -410,7 +444,7 @@ def test_frequency_sum_matches_product_path_on_any_grid(n_samples):
     for label, t in terms.items():
         in_sectors = ev._in_sectors(t, sectors.basis)
         assert ev._spin_weights(in_sectors) is not None, label
-    got = ev.sector_series(sectors, psi0, grid, terms)
+    got = ev.evolve_unitary(sectors, psi0, grid, terms)
     want = _forced_products(sectors, psi0, grid, terms)
     for label in terms:
         assert len(got[label].values) == n_samples
@@ -437,7 +471,7 @@ def test_non_finite_sectors_are_refused(field):
     obs = md.field_observables(space, params)
     for terms in ({"sigma_z": obs["sigma_z"]}, {"x": obs["x"]}):
         with pytest.raises(ConvergenceError, match="eigenvalues or coefficients"):
-            ev.sector_series(replace(sectors, **{name: bad}), psi0, grid, terms)
+            ev.evolve_unitary(replace(sectors, **{name: bad}), psi0, grid, terms)
 
 
 def test_sigma_z_does_no_eigenvector_product():
@@ -453,8 +487,8 @@ def test_sigma_z_does_no_eigenvector_product():
     coefficients = ev._coefficients
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ev, "_coefficients", lambda _, state: coefficients(sectors, state))
-        got = ev.sector_series(blind, psi0, cfg.grid, sz)
-    want = ev.sector_series(sectors, psi0, cfg.grid, sz)
+        got = ev.evolve_unitary(blind, psi0, cfg.grid, sz)
+    want = ev.evolve_unitary(sectors, psi0, cfg.grid, sz)
     for label in ("sigma_z", "norm_drift"):
         assert np.array_equal(got[label].values, want[label].values), label
 
@@ -470,7 +504,7 @@ def test_landau_sigma_z_matches_product_path(r, n_max):
     sectors = ev.weyl_sectors(cfg.params, cfg.space)
     inset_grid = TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)
     for grid in (cfg.grid, inset_grid):
-        got = ev.sector_series(sectors, psi0, grid, sz)
+        got = ev.evolve_unitary(sectors, psi0, grid, sz)
         want = _forced_products(sectors, psi0, grid, sz)
         for label in ("sigma_z", "norm_drift"):
             assert np.abs(got[label].values - want[label].values).max() <= 1e-13
@@ -507,88 +541,59 @@ def _decompositions(monkeypatch, run, cfg):
         return run(cfg), calls
 
 
-def test_noiseless_landau_decomposes_once(monkeypatch):
-    # the 600 us record and the 5 ms inset are sampled from one batched SVD
-    # of the spin-flip blocks of one sector of each +-p_y pair, with no
-    # eigendecomposition, and equal separate propagations of the same input
-    cfg = sc.default_config("landau", n_max=12, noise_on=False)
-    res, calls = _decompositions(monkeypatch, sc.run_landau, cfg)
-    k = cfg.space.n_max_x + 1
-    pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
-    assert calls == {"svd": [(pairs, k, k)], "eigh": []}
-    assert all(c.passed for c in res.checks)
-    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
-    inset_grid = TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)
-    for table, grid in (("sigma_z", cfg.grid), ("sigma_z_ideal", inset_grid)):
-        want = ev.evolve_unitary(cfg.params, psi0, grid, sz)["sigma_z"].values
-        assert np.abs(res.tables[table]["sigma_z"] - want).max() <= 1e-15
-
-
-def test_noiseless_trajectory_decomposes_once(monkeypatch):
-    # the two spin preparations both read one batched SVD of the spin-flip
-    # blocks of one sector of each +-p_y pair, with no eigendecomposition;
-    # the four orbit columns equal two separate propagations
-    cfg = sc.default_config("trajectory", n_max=12, noise_on=False)
-    res, calls = _decompositions(monkeypatch, sc.run_trajectory, cfg)
-    k = cfg.space.n_max_x + 1
-    pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
-    assert calls == {"svd": [(pairs, k, k)], "eigh": []}
-    assert all(c.passed for c in res.checks)
+def _separate_tables(name, cfg) -> dict:
+    """The table columns of a field run from separate propagations of its
+    inputs, one decomposition each: {(table, column): values}."""
     obs = md.field_observables(cfg.space, cfg.params)
-    xy = {label: obs[label] for label in ("x", "y")}
+    record = ev.evolve_lindblad if cfg.noise_on else ev.evolve_unitary
+
+    def series(spin, labels, grid=cfg.grid, propagate=record):
+        psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, spin)
+        sectors = ev.weyl_sectors(cfg.params, cfg.space)
+        return propagate(sectors, psi0, grid, {k: obs[k] for k in labels})
+
+    if name == "landau":
+        inset_grid = TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)
+        main = series(cfg.initial_spin, ["sigma_z"])
+        inset = series(cfg.initial_spin, ["sigma_z"], inset_grid, ev.evolve_unitary)
+        return {
+            ("sigma_z", "sigma_z"): main["sigma_z"].values,
+            ("sigma_z_ideal", "sigma_z"): inset["sigma_z"].values,
+        }
+    if name == "helicity":
+        got = series(cfg.initial_spin, ("sigma_x", "sigma_y", "pi_x", "pi_y", "p_y"))
+        tables = {"spin": ("sigma_x", "sigma_y"), "kinetic_momentum": ("pi_x", "pi_y")}
+        return {(t, k): got[k].values for t, labels in tables.items() for k in labels}
+    out = {}
     for spin in ("plus", "minus"):
-        psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, f"{spin}_x")
-        want = ev.evolve_unitary(cfg.params, psi0, cfg.grid, xy)
-        for label in xy:
-            got = res.tables["trajectory"][f"{label}_{spin}"]
-            assert np.abs(got - want[label].values).max() <= 1e-13, (label, spin)
+        got = series(f"{spin}_x", ("x", "y"))
+        out |= {("trajectory", f"{k}_{spin}"): got[k].values for k in ("x", "y")}
+    return out
 
 
-def test_noisy_landau_decomposes_once(monkeypatch):
-    # under dephasing the master equation's split-step factors are summed
-    # from the same one batched SVD that samples the 5 ms inset, with no
-    # eigendecomposition; both records equal separate propagations
-    cfg = sc.default_config("landau", n_max=7, noise_on=True)
-    res, calls = _decompositions(monkeypatch, sc.run_landau, cfg)
+@pytest.mark.parametrize("noise", [False, True], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("name", ["landau", "helicity", "trajectory"])
+def test_field_runner_decomposes_once(monkeypatch, name, noise):
+    # every record of a field run (landau's 600 us record and 5 ms inset,
+    # helicity's series, both trajectory spins), under either propagator,
+    # is sampled from one batched SVD of the spin-flip blocks of one sector
+    # of each +-p_y pair, with no eigendecomposition, and equals separate
+    # propagations of the same inputs
+    n_max = (7 if name == "landau" else 8) if noise else 12
+    cfg = sc.default_config(name, n_max=n_max, noise_on=noise)
+    res, calls = _decompositions(monkeypatch, sc.RUNNERS[name], cfg)
     k = cfg.space.n_max_x + 1
     pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
     assert calls == {"svd": [(pairs, k, k)], "eigh": []}
     assert all(c.passed for c in res.checks)
-    psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
-    sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
-    inset_grid = TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)
-    for table, grid, propagate in (
-        ("sigma_z", cfg.grid, ev.evolve_lindblad),
-        ("sigma_z_ideal", inset_grid, ev.evolve_unitary),
-    ):
-        want = propagate(cfg.params, psi0, grid, sz)["sigma_z"].values
-        assert np.abs(res.tables[table]["sigma_z"] - want).max() <= 1e-15
-
-
-def test_noisy_trajectory_decomposes_once(monkeypatch):
-    # both spin preparations run the master equation on factors summed from
-    # one batched SVD, with no eigendecomposition; the four orbit columns
-    # equal two separate propagations
-    cfg = sc.default_config("trajectory", n_max=8, noise_on=True)
-    res, calls = _decompositions(monkeypatch, sc.run_trajectory, cfg)
-    k = cfg.space.n_max_x + 1
-    pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
-    assert calls == {"svd": [(pairs, k, k)], "eigh": []}
-    assert all(c.passed for c in res.checks)
-    obs = md.field_observables(cfg.space, cfg.params)
-    xy = {label: obs[label] for label in ("x", "y")}
-    for spin in ("plus", "minus"):
-        psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, f"{spin}_x")
-        want = ev.evolve_lindblad(cfg.params, psi0, cfg.grid, xy)
-        for label in xy:
-            got = res.tables["trajectory"][f"{label}_{spin}"]
-            assert np.abs(got - want[label].values).max() <= 1e-15, (label, spin)
+    for (table, column), want in _separate_tables(name, cfg).items():
+        got = res.tables[table][column]
+        assert np.abs(got - want).max() <= 1e-15, (table, column)
 
 
 def test_lindblad_series_refuses_another_space():
-    # as sector_series does, for a pure and a mixed input; the taus come
-    # from the decomposition's own params
+    # evolve_lindblad, as evolve_unitary does, for a pure and a mixed
+    # input; the taus come from the decomposition's own params
     params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
     sectors = ev.weyl_sectors(params, SpaceSpec(4, 4))
     assert sectors.params is params
@@ -596,7 +601,7 @@ def test_lindblad_series_refuses_another_space():
     other = fs.coherent_state(SpaceSpec(4, 5), 0.5j, 0, "plus_z")
     for state in (other, QState("mixed", other.to_density(), other.space)):
         with pytest.raises(DomainError, match="sectors' space"):
-            ev.lindblad_series(sectors, state, grid, {})
+            ev.evolve_lindblad(sectors, state, grid, {})
 
 
 def test_projection_matches_own_decomposition():
@@ -612,8 +617,8 @@ def test_projection_matches_own_decomposition():
     grid = TimeGrid(0.0, 0.3, 20)
     xy = {k: md.field_observables(space, params)[k] for k in ("x", "y")}
     for state in (plus, minus):
-        got = ev.sector_series(sectors, state, grid, xy)
-        own = ev.evolve_unitary(params, state, grid, xy)
+        got = ev.evolve_unitary(sectors, state, grid, xy)
+        own = ev.evolve_unitary(ev.weyl_sectors(params, space), state, grid, xy)
         for label in (*xy, "norm_drift"):
             assert np.array_equal(got[label].values, own[label].values), label
     refused = (
@@ -622,7 +627,7 @@ def test_projection_matches_own_decomposition():
     )
     for state in refused:
         with pytest.raises(DomainError):
-            ev.sector_series(sectors, state, grid, xy)
+            ev.evolve_unitary(sectors, state, grid, xy)
 
 
 FACTOR_KINDS = ["identity", "real", "imaginary", "complex", "zero"]
@@ -653,7 +658,7 @@ def test_product_path_matches_dense_oracle(kind):
         "y": [(a, fs.mode_matrix(dy, "position"))],
     }
     terms["sum"] = [t for label in ("one", "p_y", "y") for t in terms[label]]
-    h = full_operator(md.weyl_terms(space, params))
+    h = weyl_hamiltonian(space, params)
     t_start = rng.uniform(0, 0.1)
     grid = TimeGrid(t_start, t_start + rng.uniform(0.2, 0.6), 37)
     dense = {label: full_operator(t) for label, t in terms.items()}
@@ -681,8 +686,10 @@ def test_unitary_memory_does_not_grow_with_samples():
     for label in ("sigma_z", "x", "y"):
         observables = {label: obs[label]}
         for propagate in (
-            lambda grid: ev.evolve_unitary(cfg.params, psi0, grid, observables),
-            lambda grid: ev.sector_series(sectors, psi0, grid, observables),
+            lambda grid: ev.evolve_unitary(
+                ev.weyl_sectors(cfg.params, cfg.space), psi0, grid, observables
+            ),
+            lambda grid: ev.evolve_unitary(sectors, psi0, grid, observables),
         ):
             peaks = {}
             for n_samples in (201, 2001):
@@ -774,7 +781,7 @@ def test_weyl_hamiltonian_is_imaginary_in_the_gauge(r, n_max_x, n_max_y):
     space = SpaceSpec(n_max_x, n_max_y)
     params = SimParams.from_khz(4.2, r=r)
     phase = np.repeat(ev._gauge(space), n_max_y + 1)
-    h = full_operator(md.weyl_terms(space, params))
+    h = weyl_hamiltonian(space, params)
     h_g = phase.conj()[:, None] * h * phase
     assert not np.any(h_g.real)
     assert np.abs(h_g + h_g.T).max() == 0  # B is antisymmetric
@@ -836,7 +843,7 @@ def test_lindblad_matches_rk4_oracle(seed, r, kind):
     space = state.space
     dense = {"sigma_z": pauli(space, "z"), "x": mode_operator(space, "x")}
     grid = TimeGrid(0.0, 0.1, 11)
-    series = ev.evolve_lindblad(params, state, grid, ops)
+    series = ev.evolve_lindblad(ev.weyl_sectors(params, space), state, grid, ops)
     want = _rk4_oracle(weyl_hamiltonian(space, params), params, state, grid, dense)
     assert set(series) == set(want)
     for label, values in want.items():
@@ -846,7 +853,8 @@ def test_lindblad_matches_rk4_oracle(seed, r, kind):
 def _run_landau_n7(dt_max=ev.DT_MAX_DEFAULT):
     """Noisy landau at n_max 7 on the scenario's default grid."""
     params, psi0, sz = _landau(SpaceSpec(7, 7), tau_d_x=4.0, tau_d_y=3.5)
-    return ev.evolve_lindblad(params, psi0, TimeGrid(0.0, 0.6, 201, dt_max), sz)
+    sectors = ev.weyl_sectors(params, psi0.space)
+    return ev.evolve_lindblad(sectors, psi0, TimeGrid(0.0, 0.6, 201, dt_max), sz)
 
 
 @pytest.mark.parametrize("case", ["landau_n7", *ORACLE_CASES])
@@ -869,7 +877,8 @@ def test_min_eig_is_the_clipped_least_eigenvalue(monkeypatch, case):
         series = _run_landau_n7()
     else:
         params, state, ops = _oracle_case(*case)
-        series = ev.evolve_lindblad(params, state, TimeGrid(0.0, 0.1, 11), ops)
+        sectors = ev.weyl_sectors(params, state.space)
+        series = ev.evolve_lindblad(sectors, state, TimeGrid(0.0, 0.1, 11), ops)
     assert len(seen) == len(series["min_eig"].values)
     assert abs(series["min_eig"].values.min() - min(seen)) <= 1e-13
 
@@ -975,7 +984,7 @@ def test_lindblad_evolves_parity_blocks(monkeypatch):
     def run(state, obs):
         for seen in (*shapes.values(), *kinds.values()):
             seen.clear()
-        ev.evolve_lindblad(params, state, grid, obs)
+        ev.evolve_lindblad(ev.weyl_sectors(params, space), state, grid, obs)
         assert len(shapes["cholesky"]) == grid.n_samples
         assert 1 <= len(shapes["eigvalsh"]) <= grid.n_samples
 
@@ -1009,8 +1018,9 @@ def test_pinched_and_coherent_layouts_agree(spin):
     psi0 = fs.coherent_state(space, 1j, 0, spin)
     grid = TimeGrid(0.0, 0.05, 11)
     x = md.field_observables(space, params)["x"]
-    pinched = ev.evolve_lindblad(params, psi0, grid, sz)
-    coherent = ev.evolve_lindblad(params, psi0, grid, sz | {"x": x})
+    sectors = ev.weyl_sectors(params, space)
+    pinched = ev.evolve_lindblad(sectors, psi0, grid, sz)
+    coherent = ev.evolve_lindblad(sectors, psi0, grid, sz | {"x": x})
     for label in ("sigma_z", "trace_drift", "hermiticity"):
         diff = np.abs(pinched[label].values - coherent[label].values).max()
         assert diff < 1e-12, label
@@ -1020,11 +1030,12 @@ def test_lindblad_matches_unitary_without_noise(tiny):
     params, _, sz = _landau(tiny)
     psi0 = fs.coherent_state(tiny, 0.8j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.3, 31)
-    unit = ev.evolve_unitary(params, psi0, grid, sz)["sigma_z"]
-    noiseless = ev.evolve_lindblad(params, psi0, grid, sz)["sigma_z"]
+    sectors = ev.weyl_sectors(params, tiny)
+    unit = ev.evolve_unitary(sectors, psi0, grid, sz)["sigma_z"]
+    noiseless = ev.evolve_lindblad(sectors, psi0, grid, sz)["sigma_z"]
     assert np.abs(unit.values - noiseless.values).max() < 1e-8
     # huge but finite dephasing time behaves the same way
-    weak = replace(params, tau_d_x=1e6, tau_d_y=1e6)
+    weak = ev.weyl_sectors(replace(params, tau_d_x=1e6, tau_d_y=1e6), tiny)
     weak_sz = ev.evolve_lindblad(weak, psi0, grid, sz)["sigma_z"]
     assert np.abs(unit.values - weak_sz.values).max() < 1e-5
 
@@ -1035,8 +1046,9 @@ def test_lindblad_no_noise_limit_at_n_max_19():
     space = SpaceSpec(19, 19)
     params, psi0, sz = _landau(space)
     grid = TimeGrid(0.0, 0.02, 5)
-    unit = ev.evolve_unitary(params, psi0, grid, sz)["sigma_z"]
-    series = ev.evolve_lindblad(params, psi0, grid, sz)
+    sectors = ev.weyl_sectors(params, space)
+    unit = ev.evolve_unitary(sectors, psi0, grid, sz)["sigma_z"]
+    series = ev.evolve_lindblad(sectors, psi0, grid, sz)
     assert np.abs(series["sigma_z"].values - unit.values).max() <= 1e-11
     assert series["trace_drift"].values.max() <= 1e-12
 
@@ -1080,7 +1092,7 @@ def test_fock_state_invariant_under_dephasing(tiny):
 def test_lindblad_invariants_at_every_sample(tiny):
     params, psi0, _ = _landau(tiny, tau_d_x=4.0, tau_d_y=3.5)
     grid = TimeGrid(0.0, 0.3, 16)
-    series = ev.evolve_lindblad(params, psi0, grid, {})
+    series = ev.evolve_lindblad(ev.weyl_sectors(params, tiny), psi0, grid, {})
     assert set(series) == {"trace_drift", "hermiticity", "min_eig"}
     assert series["trace_drift"].values.max() < 1e-8
     assert series["hermiticity"].values.max() < 1e-8
@@ -1091,12 +1103,13 @@ def test_lindblad_memory_does_not_grow_with_samples(tiny):
     # only the current density matrix is held, so 201 output samples cost
     # no more than 21 beyond the series themselves (far below one rho)
     params, psi0, sz = _landau(tiny, tau_d_x=4.0, tau_d_y=3.5)
+    sectors = ev.weyl_sectors(params, tiny)
     peaks = {}
     for n_samples in (21, 201):
         grid = TimeGrid(0.0, 0.3, n_samples)
         tracemalloc.start()
         try:
-            ev.evolve_lindblad(params, psi0, grid, sz)
+            ev.evolve_lindblad(sectors, psi0, grid, sz)
             peaks[n_samples] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1108,8 +1121,9 @@ def test_step_halving_convergence(tiny):
     params, psi0, sz = _landau(tiny, tau_d_x=4.0, tau_d_y=3.5)
     coarse = TimeGrid(0.0, 0.3, 16, dt_max=2e-4)
     fine = TimeGrid(0.0, 0.3, 16, dt_max=1e-4)
-    a = ev.evolve_lindblad(params, psi0, coarse, sz)["sigma_z"]
-    b = ev.evolve_lindblad(params, psi0, fine, sz)["sigma_z"]
+    sectors = ev.weyl_sectors(params, tiny)
+    a = ev.evolve_lindblad(sectors, psi0, coarse, sz)["sigma_z"]
+    b = ev.evolve_lindblad(sectors, psi0, fine, sz)["sigma_z"]
     assert np.abs(a.values - b.values).max() < 1e-7
 
 
@@ -1119,7 +1133,7 @@ def test_integrator_blowup_raises(tiny):
     psi0 = fs.coherent_state(tiny, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 1.0, 3, dt_max=0.5)
     with pytest.raises((ConvergenceError, PositivityError)):
-        ev.evolve_lindblad(params, psi0, grid, {})
+        ev.evolve_lindblad(ev.weyl_sectors(params, tiny), psi0, grid, {})
 
 
 def test_nan_inputs_are_rejected(tiny):
@@ -1129,10 +1143,11 @@ def test_nan_inputs_are_rejected(tiny):
     psi0 = fs.coherent_state(tiny, 0.5j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.01, 3)
     (a, b), = md.field_observables(tiny, params)["sigma_z"]
+    sectors = ev.weyl_sectors(params, tiny)
     for propagate in (ev.evolve_unitary, ev.evolve_lindblad):
         for nan_factor in ((a * np.nan, b), (a, b * np.nan)):
             with pytest.raises(NonHermitianError):
-                propagate(params, psi0, grid, {"nan": [nan_factor]})
+                propagate(sectors, psi0, grid, {"nan": [nan_factor]})
 
 
 def test_grid_refuses_a_million_substeps():

@@ -18,10 +18,10 @@ from weylsim.model import SimParams
 
 from conftest import (
     expectation,
-    full_operator,
     mode_operator,
     pauli,
     probe_hamiltonian,
+    sector_hamiltonian,
     sideband_hamiltonian,
     transformed_hamiltonian,
     weyl_hamiltonian,
@@ -34,8 +34,9 @@ def params():
 
 
 def weyl_matrix(space, params):
-    """The library's Weyl Hamiltonian, `model.weyl_terms`, on the full space."""
-    return full_operator(md.weyl_terms(space, params))
+    """The library's Weyl Hamiltonian on the full space, rebuilt from its
+    sector decomposition, `evolve.weyl_sectors`."""
+    return sector_hamiltonian(ev.weyl_sectors(params, space))
 
 
 # --- sideband tones -----------------------------------------------------------
@@ -58,8 +59,9 @@ def test_blue_tone_matrix_element_oracle(space):
 
 
 def test_four_tone_identity(space):
-    # the four drive tones sum to the library's Weyl H and to the oracle
-    # built from the embedded quadratures
+    # the four drive tones sum to the library's Weyl H, rebuilt from its
+    # sector decomposition, and to the oracle built from the embedded
+    # quadratures
     omega = md.khz(4.2)
     for r in (0.0, 0.5, 1.0):
         p = SimParams(omega=omega, r=r)
@@ -305,7 +307,8 @@ def test_frame_state_predictor_far_from_unit_field(r, n_max):
     predicted = an.predict_sigma_z_series(red, cfg.params, cfg.grid)
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
-    two_mode = ev.evolve_unitary(cfg.params, psi0, cfg.grid, sz)["sigma_z"].values
+    sectors = ev.weyl_sectors(cfg.params, cfg.space)
+    two_mode = ev.evolve_unitary(sectors, psi0, cfg.grid, sz)["sigma_z"].values
     assert np.abs(predicted.values - two_mode).max() < sc.PREDICTOR_TOL
 
 

@@ -262,7 +262,7 @@ def test_kinetic_momentum_reduces_to_momentum_at_zero_field(space):
     grid = TimeGrid(0.0, 0.1, 11)
     obs = md.field_observables(space, params)
     pair = {k: obs[k] for k in ("pi_y", "p_y")}
-    series = ev.evolve_unitary(params, psi0, grid, pair)
+    series = ev.evolve_unitary(ev.weyl_sectors(params, space), psi0, grid, pair)
     assert np.abs(series["pi_y"].values - series["p_y"].values).max() == 0.0
 
 
@@ -274,7 +274,7 @@ def test_kinetic_momentum_initial_values(space):
     grid = TimeGrid(0.0, 0.05, 6)
     obs = md.field_observables(space, params)
     pair = {k: obs[k] for k in ("pi_x", "pi_y")}
-    series = ev.evolve_unitary(params, psi0, grid, pair)
+    series = ev.evolve_unitary(ev.weyl_sectors(params, space), psi0, grid, pair)
     pix, piy = series["pi_x"], series["pi_y"]
     assert abs(pix.values[0] - math.sqrt(2)) < 1e-6
     assert abs(piy.values[0]) < 1e-9
@@ -287,6 +287,6 @@ def test_spin_expectations_initial_values(space):
     grid = TimeGrid(0.0, 0.05, 6)
     obs = md.field_observables(space, params)
     spins = {k: obs[k] for k in ("sigma_y", "sigma_z")}
-    series = ev.evolve_unitary(params, psi0, grid, spins)
+    series = ev.evolve_unitary(ev.weyl_sectors(params, space), psi0, grid, spins)
     assert abs(series["sigma_z"].values[0] - 1.0) < 1e-12
     assert abs(series["sigma_y"].values[0]) < 1e-12
