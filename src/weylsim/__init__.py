@@ -17,5 +17,5 @@ from .errors import (  # noqa: F401
     TruncationError,
     WeylSimError,
 )
-from .fockspace import QState, SingleModeSpec, SpaceSpec  # noqa: F401
+from .fockspace import QState, SpaceSpec  # noqa: F401
 from .model import SimParams  # noqa: F401

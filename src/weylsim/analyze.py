@@ -8,7 +8,7 @@ import numpy as np
 
 from . import model as md
 from .errors import DegenerateError, DomainError, GridError, RankError, TruncationError
-from .fockspace import QState, SingleModeSpec, _frozen
+from .fockspace import QState, _frozen
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,15 @@ def predict_sigma_z_series(psi0: QState, params, grid) -> TimeSeries:
     <sz(t)> = rho_00 - sum_n 2 Re[<E_n^-|rho|E_n^+> e^{2 i E_n t}], with
     <E_n^-|rho|E_n^+> = (rho(-z n-1; -z n-1) - rho(+z n; +z n)
     + i rho(-z n-1; +z n) + i rho(+z n; -z n-1)) / 2.
-    The doublets and |+z 0> span all but |-z n_max>.
+    The doublets and |+z 0> span all but |-z n_max_x>.  psi0 lives on the
+    cyclotron frame's space, n_max_y = 0.
     """
     if params.r <= 0:
         raise DomainError("the analytic series requires r > 0")
-    space = psi0.space
-    if not isinstance(space, SingleModeSpec):
-        raise DomainError("psi0 must live on the single-mode space")
+    if psi0.space.n_max_y != 0:
+        raise DomainError("psi0 must live on the single-mode space, n_max_y = 0")
     rho = psi0.to_density()
-    d1 = space.n_max + 1  # |+z n> is index n, |-z n> is d1 + n
+    d1 = psi0.space.n_max_x + 1  # |+z n> is index n, |-z n> is d1 + n
     up = np.diagonal(rho)[:d1].real
     down = np.diagonal(rho)[d1:].real
     lower = np.diagonal(rho, 1 - d1)[1:d1]  # rho(-z n-1; +z n), n >= 1

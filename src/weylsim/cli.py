@@ -102,16 +102,20 @@ def _json_floats(column) -> list:
     return [v if math.isfinite(v) else str(v) for v in values]
 
 
-def _atomic_write(path: Path, data: str):
+def _atomic_write(path: Path, text: str) -> dict:
+    """Write text as UTF-8 under a temp name, rename it to path, and return
+    the manifest entry: the file's name and the sha256 of the bytes written."""
+    data = text.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return {"name": path.name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _csv_text(columns: dict[str, np.ndarray]) -> str:
@@ -136,17 +140,13 @@ def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    files: list[dict] = []
     if fmt == "csv":
         for tname, columns in result.tables.items():
-            path = out / f"{tname}.csv"
-            _atomic_write(path, _csv_text(columns))
-            written.append(path)
-        path = out / "checks.csv"
+            files.append(_atomic_write(out / f"{tname}.csv", _csv_text(columns)))
         lines = [", ".join(f.name for f in fields(Check))]
         lines += [", ".join(map(str, astuple(c))) for c in result.checks]
-        _atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
+        files.append(_atomic_write(out / "checks.csv", "\n".join(lines) + "\n"))
     elif fmt == "json":
         payload = {
             "scenario": result.name,
@@ -156,24 +156,16 @@ def write_tables(result: ScenarioResult, out_dir, fmt: str = "csv") -> list[Path
             },
             "checks": [c.record() for c in result.checks],
         }
-        path = out / "result.json"
-        _atomic_write(path, json.dumps(payload, indent=1, allow_nan=False) + "\n")
-        written.append(path)
+        text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+        files.append(_atomic_write(out / "result.json", text))
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
 
-    manifest = dict(result.manifest)
-    manifest["files"] = [
-        {
-            "name": p.name,
-            "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
-        }
-        for p in written
-    ]
-    mpath = out / "manifest.json"
-    _atomic_write(mpath, json.dumps(manifest, indent=1, allow_nan=False) + "\n")
-    written.append(mpath)
-    return written
+    manifest = dict(result.manifest, files=files)
+    _atomic_write(
+        out / "manifest.json", json.dumps(manifest, indent=1, allow_nan=False) + "\n"
+    )
+    return [out / f["name"] for f in files] + [out / "manifest.json"]
 
 
 # ---------------------------------------------------------------------------

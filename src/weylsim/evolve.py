@@ -205,8 +205,8 @@ def weyl_sectors(params: md.SimParams, space: SpaceSpec) -> Sectors:
     decomposes the representatives min(k, dy-1-k); a mirrored sector takes
     the same S with U -> Pi U and V -> -Pi V.
     """
-    if not isinstance(space, SpaceSpec):
-        raise DomainError("the p_y sectors need a two-mode space")
+    if space.n_max_y < 1:
+        raise DomainError("the p_y sectors need a two-mode space, n_max_y >= 1")
     dy, half = space.n_max_y + 1, space.n_max_x + 1
     p, vectors = fs.quadrature_eigenbasis(dy, "momentum")
     sector = np.arange(dy)

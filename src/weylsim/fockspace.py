@@ -8,8 +8,7 @@ them as sums of products A (x) B (A on qubit (x) mode x, B on mode y).
 Conventions, fixed once and used everywhere:
 
 * spin basis ordering is (|+z>, |-z>), so sigma_z = diag(+1, -1);
-* tensor order is qubit (x) mode-x (x) mode-y (or qubit (x) mode for the
-  single-mode space);
+* tensor order is qubit (x) mode-x (x) mode-y;
 * quadratures are x = (a + a^dag)/sqrt(2) and p = i(a^dag - a)/sqrt(2),
   so a coherent state |alpha> has <x> = sqrt(2) Re(alpha) and
   <p> = sqrt(2) Im(alpha).
@@ -55,15 +54,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class SpaceSpec:
     """Truncation sizes of the two oscillator modes.
 
-    The composite dimension is 2 * (n_max_x + 1) * (n_max_y + 1).
+    The composite dimension is 2 * (n_max_x + 1) * (n_max_y + 1).  With
+    n_max_y = 0 mode y keeps one level, and the space is the qubit plus the
+    single mode x of the cyclotron frame (`model.cyclotron_frame_state`):
+    basis index s (n_max_x + 1) + n_x.
     """
 
     n_max_x: int = 15
     n_max_y: int = 15
 
     def __post_init__(self):
-        if self.n_max_x < 1 or self.n_max_y < 1:
-            raise DomainError("mode truncations must satisfy n_max >= 1")
+        if self.n_max_x < 1 or self.n_max_y < 0:
+            raise DomainError("truncations must satisfy n_max_x >= 1 and n_max_y >= 0")
 
     @property
     def modes(self) -> tuple[str, ...]:
@@ -78,39 +80,13 @@ class SpaceSpec:
         return 2 * (self.n_max_x + 1) * (self.n_max_y + 1)
 
 
-@dataclass(frozen=True)
-class SingleModeSpec:
-    """Qubit plus a single truncated mode, used by the transformed model."""
-
-    n_max: int = 31
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise DomainError("mode truncation must satisfy n_max >= 1")
-
-    @property
-    def modes(self) -> tuple[str, ...]:
-        return ("x",)
-
-    @property
-    def mode_dims(self) -> tuple[int, ...]:
-        return (self.n_max + 1,)
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.n_max + 1)
-
-
-AnySpace = SpaceSpec | SingleModeSpec
-
-
 @dataclass(frozen=True, eq=False)
 class QState:
     """Pure state vector or density matrix on a composite space."""
 
     kind: str  # "pure" | "mixed"
     data: np.ndarray
-    space: AnySpace
+    space: SpaceSpec
 
     def __post_init__(self):
         d = self.space.dim
@@ -144,12 +120,6 @@ class QState:
 # ---------------------------------------------------------------------------
 # single-mode operators
 # ---------------------------------------------------------------------------
-
-
-def _mode_index(space: AnySpace, mode: str) -> int:
-    if mode not in space.modes:
-        raise DomainError(f"mode {mode!r} not in space modes {space.modes}")
-    return space.modes.index(mode)
 
 
 def mode_matrix(dim: int, which: str) -> np.ndarray:
@@ -238,15 +208,11 @@ def coherent_state(
     return QState("pure", vec, space)
 
 
-def basis_state(space: AnySpace, spin: str, *occupations: int) -> QState:
-    """Fock product state |spin>|n_x>(|n_y>)."""
-    if len(occupations) != len(space.mode_dims):
-        raise DomainError("one occupation number per mode is required")
-    vec = spin_vector(spin)
-    for n, d in zip(occupations, space.mode_dims):
+def basis_state(space: SpaceSpec, spin: str, n_x: int, n_y: int) -> QState:
+    """Fock product state |spin>|n_x>|n_y>."""
+    amps = np.zeros(space.mode_dims, dtype=complex)
+    for n, d in zip((n_x, n_y), space.mode_dims):
         if not 0 <= n < d:
             raise DomainError(f"occupation {n} outside truncation {d - 1}")
-        e = np.zeros(d, dtype=complex)
-        e[n] = 1.0
-        vec = np.kron(vec, e)
-    return QState("pure", vec, space)
+    amps[n_x, n_y] = 1.0
+    return QState("pure", np.kron(spin_vector(spin), amps.ravel()), space)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fockspace as fs
 from .errors import DomainError, TruncationError
-from .fockspace import QState, SingleModeSpec, SpaceSpec
+from .fockspace import QState, SpaceSpec
 
 
 def khz(value: float) -> float:
@@ -100,23 +100,26 @@ def landau_level(n: int, params: SimParams) -> float:
     return natural_to_simulator(math.sqrt(2 * n * params.r), params)
 
 
-def landau_eigenstate(space: SingleModeSpec, n: int, sign: str = "zero") -> QState:
+def landau_eigenstate(space: SpaceSpec, n: int, sign: str = "zero") -> QState:
     """Eigenstate of the single-mode form omega sqrt(r) (i sigma_+ a^dag - i sigma_- a).
 
+    The space is the cyclotron frame's, n_max_y = 0, with a on mode x.
     n = 0 with sign "zero" is |+z>|0>; n >= 1 with sign "plus"/"minus" is
     (|-z>|n-1> +- i|+z>|n>)/sqrt(2) at energy +-omega sqrt(n r).
     """
+    if space.n_max_y != 0:
+        raise DomainError("the single-mode eigenstates need n_max_y = 0")
     if sign == "zero":
         if n != 0:
             raise DomainError("sign 'zero' is only the n = 0 state")
-        return fs.basis_state(space, "plus_z", 0)
+        return fs.basis_state(space, "plus_z", 0, 0)
     if sign not in ("plus", "minus"):
         raise DomainError(f"unknown sign {sign!r}")
     if n < 1:
         raise DomainError("signed eigenstates require n >= 1")
-    if n > space.n_max:
-        raise DomainError(f"level {n} does not fit truncation {space.n_max}")
-    d1 = space.n_max + 1
+    if n > space.n_max_x:
+        raise DomainError(f"level {n} does not fit truncation {space.n_max_x}")
+    d1 = space.n_max_x + 1
     vec = np.zeros(space.dim, dtype=complex)
     s = 1.0 if sign == "plus" else -1.0
     vec[d1 + (n - 1)] = 1 / math.sqrt(2)  # |-z>|n-1>
@@ -137,19 +140,6 @@ def landau_eigenstate(space: SingleModeSpec, n: int, sign: str = "zero") -> QSta
 
 FRAME_LADDER = 34  # cyclotron Fock levels kept by the reduction
 FRAME_NODES = 80  # Gauss-Hermite nodes over the p_y distribution
-
-
-def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n-point Gauss-Hermite quadrature (weight e^(-x^2)).
-
-    Golub and Welsch (Math. Comp. 23 (1969) 221): the nodes are the
-    eigenvalues of the Jacobi matrix, symmetric tridiagonal with zero
-    diagonal and off-diagonal sqrt(k/2), k = 1 .. n-1, and the weights are
-    sqrt(pi) times the squared first components of its eigenvectors.
-    """
-    off = np.sqrt(np.arange(1, n) / 2)
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return nodes, math.sqrt(math.pi) * vectors[0] ** 2
 
 
 def _cyclotron_amplitudes(alpha: complex, r: float, p: np.ndarray) -> np.ndarray:
@@ -190,10 +180,14 @@ def cyclotron_frame_state(
     if params.r <= 0:
         raise DomainError("the single-mode frame requires r > 0")
     sv = fs.spin_vector(spin)
-    nodes, weights = _gauss_hermite(FRAME_NODES)
+    # Golub and Welsch (Math. Comp. 23 (1969) 221): the Jacobi matrix of the
+    # Gauss-Hermite rule (weight e^(-x^2)) is the position quadrature on
+    # FRAME_NODES levels; its eigenvalues are the nodes and sqrt(pi) |v_0k|^2
+    # the weights, of which the mixture takes the normalized |v_0k|^2
+    nodes, vectors = fs.quadrature_eigenbasis(FRAME_NODES, "position")
     p = math.sqrt(2) * complex(alpha_y).imag + nodes
     c = _cyclotron_amplitudes(alpha_x, params.r, p)
-    rho_c = (c.T * (weights / math.sqrt(math.pi))) @ c.conj()
+    rho_c = (c.T * np.abs(vectors[0]) ** 2) @ c.conj()
     captured = float(np.trace(rho_c).real)
     if not abs(captured - 1) <= 1e-6:
         raise TruncationError(
@@ -201,4 +195,4 @@ def cyclotron_frame_state(
             "of the norm"
         )
     rho = np.kron(np.outer(sv, sv.conj()), rho_c / captured)
-    return QState("mixed", rho, SingleModeSpec(FRAME_LADDER - 1))
+    return QState("mixed", rho, SpaceSpec(FRAME_LADDER - 1, 0))

@@ -74,7 +74,7 @@ def _target_distribution(state: QState, target: str) -> tuple[np.ndarray, np.nda
         raise DomainError(f"unknown quadrature target {target!r}")
     mode, kind = _TARGETS[target]
     space = state.space
-    axis = 1 + fs._mode_index(space, mode)
+    axis = 1 + space.modes.index(mode)
     dims = (2, *space.mode_dims)
     q, vecs = fs.quadrature_eigenbasis(dims[axis], kind)
     if state.kind == "pure":

@@ -88,6 +88,8 @@ class ScenarioConfig:
         object.__setattr__(
             self, "params", SimParams.from_khz(v["omega_khz"], r=v["r"], **taus)
         )
+        if min(v["n_max_x"], v["n_max_y"]) < 1:
+            raise DomainError("mode truncations must satisfy n_max >= 1")
         object.__setattr__(self, "space", SpaceSpec(v["n_max_x"], v["n_max_y"]))
         object.__setattr__(self, "grid", grid)
 

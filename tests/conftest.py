@@ -12,7 +12,7 @@ import pytest
 
 from weylsim import fockspace as fs
 from weylsim.analyze import TimeSeries
-from weylsim.fockspace import SingleModeSpec, SpaceSpec
+from weylsim.fockspace import SpaceSpec
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def small_space():
 
 @pytest.fixture(scope="session")
 def sm_space():
-    return SingleModeSpec(31)
+    return SpaceSpec(31, 0)
 
 
 @pytest.fixture()
@@ -38,6 +38,7 @@ def rng():
 # --- dense operators ---------------------------------------------------------------
 
 SPIN_MATRICES = fs.PAULI | {
+    "one": np.eye(2),
     "plus": np.array([[0, 1], [0, 0]], dtype=complex),  # maps |-z> to |+z>
     "minus": np.array([[0, 0], [1, 0]], dtype=complex),
 }
@@ -50,20 +51,34 @@ def _kron_all(factors):
     return out
 
 
-def mode_operator(space, mode="x", which="position"):
-    """Lowering, number, position or momentum operator of one mode, padded
-    with identities on the qubit and the other modes."""
-    k = space.modes.index(mode)
-    factors = [np.eye(2)] + [
-        fs.mode_matrix(d, which) if i == k else np.eye(d)
-        for i, d in enumerate(space.mode_dims)
+def _mode_matrix(dim, which):
+    """`fs.mode_matrix`, plus the raising operator a^dag as "raise"."""
+    if which == "raise":
+        return fs.mode_matrix(dim, "lower").T
+    return fs.mode_matrix(dim, which)
+
+
+def spin_mode_operator(space, axis, mode=None, which=None):
+    """sigma_axis (x) Q on the full space as one Kronecker product, Q one
+    mode's `_mode_matrix` (the identity if mode is None); sigma_axis also
+    takes "one", "plus" and "minus".  O(d^2), where the product of two
+    embedded operators is O(d^3)."""
+    factors = [SPIN_MATRICES[axis]] + [
+        _mode_matrix(d, which) if m == mode else np.eye(d)
+        for m, d in zip(space.modes, space.mode_dims)
     ]
     return _kron_all(factors)
 
 
+def mode_operator(space, mode="x", which="position"):
+    """Lowering, number, position or momentum operator of one mode, padded
+    with identities on the qubit and the other modes."""
+    return spin_mode_operator(space, "one", mode, which)
+
+
 def pauli(space, axis):
     """Qubit operator sigma_axis (or sigma_plus, sigma_minus) on the full space."""
-    return _kron_all([SPIN_MATRICES[axis]] + [np.eye(d) for d in space.mode_dims])
+    return spin_mode_operator(space, axis)
 
 
 def full_operator(terms):
@@ -83,12 +98,12 @@ def expectation(op, state):
 
 def weyl_hamiltonian(space, params):
     """(omega/sqrt(2)) [sigma_x p_x + sigma_y (p_y - r x)] on the full space,
-    built from the embedded operators, not from the library's sector
-    decomposition (`evolve.weyl_sectors`)."""
-    px = mode_operator(space, "x", "momentum")
-    pi_y = mode_operator(space, "y", "momentum") - params.r * mode_operator(space, "x")
+    built from Kronecker products of single-mode factors, not from the
+    library's sector decomposition (`evolve.weyl_sectors`)."""
     return (params.omega / math.sqrt(2)) * (
-        pauli(space, "x") @ px + pauli(space, "y") @ pi_y
+        spin_mode_operator(space, "x", "x", "momentum")
+        + spin_mode_operator(space, "y", "y", "momentum")
+        - params.r * spin_mode_operator(space, "y", "x", "position")
     )
 
 
@@ -110,17 +125,18 @@ def sector_hamiltonian(sectors):
 
 def transformed_hamiltonian(space, params):
     """Single-mode form omega sqrt(r) (i sigma_+ a^dag - i sigma_- a)."""
-    a = mode_operator(space, "x", "lower")
-    half = params.omega * math.sqrt(params.r) * 1j * (pauli(space, "plus") @ a.conj().T)
+    half = params.omega * math.sqrt(params.r) * 1j * spin_mode_operator(
+        space, "plus", "x", "raise"
+    )
     return half + half.conj().T
 
 
 def sideband_hamiltonian(space, mode, kind, rabi, phase):
     """Single sideband tone rabi [sigma_-(+) a^dag e^{i phase} + h.c.] / 2;
     the red tone carries sigma_minus, the blue tone sigma_plus."""
-    sigma = pauli(space, "minus" if kind == "red" else "plus")
-    adag = mode_operator(space, mode, "lower").conj().T
-    half = (rabi / 2) * np.exp(1j * phase) * (sigma @ adag)
+    sigma = "minus" if kind == "red" else "plus"
+    coupling = spin_mode_operator(space, sigma, mode, "raise")
+    half = (rabi / 2) * np.exp(1j * phase) * coupling
     return half + half.conj().T
 
 
@@ -137,8 +153,8 @@ def probe_hamiltonian(space, params, target):
 
     The oracle the probe protocol's closed form is checked against.
     """
-    q = mode_operator(space, *PROBE_TARGETS[target])
-    return (params.omega / math.sqrt(2)) * (pauli(space, "y") @ q)
+    q = spin_mode_operator(space, "y", *PROBE_TARGETS[target])
+    return (params.omega / math.sqrt(2)) * q
 
 
 # --- dense propagation -------------------------------------------------------------

@@ -19,7 +19,7 @@ from weylsim import model as md
 from weylsim import probe as pr
 from weylsim import scenarios as sc
 from weylsim.evolve import TimeGrid
-from weylsim.fockspace import SingleModeSpec, SpaceSpec
+from weylsim.fockspace import SpaceSpec
 from weylsim.model import SimParams
 
 from conftest import transformed_hamiltonian
@@ -138,11 +138,11 @@ def test_criterion_4_analytic_spectrum_oracle():
 
 
 def test_criterion_5_eigenvalue_ladder():
-    space = SingleModeSpec(31)
+    space = SpaceSpec(31, 0)
     params = SimParams.from_khz(4.2, r=1.0)
     evals = np.linalg.eigvalsh(transformed_hamiltonian(space, params))
     worst = 0.0
-    for n in range(1, space.n_max // 2 + 1):
+    for n in range(1, space.n_max_x // 2 + 1):
         want = md.landau_level(n, params)
         for target in (want, -want):
             rel = np.abs(evals - target).min() / want
@@ -151,7 +151,7 @@ def test_criterion_5_eigenvalue_ladder():
         5,
         worst < 1e-9,
         f"dense diagonalization reproduces +-omega sqrt(n r) for n <= "
-        f"{space.n_max // 2}: worst relative error {worst:.1e} < 1e-9",
+        f"{space.n_max_x // 2}: worst relative error {worst:.1e} < 1e-9",
     )
 
 

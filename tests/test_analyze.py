@@ -15,7 +15,7 @@ from weylsim.errors import (
     TruncationError,
 )
 from weylsim.evolve import TimeGrid
-from weylsim.fockspace import SingleModeSpec, SpaceSpec
+from weylsim.fockspace import SpaceSpec
 from weylsim.model import SimParams
 
 from conftest import dense_unitary, pauli, transformed_hamiltonian, weyl_hamiltonian
@@ -109,7 +109,7 @@ def test_nonuniform_grid_rejected():
 
 
 def _single_mode_coherent(space, alpha, spin):
-    vec = np.kron(fs.spin_vector(spin), fs.coherent_amplitudes(alpha, space.n_max + 1))
+    vec = np.kron(fs.spin_vector(spin), fs.coherent_amplitudes(alpha, space.n_max_x + 1))
     return fs.QState("pure", vec, space)
 
 
@@ -128,10 +128,10 @@ def test_predictor_stationary_states(sm_space):
 
 def _predicted_per_level(rho, params, t):
     """<sz(t)> from rho's overlaps with each analytic eigenstate in turn."""
-    space = SingleModeSpec(len(rho) // 2 - 1)
+    space = SpaceSpec(len(rho) // 2 - 1, 0)
     e0 = md.landau_eigenstate(space, 0, "zero").data
     values = np.full(len(t), np.real(e0.conj() @ rho @ e0))
-    for n in range(1, space.n_max + 1):
+    for n in range(1, space.n_max_x + 1):
         ep = md.landau_eigenstate(space, n, "plus").data
         em = md.landau_eigenstate(space, n, "minus").data
         cross = em.conj() @ rho @ ep
@@ -144,7 +144,7 @@ def test_predictor_matches_per_level_oracle(seed):
     # random mixed states with no weight on |-z n_max>, the one direction
     # the eigenbasis misses
     rng = np.random.default_rng(seed)
-    space = SingleModeSpec(9)
+    space = SpaceSpec(9, 0)
     vecs = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
     vecs[-1] = 0
     rho = vecs @ np.diag(rng.uniform(0.2, 1.0, 4)) @ vecs.conj().T
@@ -205,11 +205,14 @@ def test_predictor_mixed_state_and_phases():
 def test_predictor_rejects_leaking_state():
     # the eigenbasis misses exactly one direction, spin-down at the edge
     # level, so a spin-down state with weight there must be refused
-    space = SingleModeSpec(3)
+    space = SpaceSpec(3, 0)
     params = SimParams.from_khz(4.2, r=1.0)
     psi0 = _single_mode_coherent(space, 0.86, "minus_z")
     with pytest.raises(TruncationError):
         an.predict_sigma_z_series(psi0, params, TimeGrid(0.0, 0.1, 5))
+    with pytest.raises(DomainError):  # a state on a two-mode space
+        two_mode = fs.coherent_state(SpaceSpec(3, 3), 0.5, 0)
+        an.predict_sigma_z_series(two_mode, params, TimeGrid(0.0, 0.1, 5))
 
 
 # --- fits ---------------------------------------------------------------------

@@ -178,6 +178,8 @@ INVALID_VALUES = [
     ("landau", "t_start_us = 10"),
     # configparser would merge a [DEFAULT] section into every scenario
     ("helicity", "[DEFAULT]\nn_max_x = 8"),
+    # every field run needs both modes; n_max_y = 0 is only the frame's space
+    ("landau", "n_max_y = 0"),
     # over a million split steps per output interval: the run would not end
     ("landau", "t_end_us = 1e308"),
     ("landau", "dt_max_us = 1e-300"),

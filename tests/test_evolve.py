@@ -146,7 +146,7 @@ def test_propagators_reject_invalid_inputs(small_space, propagate):
     with pytest.raises(DomainError):  # observable on another space
         other = md.field_observables(SpaceSpec(4, 4), params)["sigma_z"]
         propagate(sectors, psi0, grid, {"sigma_z": other})
-    sm = fs.SingleModeSpec(4)
+    sm = fs.SpaceSpec(4, 0)
     with pytest.raises(DomainError):
         ev.weyl_sectors(params, sm)
     with pytest.raises(DomainError):  # single-mode state
@@ -324,7 +324,7 @@ def _sector_hamiltonians(params, sectors) -> np.ndarray:
     formula on qubit (x) mode x with p_y replaced by phi_k^dag p_y phi_k;
     no full-space matrix is formed (d = 3362 at n_max 40).
     """
-    sm = fs.SingleModeSpec(sectors.space.n_max_x)
+    sm = fs.SpaceSpec(sectors.space.n_max_x, 0)
     p_y, phi = sectors.basis
     p_k = np.einsum("nk,nl,lk->k", phi.conj(), p_y, phi)
     sx, sy = pauli(sm, "x"), pauli(sm, "y")

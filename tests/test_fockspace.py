@@ -5,7 +5,7 @@ import pytest
 
 from weylsim import fockspace as fs
 from weylsim.errors import DomainError, TruncationError
-from weylsim.fockspace import SingleModeSpec, SpaceSpec
+from weylsim.fockspace import SpaceSpec
 
 from conftest import expectation, mode_operator, pauli
 
@@ -161,7 +161,7 @@ def test_coherent_guard_and_leakage(space):
 
 
 def test_single_mode_coherent(sm_space):
-    amplitudes = fs.coherent_amplitudes(1j, sm_space.n_max + 1)
+    amplitudes = fs.coherent_amplitudes(1j, sm_space.n_max_x + 1)
     vec = np.kron(fs.spin_vector("plus_z"), amplitudes)
     st = fs.QState("pure", vec, sm_space)
     n_op = mode_operator(sm_space, "x", "number")
@@ -214,7 +214,8 @@ def test_state_validation():
     with pytest.raises(DomainError):
         SpaceSpec(0, 3)
     with pytest.raises(DomainError):
-        SingleModeSpec(0)
+        SpaceSpec(0, 0)
+    assert SpaceSpec(5, 0).dim == 12  # the single-mode frame's space
 
 
 def test_values_are_immutable(space):

@@ -39,6 +39,28 @@ def weyl_matrix(space, params):
     return sector_hamiltonian(ev.weyl_sectors(params, space))
 
 
+@pytest.mark.parametrize("n_max_x, n_max_y", [(5, 4), (8, 8), (3, 0)])
+@pytest.mark.parametrize("r", [0.0, 0.37, 2.0])
+def test_kronecker_oracles_equal_embedded_products(n_max_x, n_max_y, r):
+    # conftest builds its dense Hamiltonians as single Kronecker products; each
+    # is bitwise the product of the embedded qubit and mode operators
+    space = SpaceSpec(n_max_x, n_max_y)
+    params = SimParams.from_khz(4.2, r=r)
+    scale = params.omega / math.sqrt(2)
+    sy, adag = pauli(space, "y"), mode_operator(space, "x", "lower").conj().T
+    pi_y = mode_operator(space, "y", "momentum") - r * mode_operator(space, "x")
+    px = mode_operator(space, "x", "momentum")
+    weyl = scale * (pauli(space, "x") @ px + sy @ pi_y)
+    assert np.array_equal(weyl_hamiltonian(space, params), weyl)
+    half = params.omega * math.sqrt(r) * 1j * (pauli(space, "plus") @ adag)
+    assert np.array_equal(transformed_hamiltonian(space, params), half + half.conj().T)
+    half = 0.65 * np.exp(0.7j) * (pauli(space, "minus") @ adag)
+    tone = sideband_hamiltonian(space, "x", "red", 1.3, 0.7)
+    assert np.array_equal(tone, half + half.conj().T)
+    q = mode_operator(space, "y", "momentum")
+    assert np.array_equal(probe_hamiltonian(space, params, "py"), scale * (sy @ q))
+
+
 # --- sideband tones -----------------------------------------------------------
 
 
@@ -176,7 +198,7 @@ def test_transformed_eigenvalues_oracle(sm_space):
     assert np.abs(evals + target).min() < 1e-9 * target
     # positive branch reproduces omega sqrt(n r) for n <= n_max / 2
     pos = np.sort(evals[evals > 0.5 * target])
-    for n in range(1, sm_space.n_max // 2):
+    for n in range(1, sm_space.n_max_x // 2):
         want = md.landau_level(n, params)
         assert abs(pos[n - 1] - want) < 1e-9 * want
     # exactly two zero modes: the physical one and the truncation artifact
@@ -206,6 +228,8 @@ def test_landau_eigenstates(sm_space):
         md.landau_eigenstate(sm_space, 0, "plus")
     with pytest.raises(DomainError):
         md.landau_eigenstate(sm_space, 2, "zero")
+    with pytest.raises(DomainError):  # a two-mode space
+        md.landau_eigenstate(SpaceSpec(4, 1), 0)
 
 
 def test_two_mode_spectrum_contains_level_ladder():
@@ -314,9 +338,11 @@ def test_frame_state_predictor_far_from_unit_field(r, n_max):
 
 @pytest.mark.parametrize("n", [1, 2, 7, md.FRAME_NODES])
 def test_gauss_hermite_matches_numpy(n):
-    # the Jacobi-matrix nodes and weights against numpy's hermgauss, which
-    # refines the roots of H_n by Newton steps
-    nodes, weights = md._gauss_hermite(n)
+    # the frame's rule, the position quadrature's eigenvalues as nodes and
+    # sqrt(pi) |v_0k|^2 as weights, against numpy's hermgauss, which refines
+    # the roots of H_n by Newton steps
+    nodes, vectors = fs.quadrature_eigenbasis(n, "position")
+    weights = math.sqrt(math.pi) * np.abs(vectors[0]) ** 2
     want_nodes, want_weights = np.polynomial.hermite.hermgauss(n)
     assert np.abs(nodes - want_nodes).max() <= 1e-14
     assert np.abs(weights - want_weights).max() <= 1e-14
