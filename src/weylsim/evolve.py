@@ -5,12 +5,13 @@ The Weyl Hamiltonian exists here only as its decomposition
 real SVD of its spin-flip block, which is in closed form, one SVD per
 +-p_y pair of sectors.  Each propagator is one function of that
 decomposition, `(sectors, state, grid, observables)`.  The unitary one
-(`evolve_unitary`) applies it to any pure input on any number of output
-grids, exactly at every sample.  An observable that weighs only
-each sector's spin populations (sigma_z, p_y) is a closed-form sum over
-its transition frequencies, read with no eigenvector product and no
-per-sample amplitudes; any other is read from the eigenvector products
-in real arithmetic, with no complex matrix product.  The master equation
+(`evolve_unitary`) applies it to one pure input on one output grid per
+call, exactly at every sample; one decomposition serves any number of
+calls.  An observable that weighs only each sector's spin populations
+(sigma_z, p_y) is a closed-form sum over its transition frequencies,
+read with no eigenvector product and no per-sample amplitudes; any other
+is read from the eigenvector products in real arithmetic, with no complex
+matrix product.  The master equation
 (`evolve_lindblad`) is a 4th-order split step (Blanes and Moan's 6-stage
 palindromic splitting) of an exact unitary factor, summed from the
 sectors, and an exact elementwise dephasing factor.  It runs in a
@@ -175,12 +176,21 @@ class Sectors:
 
 def _coefficients(sectors: Sectors, state: QState) -> np.ndarray:
     """c_k = W_k^T S^dag phi_k, shape (sectors, m), of the pure input's
-    columns phi_k: its mode y rotated into p_y's eigenbasis."""
+    columns phi_k: its mode y rotated into p_y's eigenbasis.
+
+    U_k^T and V_k^T act on the float view of each half of phi_k, its real
+    and imaginary parts as an (m/2, 2) array: two real batched products,
+    and S^dag multiplies the lower half by -i.
+    """
     phi = state.data.reshape(-1, len(sectors.basis[1])) @ sectors.basis[1].conj()
     u, v = sectors.u, sectors.v
     half = u.shape[1]
-    up = np.einsum("kji,jk->ki", u, phi[:half])
-    down = np.einsum("kji,jk->ki", v, -1j * phi[half:])
+
+    def product(w, f):  # W^T f for each sector's column f, on f's float view
+        pairs = np.ascontiguousarray(f.T).view(float).reshape(len(w), half, 2)
+        return (w.swapaxes(1, 2) @ pairs).reshape(len(w), -1).view(complex)
+
+    up, down = product(u, phi[:half]), -1j * product(v, phi[half:])
     return np.concatenate([up + down, up - down], axis=1) * math.sqrt(0.5)
 
 

@@ -5,20 +5,24 @@ dispersion of the free particle, the discrete level spectrum in a synthetic
 field, helicity conservation, and the opposite-chirality trajectories of
 the two spin orientations.  Each runner consumes a declarative config; its
 body computes columnar tables and a list of checks (each naming the basis
-its expected value rests on), and one wrapper, `_runner`, times the body
-and returns them with the run's manifest.  Every field grid starts at 0,
-the sample of the prepared state.
+its expected value rests on), and one wrapper, `_runner`, runs the body on
+one OpenBLAS thread, times it and returns them with the run's manifest.
+Every field grid starts at 0, the sample of the prepared state.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
 import functools
 import math
+import os
 import time
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -318,19 +322,73 @@ def _propagator(cfg: ScenarioConfig):
     return ev.evolve_lindblad if cfg.noise_on else ev.evolve_unitary
 
 
+@functools.cache
+def _blas_thread_limit():
+    """`openblas_set_num_threads_local` of the OpenBLAS that numpy loaded,
+    or None if there is none.
+
+    numpy's wheels carry their OpenBLAS in numpy.libs (Linux) or
+    numpy/.dylibs (macOS); each candidate is opened with RTLD_NOLOAD, which
+    finds a copy already loaded and never loads a second one.  The function
+    sets the thread count of the calling thread's BLAS calls and returns
+    the previous count.  An OpenBLAS built on pthreads, as numpy's wheels
+    are, keeps one count for the whole process: while it is set, the calls
+    of every thread run on that many threads.
+    """
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return None
+    package = Path(np.__file__).parent
+    for folder in (package.parent / "numpy.libs", package / ".dylibs"):
+        names = sorted(os.listdir(folder)) if folder.is_dir() else []
+        for name in (n for n in names if "openblas" in n):
+            try:
+                lib = ctypes.CDLL(str(folder / name), mode=noload)
+                limit = lib.openblas_set_num_threads_local
+            except (OSError, AttributeError):  # not loaded, or an older OpenBLAS
+                continue
+            limit.argtypes, limit.restype = [ctypes.c_int], ctypes.c_int
+            return limit
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread for the block, then restore the previous
+    count, also if the block raises; yields the limit, or None if unbound.
+
+    A scenario's BLAS and LAPACK calls are small (matrices of tens to a
+    few hundred rows at the defaults) and gain little or nothing from a
+    second thread, whose worker then spins idle for about 0.13 s of CPU
+    after each threaded call.
+    """
+    limit = _blas_thread_limit()
+    if limit is None:
+        yield None
+        return
+    previous = limit(1)
+    try:
+        yield 1
+    finally:
+        limit(previous)
+
+
 def _runner(body):
     """A scenario runner from a body that returns its (tables, checks).
 
-    The runner times the body and records the run in the manifest: the
-    resolved config, the version, the timestamps, the check counts and
-    every check as `check.record()`.
+    The runner runs the body on one OpenBLAS thread (`_one_blas_thread`),
+    times it and records the run in the manifest: the resolved config, the
+    version, the timestamps, the thread limit (`blas_threads`, None where
+    no OpenBLAS binding was found), the check counts and every check as
+    `check.record()`.
     """
 
     @functools.wraps(body)
     def run(cfg: ScenarioConfig) -> ScenarioResult:
         started = datetime.now(timezone.utc).isoformat()
         t0 = time.perf_counter()
-        tables, checks = body(cfg)
+        with _one_blas_thread() as blas_threads:
+            tables, checks = body(cfg)
         manifest = {
             "scenario": cfg.name,
             "config": config_dict(cfg),
@@ -338,6 +396,7 @@ def _runner(body):
             "started_utc": started,
             "finished_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": round(time.perf_counter() - t0, 3),
+            "blas_threads": blas_threads,
             "checks_passed": sum(c.passed for c in checks),
             "checks_failed": sum(not c.passed for c in checks),
             "checks": [c.record() for c in checks],

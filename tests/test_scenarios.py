@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -6,6 +8,11 @@ import pytest
 
 from weylsim import scenarios as sc
 from weylsim.errors import DomainError
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 def _passed(result):
@@ -134,7 +141,60 @@ def test_manifest_carries_resolved_config():
     assert m["config"]["sweep"] == [0.59, 1.19, 1.78, 2.38]
     assert m["checks_failed"] == 0
     assert m["wall_time_s"] >= 0
+    # 1 where numpy's OpenBLAS was found, None where runs keep its default
+    assert m["blas_threads"] == (None if sc._blas_thread_limit() is None else 1)
     assert all(c.basis in ("analytic", "identity", "oracle") for c in res.checks)
+
+
+def test_runner_holds_one_blas_thread_and_restores_it(monkeypatch):
+    # with a fake binding: 1 during the body, the previous count after it
+    # returns and after it raises
+    count = [3]
+
+    def fake_limit(n):
+        previous, count[0] = count[0], n
+        return previous
+
+    monkeypatch.setattr(sc, "_blas_thread_limit", lambda: fake_limit)
+    cfg = sc.default_config("dispersion", n_max=12)
+    seen = []
+
+    @sc._runner
+    def body(cfg):
+        seen.append(count[0])
+        if len(seen) == 2:
+            raise RuntimeError("body failed")
+        return {}, []
+
+    assert body(cfg).manifest["blas_threads"] == 1
+    assert count == [3]
+    with pytest.raises(RuntimeError, match="body failed"):
+        body(cfg)
+    assert seen == [1, 1] and count == [3]
+
+
+def _other_threads_cpu() -> float:
+    """CPU seconds of every thread of this process but the calling one."""
+    whole = resource.getrusage(resource.RUSAGE_SELF)
+    this = resource.getrusage(resource.RUSAGE_THREAD)
+    return whole.ru_utime + whole.ru_stime - this.ru_utime - this.ru_stime
+
+
+@pytest.mark.skipif(
+    sc._blas_thread_limit() is None
+    or not hasattr(resource, "RUSAGE_THREAD")
+    or os.cpu_count() == 1,
+    reason="needs numpy's OpenBLAS, per-thread rusage and a second core",
+)
+def test_scenario_run_leaves_no_blas_worker_spinning():
+    # a threaded BLAS call leaves OpenBLAS's idle worker spinning for about
+    # 0.13 s of CPU; noiseless landau at n_max 40 makes several (its 41x41
+    # SVDs, its products, the frame's eigh of 80) unless held to one thread
+    time.sleep(0.3)  # let a spin from earlier work settle
+    before = _other_threads_cpu()
+    sc.run_landau(sc.default_config("landau", noise_on=False))
+    time.sleep(0.3)
+    assert _other_threads_cpu() - before <= 0.02
 
 
 @pytest.mark.parametrize("name", sc.SCENARIO_NAMES)
@@ -175,6 +235,7 @@ def test_runner_manifest_records_its_checks(name):
         "started_utc",
         "finished_utc",
         "wall_time_s",
+        "blas_threads",
         "checks_passed",
         "checks_failed",
         "checks",
