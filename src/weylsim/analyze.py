@@ -186,25 +186,15 @@ def linear_fit_through_origin(xs, ys) -> float:
     return float(xs @ ys) / denom
 
 
-@dataclass(frozen=True)
-class AzimuthSeries:
-    """Unwrapped azimuth angles of the spin and kinetic-momentum vectors.
+def azimuth(x: np.ndarray, y: np.ndarray):
+    """Unwrapped azimuth angle of the vector (x, y), its x/y component ratio,
+    and pole flags: (phi, ratio, poles).
 
-    The x/y component ratios mirror the angle data but blow up near zeros
-    of the denominator; where |y| is below 1e-12 of the vector's length the
-    ratio is +-inf with the sign of x.  Entries where both components are
-    below 1e-6 are flagged as poles rather than raised.
+    The ratio mirrors the angle data but blows up near zeros of the
+    denominator; where |y| is below 1e-12 of the vector's length the ratio
+    is +-inf with the sign of x.  Entries where both components are below
+    1e-6 are flagged as poles rather than raised.
     """
-
-    phi_spin: TimeSeries
-    phi_momentum: TimeSeries
-    ratio_spin: np.ndarray
-    ratio_momentum: np.ndarray
-    poles_spin: np.ndarray
-    poles_momentum: np.ndarray
-
-
-def _azimuth(x: np.ndarray, y: np.ndarray):
     poles = (np.abs(x) < 1e-6) & (np.abs(y) < 1e-6)
     phi = np.unwrap(np.arctan2(y, x))
     # a y that is rounding noise against x reads as its y -> +0 limit; an
@@ -213,25 +203,6 @@ def _azimuth(x: np.ndarray, y: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(flat, np.copysign(np.inf, x), x / y)
     return phi, ratio, poles
-
-
-def azimuth_pair_series(
-    sx: TimeSeries, sy: TimeSeries, pix: TimeSeries, piy: TimeSeries
-) -> AzimuthSeries:
-    """Azimuth angles (and x/y ratios) of spin and kinetic momentum."""
-    for s in (sy, pix, piy):
-        if not np.array_equal(s.times, sx.times):
-            raise GridError("all four series must share one time grid")
-    phi_s, ratio_s, pole_s = _azimuth(sx.values, sy.values)
-    phi_p, ratio_p, pole_p = _azimuth(pix.values, piy.values)
-    return AzimuthSeries(
-        phi_spin=TimeSeries(sx.times, phi_s, "phi_spin"),
-        phi_momentum=TimeSeries(sx.times, phi_p, "phi_momentum"),
-        ratio_spin=ratio_s,
-        ratio_momentum=ratio_p,
-        poles_spin=pole_s,
-        poles_momentum=pole_p,
-    )
 
 
 def trajectory_chirality(x_series: TimeSeries, y_series: TimeSeries) -> str:

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -74,20 +73,6 @@ def load_config(path, name: str) -> ScenarioConfig:
     return build_config(name, _read_overrides(path, name))
 
 
-def _ini_value(value) -> str:
-    """A value as its key's parser reads it back (a float's str is exact)."""
-    if isinstance(value, tuple):
-        return ", ".join(map(str, value))
-    return str(value)
-
-
-def dump_config(cfg: ScenarioConfig) -> str:
-    """INI text of a fully resolved config; load_config round-trips it."""
-    lines = [f"[{cfg.name}]"]
-    lines += [f"{key} = {_ini_value(value)}" for key, value in cfg.values.items()]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # output writing
 # ---------------------------------------------------------------------------
@@ -104,9 +89,15 @@ def _json_floats(column) -> list:
 
 def _atomic_write(path: Path, text: str) -> dict:
     """Write text as UTF-8 under a temp name, rename it to path, and return
-    the manifest entry: the file's name and the sha256 of the bytes written."""
+    the manifest entry: the file's name and the sha256 of the bytes written.
+
+    The temp file is created with mode 0o666 less the umask, the mode that
+    open(path, "w") would give, and the rename keeps it.
+    """
     data = text.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

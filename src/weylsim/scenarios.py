@@ -18,6 +18,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 import time
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
@@ -64,8 +65,8 @@ class ScenarioConfig:
 
     `values` maps the scenario's keys, and no others, to their values in
     config-file units (kHz, us, ms), exactly as parsed or defaulted, in
-    FIELDS order; the manifest and `cli.dump_config` record it as it
-    stands.  `params`, `space` and `grid` are built from it once.
+    FIELDS order; the manifest records it as it stands.  `params`, `space`
+    and `grid` are built from it once.
     Dispersion prepares its own noiseless wavepackets, so it has no time
     grid and none of the keys that go with one.
     """
@@ -226,13 +227,6 @@ def _default_values(name: str, n_max: int | None, noise_on: bool | None) -> dict
     return values
 
 
-def default_config(
-    name: str, n_max: int | None = None, noise_on: bool | None = None
-) -> ScenarioConfig:
-    """Resolved defaults for a named scenario."""
-    return ScenarioConfig(name, _default_values(name, n_max, noise_on))
-
-
 def build_config(name: str, overrides: dict) -> ScenarioConfig:
     """A scenario's defaults with some keys of FIELDS overridden.
 
@@ -352,6 +346,11 @@ def _blas_thread_limit():
     return None
 
 
+_blas_lock = threading.Lock()
+_blas_runs = 0  # runs holding OpenBLAS to one thread
+_blas_previous = None  # the count the first of them found
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold OpenBLAS to one thread for the block, then restore the previous
@@ -360,17 +359,26 @@ def _one_blas_thread():
     A scenario's BLAS and LAPACK calls are small (matrices of tens to a
     few hundred rows at the defaults) and gain little or nothing from a
     second thread, whose worker then spins idle for about 0.13 s of CPU
-    after each threaded call.
+    after each threaded call.  The count is process-wide, so runs that
+    overlap on several threads share one hold: the first to enter saves
+    the count and sets 1, and the last to leave restores it.
     """
+    global _blas_runs, _blas_previous
     limit = _blas_thread_limit()
     if limit is None:
         yield None
         return
-    previous = limit(1)
+    with _blas_lock:
+        if _blas_runs == 0:
+            _blas_previous = limit(1)
+        _blas_runs += 1
     try:
         yield 1
     finally:
-        limit(previous)
+        with _blas_lock:
+            _blas_runs -= 1
+            if _blas_runs == 0:
+                limit(_blas_previous)
 
 
 def _runner(body):
@@ -553,28 +561,24 @@ def run_helicity(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sectors = ev.weyl_sectors(cfg.params, cfg.space)
     series = _propagator(cfg)(sectors, psi0, grid, _observables(cfg, labels))
-    sx, sy, pix, piy = (series[k] for k in ("sigma_x", "sigma_y", "pi_x", "pi_y"))
-    py_series = series["p_y"]
-    az = an.azimuth_pair_series(sx, sy, pix, piy)
+    sx, sy, pix, piy, py = (series[k].values for k in labels)
+    phi_s, ratio_s, poles_s = an.azimuth(sx, sy)
+    phi_p, ratio_p, poles_p = an.azimuth(pix, piy)
 
     tables = {
-        "spin": {"t(us)": grid.times * 1e3, "sigma_x": sx.values, "sigma_y": sy.values},
-        "kinetic_momentum": {
-            "t(us)": grid.times * 1e3,
-            "pi_x": pix.values,
-            "pi_y": piy.values,
-        },
+        "spin": {"t(us)": grid.times * 1e3, "sigma_x": sx, "sigma_y": sy},
+        "kinetic_momentum": {"t(us)": grid.times * 1e3, "pi_x": pix, "pi_y": piy},
         "angles": {
             "t(us)": grid.times * 1e3,
-            "phi_spin(rad)": az.phi_spin.values,
-            "phi_momentum(rad)": az.phi_momentum.values,
+            "phi_spin(rad)": phi_s,
+            "phi_momentum(rad)": phi_p,
         },
         "ratios": {
             "t(us)": grid.times * 1e3,
-            "spin_x_over_y": az.ratio_spin,
-            "spin_pole": az.poles_spin.astype(float),
-            "momentum_x_over_y": az.ratio_momentum,
-            "momentum_pole": az.poles_momentum.astype(float),
+            "spin_x_over_y": ratio_s,
+            "spin_pole": poles_s.astype(float),
+            "momentum_x_over_y": ratio_p,
+            "momentum_pole": poles_p.astype(float),
         },
     }
 
@@ -582,19 +586,19 @@ def run_helicity(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
         _num_check(
             "initial_alignment_rad",
             0.0,
-            max(abs(az.phi_spin.values[0]), abs(az.phi_momentum.values[0])),
+            max(abs(phi_s[0]), abs(phi_p[0])),
             1e-9,
             "analytic",
         )
     ]
     if not cfg.noise_on:
-        drift = float(np.abs(py_series.values - py_series.values[0]).max())
+        drift = float(np.abs(py - py[0]).max())
         checks.append(_num_check("py_conservation", 0.0, drift, PY_DRIFT_TOL, "identity"))
-        mean_dev = float(np.mean(np.abs(az.phi_spin.values - az.phi_momentum.values)))
+        mean_dev = float(np.mean(np.abs(phi_s - phi_p)))
         checks.append(
             _num_check("angle_mean_dev_rad", 0.0, mean_dev, ANGLE_MEAN_TOL, "oracle")
         )
-        swept = abs(az.phi_spin.values[-1] - az.phi_spin.values[0])
+        swept = abs(phi_s[-1] - phi_s[0])
         checks.append(
             _cat_check("full_rotation_swept", True, swept >= 2 * math.pi, "oracle")
         )

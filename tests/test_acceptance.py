@@ -65,7 +65,7 @@ def noisy_landau():
 
 def test_criterion_1_landau_spectrum():
     t0 = time.perf_counter()
-    cfg = sc.default_config("landau", n_max=15, noise_on=False)
+    cfg = sc.build_config("landau", {"n_max_x": 15, "noise": False})
     res = sc.run_landau(cfg)
     wall = time.perf_counter() - t0
     cm = _check_map(res)
@@ -102,7 +102,7 @@ def test_criterion_2_landau_noise_robustness(noisy_landau):
 
 def test_criterion_3_linear_dispersion():
     t0 = time.perf_counter()
-    res = sc.run_dispersion(sc.default_config("dispersion"))
+    res = sc.run_dispersion(sc.build_config("dispersion", {}))
     wall = time.perf_counter() - t0
     cm = _check_map(res)
     slope = cm["dispersion_slope_kHz"]
@@ -118,7 +118,7 @@ def test_criterion_3_linear_dispersion():
 
 
 def test_criterion_4_analytic_spectrum_oracle():
-    cfg = sc.default_config("landau", noise_on=False)
+    cfg = sc.build_config("landau", {"noise": False})
     grid = cfg.grid
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
@@ -183,7 +183,7 @@ def test_criterion_6_quadrature_protocol_fidelity():
 
 def test_criterion_7_chirality_flip():
     t0 = time.perf_counter()
-    res = sc.run_trajectory(sc.default_config("trajectory"))
+    res = sc.run_trajectory(sc.build_config("trajectory", {}))
     wall = time.perf_counter() - t0
     cm = _check_map(res)
     ok = (
@@ -252,26 +252,26 @@ def test_criterion_9_truncation_convergence_gate():
     w1 = gate(
         "landau 40->80",
         sc.run_landau,
-        sc.default_config("landau", n_max=40, noise_on=False),
-        sc.default_config("landau", n_max=80, noise_on=False),
+        sc.build_config("landau", {"n_max_x": 40, "noise": False}),
+        sc.build_config("landau", {"n_max_x": 80, "noise": False}),
     )
     w3 = gate(
         "dispersion 18->36",
         sc.run_dispersion,
-        sc.default_config("dispersion", n_max=18),
-        sc.default_config("dispersion", n_max=36),
+        sc.build_config("dispersion", {"n_max_x": 18}),
+        sc.build_config("dispersion", {"n_max_x": 36}),
     )
     w7 = gate(
         "trajectory 15->30",
         sc.run_trajectory,
-        sc.default_config("trajectory", n_max=15),
-        sc.default_config("trajectory", n_max=30),
+        sc.build_config("trajectory", {"n_max_x": 15}),
+        sc.build_config("trajectory", {"n_max_x": 30}),
     )
     w_hel = gate(
         "helicity 15->30",
         sc.run_helicity,
-        sc.default_config("helicity", n_max=15),
-        sc.default_config("helicity", n_max=30),
+        sc.build_config("helicity", {"n_max_x": 15}),
+        sc.build_config("helicity", {"n_max_x": 30}),
     )
     worst = max(w1, w3, w7, w_hel)
     _report(

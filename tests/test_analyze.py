@@ -266,46 +266,37 @@ def _series_pair(x, y, t=None):
 
 
 def test_azimuth_basics():
-    t = np.linspace(0, 1, 3)
-    sx = TimeSeries(t, np.array([1.0, 0.0, -1.0]))
-    sy = TimeSeries(t, np.array([0.0, 1.0, 0.0]))
-    pix = TimeSeries(t, np.array([1.0, 1.0, 1.0]))
-    piy = TimeSeries(t, np.zeros(3))
-    az = an.azimuth_pair_series(sx, sy, pix, piy)
-    assert abs(az.phi_spin.values[0]) < 1e-14
-    assert abs(az.phi_spin.values[1] - math.pi / 2) < 1e-14
-    assert np.abs(az.phi_momentum.values).max() < 1e-14
-    assert not az.poles_spin.any()
+    x, y = np.array([1.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0])
+    phi_spin, _, poles_spin = an.azimuth(x, y)
+    phi_momentum, _, _ = an.azimuth(np.ones(3), np.zeros(3))
+    assert abs(phi_spin[0]) < 1e-14
+    assert abs(phi_spin[1] - math.pi / 2) < 1e-14
+    assert np.abs(phi_momentum).max() < 1e-14
+    assert not poles_spin.any()
 
 
 def test_azimuth_unwrap_continuity():
     t = np.linspace(0, 1, 400)
     ang = 3.0 * 2 * math.pi * t
-    sx = TimeSeries(t, np.cos(ang))
-    sy = TimeSeries(t, np.sin(ang))
-    az = an.azimuth_pair_series(sx, sy, sx, sy)
-    assert np.abs(np.diff(az.phi_spin.values)).max() < math.pi
-    assert abs(az.phi_spin.values[-1] - ang[-1]) < 1e-9
+    phi, _, _ = an.azimuth(np.cos(ang), np.sin(ang))
+    assert np.abs(np.diff(phi)).max() < math.pi
+    assert abs(phi[-1] - ang[-1]) < 1e-9
 
 
 def test_azimuth_pole_flags():
-    t = np.linspace(0, 1, 3)
-    sx = TimeSeries(t, np.array([1.0, 1e-9, 1.0]))
-    sy = TimeSeries(t, np.array([0.0, 1e-9, 0.0]))
-    az = an.azimuth_pair_series(sx, sy, sx, sy)
-    assert az.poles_spin.tolist() == [False, True, False]
+    _, _, poles = an.azimuth(np.array([1.0, 1e-9, 1.0]), np.array([0.0, 1e-9, 0.0]))
+    assert poles.tolist() == [False, True, False]
 
 
 def test_azimuth_ratio_on_rounding_noise_is_the_y_to_zero_limit():
     # a y of 1e-16 against x = sqrt(2) is rounding noise: the ratio is
     # +-inf by the sign of x, whatever the sign of the noise, and no pole
-    t = np.linspace(0, 1, 4)
     root2 = math.sqrt(2)
-    sx = TimeSeries(t, np.array([root2, root2, -root2, 1.0]))
-    sy = TimeSeries(t, np.array([1e-16, -1e-16, 1e-16, 2.0]))
-    az = an.azimuth_pair_series(sx, sy, sx, sy)
-    assert az.ratio_spin.tolist() == [math.inf, math.inf, -math.inf, 0.5]
-    assert not az.poles_spin.any()
+    x = np.array([root2, root2, -root2, 1.0])
+    y = np.array([1e-16, -1e-16, 1e-16, 2.0])
+    _, ratio, poles = an.azimuth(x, y)
+    assert ratio.tolist() == [math.inf, math.inf, -math.inf, 0.5]
+    assert not poles.any()
 
 
 def test_chirality_circle_and_reverse():

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ from weylsim.scenarios import (
     ScenarioResult,
     build_config,
     config_dict,
-    default_config,
 )
 
 
@@ -32,7 +33,7 @@ def test_empty_config_gives_defaults(tmp_path):
     path = tmp_path / "empty.ini"
     path.write_text("")
     cfg = cli.load_config(path, "dispersion")
-    base = default_config("dispersion")
+    base = build_config("dispersion", {})
     assert cfg.params.omega == base.params.omega
     assert cfg.sweep == base.sweep
 
@@ -79,7 +80,7 @@ def test_invalid_value_rejected(tmp_path):
 
 def test_config_roundtrip(tmp_path):
     configs = [
-        default_config(name, n_max=12, noise_on=noise)
+        build_config(name, {"n_max_x": 12, "noise": noise})
         for name in SCENARIO_NAMES
         for noise in (True, False)
         if not (name == "dispersion" and noise)  # dispersion is noiseless
@@ -117,12 +118,19 @@ def test_config_roundtrip(tmp_path):
             "landau", {"omega_khz": 4.123456789012345, "t_end_us": 600.0000000001}
         )
     )
+    # the manifest's config block, as manifest.json holds it, written back
+    # as INI lines: complex numbers in their str form, "inf", the sweep as
+    # a list and floats in their shortest exact form all load as given
     manifest_keys = set()
     for i, cfg in enumerate(configs):
+        block = json.loads(json.dumps(config_dict(cfg)))
+        lines = [f"[{block.pop('scenario')}]"]
+        for key, value in block.items():
+            text = ", ".join(map(str, value)) if isinstance(value, list) else value
+            lines.append(f"{'noise' if key == 'noise_on' else key} = {text}")
         path = tmp_path / f"{i}.ini"
-        path.write_text(cli.dump_config(cfg))
-        again = cli.load_config(path, cfg.name)
-        assert again == cfg
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.load_config(path, cfg.name) == cfg
         manifest_keys |= set(config_dict(cfg))
         if cfg.name == "dispersion":  # only the keys dispersion has
             assert set(config_dict(cfg)) == {
@@ -267,6 +275,40 @@ def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     assert err == "run failed: Unable to allocate 149. GiB for an array\n"
 
 
+def test_out_under_a_file_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli("helicity", "--n-max", 5, "--out", blocker / "run", "--quiet")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("i/o error:")
+    assert "Traceback" not in err
+
+
+def test_failed_rename_exits_1_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "run"
+    code = run_cli("helicity", "--n-max", 5, "--out", out, "--quiet")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert list(out.iterdir()) == []
+
+
+def test_written_files_take_the_umask_mode(tmp_path):
+    # the mode open(path, "w") would give, not a temp file's 0o600
+    previous = os.umask(0o022)
+    try:
+        code = run_cli("dispersion", "--n-max", 12, "--out", tmp_path / "run")
+    finally:
+        os.umask(previous)
+    assert code == 0
+    for path in (tmp_path / "run").iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o022, path.name
+
+
 def test_failed_checks_exit_1(tmp_path):
     path = tmp_path / "short.ini"
     path.write_text("[helicity]\nt_end_us = 100\nn_max_x = 10\nn_max_y = 10\n")
@@ -396,7 +438,7 @@ def test_check_writers_match_literal_rows(tmp_path):
         Check("flag", "True", "True", 0.0, True, "oracle"),
     ]
     tables = {"t": {"a": np.array([1.0, 2.0])}}
-    cfg = default_config("helicity", n_max=4)
+    cfg = build_config("helicity", {"n_max_x": 4})
     result = sc._runner(lambda _: (tables, checks))(cfg)
     rows = [
         {
@@ -434,7 +476,7 @@ def test_nan_check_writes_strict_json(tmp_path):
     # a check without a peak reads NaN; strict JSON has no NaN token, so
     # result.json and the manifest spell it as a string in both formats
     checks = [Check("peak_n1_kHz", 4.2, math.nan, 1.67, False, "analytic")]
-    cfg = default_config("landau", n_max=4, noise_on=False)
+    cfg = build_config("landau", {"n_max_x": 4, "noise": False})
     result = sc._runner(lambda _: ({"t": {"a": np.array([1.0])}}, checks))(cfg)
 
     def refuse(token):

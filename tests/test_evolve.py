@@ -478,7 +478,7 @@ def test_sigma_z_does_no_eigenvector_product():
     # sigma_z is read from the sector amplitudes alone: with W's halves U
     # and V all NaN, except where the input's coefficients are formed, the
     # noiseless landau record and its norm drift are unchanged
-    cfg = sc.default_config("landau", n_max=12, noise_on=False)
+    cfg = sc.build_config("landau", {"n_max_x": 12, "noise": False})
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     sz = {"sigma_z": md.field_observables(cfg.space, cfg.params)["sigma_z"]}
     sectors = ev.weyl_sectors(cfg.params, cfg.space)
@@ -580,7 +580,7 @@ def test_field_runner_decomposes_once(monkeypatch, name, noise):
     # of each +-p_y pair, with no eigendecomposition, and equals separate
     # propagations of the same inputs
     n_max = (7 if name == "landau" else 8) if noise else 12
-    cfg = sc.default_config(name, n_max=n_max, noise_on=noise)
+    cfg = sc.build_config(name, {"n_max_x": n_max, "noise": noise})
     res, calls = _decompositions(monkeypatch, sc.RUNNERS[name], cfg)
     k = cfg.space.n_max_x + 1
     pairs = math.ceil((cfg.space.n_max_y + 1) / 2)
@@ -676,7 +676,7 @@ def test_unitary_memory_does_not_grow_with_samples():
     # (one sector block at most), also when one decomposition is sampled
     # over two grids, for sigma_z on the population path and for x and y
     # on the product path
-    cfg = sc.default_config("landau", n_max=12, noise_on=False)
+    cfg = sc.build_config("landau", {"n_max_x": 12, "noise": False})
     psi0 = fs.coherent_state(cfg.space, cfg.alpha_x, cfg.alpha_y, cfg.initial_spin)
     obs = md.field_observables(cfg.space, cfg.params)
     sectors = ev.weyl_sectors(cfg.params, cfg.space)
@@ -949,7 +949,7 @@ def test_substeps_tolerate_rounding(t_end_us, n_samples):
 
 def test_default_grids_take_one_step_per_sample():
     for name in ("landau", "trajectory"):
-        assert ev._substeps(sc.default_config(name, noise_on=True).grid) == 1
+        assert ev._substeps(sc.build_config(name, {"noise": True}).grid) == 1
 
 
 def test_lindblad_evolves_parity_blocks(monkeypatch):
@@ -1165,7 +1165,7 @@ def test_grid_refuses_a_million_substeps():
             TimeGrid(*args)
     for name in ("landau", "helicity", "trajectory"):
         for noise in (False, True):
-            assert ev._substeps(sc.default_config(name, noise_on=noise).grid) <= 3
+            assert ev._substeps(sc.build_config(name, {"noise": noise}).grid) <= 3
     assert ev._substeps(TimeGrid(0.0, sc.INSET_SPAN_MS, sc.INSET_SAMPLES)) == 4
     assert ev._substeps(TimeGrid(0.0, 0.6, 201, 2e-4)) == 15  # the 0.2 us oracle
 

@@ -154,8 +154,11 @@ def test_coherent_occupation_oracle(space):
 def test_coherent_guard_and_leakage(space):
     with pytest.raises(TruncationError):
         fs.coherent_state(space, 2.1, 0)  # |alpha|^2 = 4.41 > 15/4
-    # strongest in-range amplitude keeps the discarded tail tiny
-    assert fs.coherent_leakage(1.68, space.n_max_x) < 1e-6
+    # strongest in-range amplitude keeps the discarded tail tiny: the
+    # Poisson weight of |alpha|^2 beyond Fock level n_max
+    mean = 1.68**2
+    kept = sum(mean**n / math.factorial(n) for n in range(space.n_max_x + 1))
+    assert 1.0 - math.exp(-mean) * kept < 1e-6
     st = fs.coherent_state(space, 1.68, 0)
     assert abs(np.linalg.norm(st.data) - 1.0) < 1e-12
 

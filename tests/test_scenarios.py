@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import time
 from dataclasses import asdict
 
@@ -20,7 +22,7 @@ def _passed(result):
 
 
 def test_dispersion_scenario_passes():
-    res = sc.run_dispersion(sc.default_config("dispersion", n_max=12))
+    res = sc.run_dispersion(sc.build_config("dispersion", {"n_max_x": 12}))
     assert all(c.passed for c in res.checks)
     table = res.tables["dispersion"]
     assert list(table) == ["p", "E_over_2pi(kHz)"]
@@ -28,7 +30,7 @@ def test_dispersion_scenario_passes():
 
 
 def test_dispersion_with_zero_momentum_row():
-    base = sc.default_config("dispersion", n_max=12)
+    base = sc.build_config("dispersion", {"n_max_x": 12})
     cfg = sc.ScenarioConfig("dispersion", base.values | {"sweep": (0.0, 1.19)})
     res = sc.run_dispersion(cfg)
     table = res.tables["dispersion"]
@@ -37,12 +39,12 @@ def test_dispersion_with_zero_momentum_row():
 
 
 def test_dispersion_requires_sweep_and_free_model():
-    cfg = sc.default_config("dispersion")
+    cfg = sc.build_config("dispersion", {})
     with pytest.raises(DomainError):
         sc.ScenarioConfig("dispersion", cfg.values | {"sweep": ()})
     with pytest.raises(DomainError):
         sc.ScenarioConfig("dispersion", cfg.values | {"r": 1.0, "sweep": (1.0,)})
-    landau = sc.default_config("landau", n_max=18, noise_on=False)
+    landau = sc.build_config("landau", {"n_max_x": 18, "noise": False})
     with pytest.raises(DomainError):
         sc.ScenarioConfig(
             "landau",
@@ -51,7 +53,7 @@ def test_dispersion_requires_sweep_and_free_model():
 
 
 def test_landau_scenario_noiseless_small():
-    res = sc.run_landau(sc.default_config("landau", n_max=12, noise_on=False))
+    res = sc.run_landau(sc.build_config("landau", {"n_max_x": 12, "noise": False}))
     ok = _passed(res)
     assert ok["peak_n1_kHz"] and ok["peak_n2_kHz"]
     assert ok["inset_peak_n4_kHz"]
@@ -68,7 +70,7 @@ def test_landau_scenario_noiseless_small():
 
 
 def test_landau_scenario_with_predictor_check():
-    res = sc.run_landau(sc.default_config("landau", noise_on=False))
+    res = sc.run_landau(sc.build_config("landau", {"noise": False}))
     ok = _passed(res)
     assert ok["predictor_max_dev"]
     assert all(ok.values())
@@ -85,7 +87,7 @@ def test_landau_without_noise_far_from_unit_field(r):
 
 
 def test_helicity_scenario_passes():
-    res = sc.run_helicity(sc.default_config("helicity", n_max=12))
+    res = sc.run_helicity(sc.build_config("helicity", {"n_max_x": 12}))
     assert all(c.passed for c in res.checks)
     names = {c.name for c in res.checks}
     assert {"py_conservation", "angle_mean_dev_rad", "full_rotation_swept"} <= names
@@ -97,16 +99,15 @@ def test_helicity_first_ratio_is_truncation_independent():
     # at t = 0, pi_y is rounding noise against pi_x = sqrt(2): the first
     # ratio is its limit, not a truncation-dependent 1e15
     first = {
-        n_max: sc.run_helicity(sc.default_config("helicity", n_max=n_max)).tables[
-            "ratios"
-        ]["momentum_x_over_y"][0]
+        n_max: sc.run_helicity(sc.build_config("helicity", {"n_max_x": n_max}))
+        .tables["ratios"]["momentum_x_over_y"][0]
         for n_max in (12, 15)
     }
     assert first[12] == first[15] == math.inf
 
 
 def test_trajectory_scenario_passes():
-    res = sc.run_trajectory(sc.default_config("trajectory", n_max=10))
+    res = sc.run_trajectory(sc.build_config("trajectory", {"n_max_x": 10}))
     assert all(c.passed for c in res.checks)
     by_name = {c.name: c for c in res.checks}
     assert by_name["chirality_plus_x"].actual == "clockwise"
@@ -114,7 +115,7 @@ def test_trajectory_scenario_passes():
 
 
 def test_scenario_determinism():
-    cfg = sc.default_config("dispersion", n_max=12)
+    cfg = sc.build_config("dispersion", {"n_max_x": 12})
     a = sc.run_dispersion(cfg)
     b = sc.run_dispersion(cfg)
     for name in a.tables:
@@ -127,14 +128,15 @@ def test_scenario_determinism():
 
 def test_trajectory_chirality_robust_to_noise():
     # switching the dephasing channel on must not flip a chirality pass
-    res = sc.run_trajectory(sc.default_config("trajectory", n_max=8, noise_on=True))
+    cfg = sc.build_config("trajectory", {"n_max_x": 8, "noise": True})
+    res = sc.run_trajectory(cfg)
     ok = _passed(res)
     assert ok["chirality_plus_x"] and ok["chirality_minus_x"]
     assert ok["initial_velocities_opposite"]
 
 
 def test_manifest_carries_resolved_config():
-    res = sc.run_dispersion(sc.default_config("dispersion", n_max=12))
+    res = sc.run_dispersion(sc.build_config("dispersion", {"n_max_x": 12}))
     m = res.manifest
     assert m["scenario"] == "dispersion"
     assert m["config"]["omega_khz"] == pytest.approx(4.75)
@@ -146,9 +148,9 @@ def test_manifest_carries_resolved_config():
     assert all(c.basis in ("analytic", "identity", "oracle") for c in res.checks)
 
 
-def test_runner_holds_one_blas_thread_and_restores_it(monkeypatch):
-    # with a fake binding: 1 during the body, the previous count after it
-    # returns and after it raises
+@pytest.fixture
+def blas_count(monkeypatch):
+    """OpenBLAS's thread count, 3 at first, behind a fake binding."""
     count = [3]
 
     def fake_limit(n):
@@ -156,21 +158,92 @@ def test_runner_holds_one_blas_thread_and_restores_it(monkeypatch):
         return previous
 
     monkeypatch.setattr(sc, "_blas_thread_limit", lambda: fake_limit)
-    cfg = sc.default_config("dispersion", n_max=12)
+    return count
+
+
+def test_runner_holds_one_blas_thread_and_restores_it(blas_count):
+    # with a fake binding: 1 during the body, the previous count after it
+    # returns and after it raises
+    cfg = sc.build_config("dispersion", {"n_max_x": 12})
     seen = []
 
     @sc._runner
     def body(cfg):
-        seen.append(count[0])
+        seen.append(blas_count[0])
         if len(seen) == 2:
             raise RuntimeError("body failed")
         return {}, []
 
     assert body(cfg).manifest["blas_threads"] == 1
-    assert count == [3]
+    assert blas_count == [3]
     with pytest.raises(RuntimeError, match="body failed"):
         body(cfg)
-    assert seen == [1, 1] and count == [3]
+    assert seen == [1, 1] and blas_count == [3]
+
+
+@pytest.mark.parametrize("ends_first", ["first", "second"])
+def test_overlapping_runs_share_one_blas_thread_hold(blas_count, ends_first):
+    # two runs overlap on two threads of one host program and end in either
+    # order: OpenBLAS reads 1 while either runs and its old count after both
+    cfg = sc.build_config("dispersion", {"n_max_x": 12})
+    order = ("first", "second")
+    entered = {key: threading.Event() for key in order}
+    release = {key: threading.Event() for key in order}
+    seen = []
+
+    def body_of(key):
+        @sc._runner
+        def body(cfg):
+            entered[key].set()
+            seen.append(blas_count[0])
+            release[key].wait(10)
+            seen.append(blas_count[0])
+            return {}, []
+
+        return body
+
+    threads = {k: threading.Thread(target=body_of(k), args=(cfg,)) for k in order}
+    for key in order:
+        threads[key].start()
+        assert entered[key].wait(10)
+    ends_last = "second" if ends_first == "first" else "first"
+    release[ends_first].set()
+    threads[ends_first].join(10)
+    assert not threads[ends_first].is_alive()
+    assert blas_count == [1]  # the other run still holds one thread
+    release[ends_last].set()
+    threads[ends_last].join(10)
+    assert not threads[ends_last].is_alive()
+    assert seen == [1, 1, 1, 1] and blas_count == [3]
+
+
+def test_many_overlapping_runs_restore_the_blas_thread_count(blas_count):
+    # more runs than cores, switching threads often: a lost update of the
+    # run count would leave OpenBLAS at one thread or restore it mid-run
+    cfg = sc.build_config("dispersion", {"n_max_x": 12})
+    seen = []
+
+    @sc._runner
+    def body(cfg):
+        seen.append(blas_count[0])
+        return {}, []
+
+    def runs():
+        for _ in range(200):
+            body(cfg)
+
+    threads = [threading.Thread(target=runs) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [1] * 1600 and blas_count == [3]
 
 
 def _other_threads_cpu() -> float:
@@ -192,7 +265,7 @@ def test_scenario_run_leaves_no_blas_worker_spinning():
     # SVDs, its products, the frame's eigh of 80) unless held to one thread
     time.sleep(0.3)  # let a spin from earlier work settle
     before = _other_threads_cpu()
-    sc.run_landau(sc.default_config("landau", noise_on=False))
+    sc.run_landau(sc.build_config("landau", {"noise": False}))
     time.sleep(0.3)
     assert _other_threads_cpu() - before <= 0.02
 
@@ -203,7 +276,7 @@ def test_one_eigendecomposition_per_hamiltonian(monkeypatch, name):
     # field runs diagonalize their p_y sectors and the dispersion sweep sums
     # precessions over momentum eigenvalues; a stacked call is counted by
     # the size of its matrices
-    cfg = sc.default_config(name, noise_on=False)
+    cfg = sc.build_config(name, {"noise": False})
     dims = []
     eigh = np.linalg.eigh
 
