@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fockspace as fs
 from . import model as md
-from .analyze import TimeSeries
+from .analyze import TimeSeries, line_values
 from .errors import ConvergenceError, DomainError, NonHermitianError, PositivityError
 from .fockspace import QState, SpaceSpec
 
@@ -48,6 +48,8 @@ DT_MAX_DEFAULT = 3e-3
 # split steps per output interval beyond which a grid is refused: the
 # master equation would run for days instead of failing
 MAX_SUBSTEPS = 10**6
+# samples beyond which a grid is refused: a run holds ~0.4 KB per sample
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,8 @@ class TimeGrid:
             raise DomainError("t_start and t_end must be finite")
         if self.t_end <= self.t_start:
             raise DomainError("t_end must exceed t_start")
-        if self.n_samples < 2:
-            raise DomainError("need at least two samples")
+        if not 2 <= self.n_samples <= MAX_SAMPLES:
+            raise DomainError(f"need from 2 to {MAX_SAMPLES:,} samples")
         if not self.dt_max > 0:
             raise DomainError("dt_max must be positive")
         # the count of `_substeps`, from the fields alone
@@ -84,8 +86,7 @@ class TimeGrid:
 # series the propagators add to their results; no observable may reuse one
 MONITORS = ("norm_drift", "trace_drift", "hermiticity", "min_eig")
 
-# samples the unitary path propagates at once; the population path reads
-# SECTOR_CHUNK**2 samples from one product of two phase tables
+# samples the unitary path propagates at once for a product observable
 SECTOR_CHUNK = 16
 
 
@@ -245,43 +246,21 @@ def _population_values(sectors: Sectors, coeffs, weights: dict, times) -> dict:
     value is sum_k w0_k |c_k|^2 + Re sum_j a_j exp(i f_j t) over
     J = K m / 2 terms j = (k, i), a_j = w1_k conj(c+_ki) c-_ki, f_j = 2 s_ki;
     terms of one frequency are summed first, which about halves J, because
-    the sectors at +-p_y share their s (`weyl_sectors`).
-    On the uniform grid t_(aB+b) = t_(aB) + t_b, B = SECTOR_CHUNK: a (J, B)
-    table of the first B samples, folded with every observable's a_j, and
-    a (B, J) table of B chunk starts give B^2 samples of every observable
-    from one real matrix product, in memory of order B J.
+    the sectors at +-p_y share their s (`weyl_sectors`); `line_values` sums them.
     """
     if not weights:
         return {}
-    evals = sectors.evals
     half = coeffs.shape[1] // 2
     w = np.array(list(weights.values()))  # (observables, 2, sectors)
     steady = w[:, 0] @ np.einsum("ki,ki->k", coeffs.conj(), coeffs).real
-    amps = (w[:, 1, :, None] * (coeffs[:, :half].conj() * coeffs[:, half:])).reshape(
-        len(w), -1
-    )
-    freqs = 2 * evals[:, :half].ravel()
+    amps = w[:, 1, :, None] * (coeffs[:, :half].conj() * coeffs[:, half:])
+    amps = amps.reshape(len(w), -1)
+    freqs = 2 * sectors.evals[:, :half].ravel()
     order = np.argsort(freqs, kind="stable")
     freqs = freqs[order]
     distinct = np.flatnonzero(np.concatenate([[True], freqs[1:] != freqs[:-1]]))
     freqs, amps = freqs[distinct], np.add.reduceat(amps[:, order], distinct, axis=1)
-    offsets = times[:SECTOR_CHUNK]
-    # T_jb = a_j exp(i f_j t_b) per observable, shape (J, observables * B)
-    table = np.exp(1j * np.outer(freqs, offsets))[:, None] * amps.T[:, :, None]
-    table = table.reshape(len(freqs), -1)
-    # Re(exp(i f_j t_a) T_jb) = cos(f_j t_a) Re T_jb - sin(f_j t_a) Im T_jb:
-    # one real product with the phases' float view, in which cos and sin
-    # alternate (a complex GEMM would load ~0.45 MB more of BLAS for it)
-    table = np.stack([table.real, -table.imag], axis=1).reshape(2 * len(freqs), -1)
-    starts = times[:: len(offsets)]
-    out = np.empty((len(w), len(starts), len(offsets)))
-    for first in range(0, len(starts), SECTOR_CHUNK):
-        rows = slice(first, first + SECTOR_CHUNK)
-        phases = np.exp(1j * np.outer(starts[rows], freqs)).view(float)
-        block = (phases @ table).reshape(len(phases), len(w), len(offsets))
-        out[:, rows] = block.swapaxes(0, 1)
-    out = out.reshape(len(w), -1)[:, : len(times)]
-    return {label: steady[i] + out[i] for i, label in enumerate(weights)}
+    return dict(zip(weights, line_values(steady, freqs, amps, times)))
 
 
 def _real_parts(f) -> tuple:
@@ -376,15 +355,12 @@ def evolve_unitary(
     An observable is a list of products (A, B), A on qubit (x) mode x and B
     on mode y; with B' = V^dag B V, <A (x) B>(t) = sum_kl B'_kl
     <phi_k(t)|A|phi_l(t)>, only k = l if B commutes with p_y.  If every A
-    is also diag(a+ 1, a- 1) (sigma_z, or 1 for p_y), the value is
-    sum_k B'_k [(a+ + a-)/2 |x_k|^2 + (a+ - a-) Re<x_k+, x_k->], a
-    closed-form sum over the J = K m / 2 transition frequencies 2s, read as
-    one real matrix product per SECTOR_CHUNK**2 samples
-    (`_population_values`).
-    Only the other observables form x_k(t) and W_k x_k, SECTOR_CHUNK
-    samples at a time, and read them in real arithmetic with S folded into
-    each A (`_product_values`).  Each grid starts from the input at
-    grid.t_start.
+    is also diag(a+ 1, a- 1) (sigma_z, or 1 for p_y), the value is a line
+    sum over the transition frequencies 2s (`_population_values`), which
+    `analyze.line_values` evaluates.  Only the other observables form
+    x_k(t) and W_k x_k, SECTOR_CHUNK samples at a time, and read them in
+    real arithmetic with S folded into each A (`_product_values`).  Each
+    grid starts from the input at grid.t_start.
 
     Every phase has unit modulus, so |x_k(t)| = ||c_k|| at every sample:
     `norm_drift` is |||c|| - 1|, which still sees a defect of W; above 1e-6
@@ -506,23 +482,35 @@ def _split_factors(sectors: Sectors, dt: float) -> np.ndarray:
            = [[U cos(s t) U^T, -U sin(s t) V^T], [V sin(s t) U^T, V cos(s t) V^T]],
     so exp(-iHt) = sum_k Q_k (x) P_k, P_k the projector on p_y's k-th
     eigenvector.  In the gauge G (`_gauge`, 1 on mode y) it is the real
-    exp(B t), G^dag H G = iB: for each weight one real product over the
-    stacked sector axis sums Re(G^dag Q_k G) (x) Re P_k and
-    -Im(G^dag Q_k G) (x) Im P_k.
+    exp(B t), G^dag H G = iB, whose entry ((a, n), (a', n')) is the sum over
+    k of Re q_k[a, a'] Re P_k[n, n'] - Im q_k[a, a'] Im P_k[n, n'],
+    q_k = G^dag Q_k G.  p_y's eigenvectors are i^n times real, so P_k is
+    real where n and n' have equal parity and imaginary where not; in a
+    P-sector that is where the qubit (x) mode-x states a and a' do.  Only
+    the P-sectors' entries are formed, each from its one nonzero half.
     """
     u, v, phi = sectors.u, sectors.v, sectors.basis[1]
     gauged = _gauge(sectors.space).conj() * np.repeat([1, 1j], u.shape[1])  # G^dag S
     w = gauged[:, None] * np.block([[u, u], [v, -v]])  # sqrt(2) G^dag S W_k
     phases = np.exp(-1j * np.multiply.outer(U_WEIGHTS, sectors.evals * dt))
     q = (w * phases[:, :, None]) @ w.conj().swapaxes(1, 2) / 2  # G^dag Q_k G
-    m, dy = q.shape[-1], len(phi)
-    q = np.concatenate([q.real, -q.imag], axis=1).reshape(len(U_WEIGHTS), 2 * dy, -1)
-    projectors = np.einsum("ak,bk->kab", phi, phi.conj()).reshape(dy, -1)
-    projectors = np.concatenate([projectors.real, projectors.imag])
-    # block entry (i, j) is [a_i, a_j, n_i, n_j] for rows a dy + n, one weight at a time
-    a, n = divmod(np.array(_blocks(sectors.space))[:, :, None], dy)
-    ij = a, a.swapaxes(1, 2), n, n.swapaxes(1, 2)
-    return np.stack([(q_b.T @ projectors).reshape(m, m, dy, dy)[ij] for q_b in q])
+    p = np.einsum("ak,bk->kab", phi, phi.conj())
+    halves = (q.real, p.real), (-q.imag, p.imag)  # a-parities equal, unequal
+    k, dy = len(U_WEIGHTS), len(phi)
+    parity = np.add.outer(np.arange(2), np.arange(u.shape[1])).ravel() % 2  # of a
+    out = np.empty((k, 2, sectors.space.dim // 2, sectors.space.dim // 2))
+    for b, block in enumerate(_blocks(sectors.space)):
+        # P-sector b's rows (a, n) with a of parity c have n of parity c ^ b
+        rows = [(np.flatnonzero(parity == c), np.arange(c ^ b, dy, 2)) for c in (0, 1)]
+        pos = [np.searchsorted(block, (a[:, None] * dy + n).ravel()) for a, n in rows]
+        for i, (a, n) in enumerate(rows):
+            for j, (a2, n2) in enumerate(rows):
+                x, y = halves[i != j]
+                x = x[:, :, a[:, None], a2].reshape(k, dy, -1).swapaxes(1, 2)
+                f = x @ y[:, n[:, None], n2].reshape(dy, -1)
+                f = f.reshape(k, len(a), len(a2), len(n), len(n2)).swapaxes(2, 3)
+                out[:, b, pos[i][:, None], pos[j]] = f.reshape(k, len(pos[i]), -1)
+    return out
 
 
 def _substeps(grid: TimeGrid) -> int:

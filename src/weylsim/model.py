@@ -100,31 +100,25 @@ def landau_level(n: int, params: SimParams) -> float:
     return natural_to_simulator(math.sqrt(2 * n * params.r), params)
 
 
-def landau_eigenstate(space: SpaceSpec, n: int, sign: str = "zero") -> QState:
-    """Eigenstate of the single-mode form omega sqrt(r) (i sigma_+ a^dag - i sigma_- a).
+def landau_basis(space: SpaceSpec, params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    """(energies, eigenvectors) of omega sqrt(r) (i sigma_+ a^dag - i sigma_- a).
 
     The space is the cyclotron frame's, n_max_y = 0, with a on mode x.
-    n = 0 with sign "zero" is |+z>|0>; n >= 1 with sign "plus"/"minus" is
-    (|-z>|n-1> +- i|+z>|n>)/sqrt(2) at energy +-omega sqrt(n r).
+    Column 0 is |+z>|0> at energy 0; for n = 1..n_max_x, columns n and
+    n_max_x + n are (|-z>|n-1> +- i|+z>|n>)/sqrt(2) at +-omega sqrt(n r).
+    The columns span all but |-z>|n_max_x>.
     """
     if space.n_max_y != 0:
-        raise DomainError("the single-mode eigenstates need n_max_y = 0")
-    if sign == "zero":
-        if n != 0:
-            raise DomainError("sign 'zero' is only the n = 0 state")
-        return fs.basis_state(space, "plus_z", 0, 0)
-    if sign not in ("plus", "minus"):
-        raise DomainError(f"unknown sign {sign!r}")
-    if n < 1:
-        raise DomainError("signed eigenstates require n >= 1")
-    if n > space.n_max_x:
-        raise DomainError(f"level {n} does not fit truncation {space.n_max_x}")
+        raise DomainError("the single-mode eigenbasis needs n_max_y = 0")
     d1 = space.n_max_x + 1
-    vec = np.zeros(space.dim, dtype=complex)
-    s = 1.0 if sign == "plus" else -1.0
-    vec[d1 + (n - 1)] = 1 / math.sqrt(2)  # |-z>|n-1>
-    vec[n] = s * 1j / math.sqrt(2)  # |+z>|n>
-    return QState("pure", vec, space)
+    n = np.arange(1, d1)
+    levels = np.array([landau_level(k, params) for k in n])
+    vectors = np.zeros((2 * d1, 2 * d1 - 1), dtype=complex)
+    vectors[0, 0] = 1  # |+z>|0>
+    for sign, cols in ((1, n), (-1, n + d1 - 1)):
+        vectors[d1 + n - 1, cols] = 1 / math.sqrt(2)  # |-z>|n-1>
+        vectors[n, cols] = sign * 1j / math.sqrt(2)  # |+z>|n>
+    return np.concatenate([[0.0], levels, -levels]), vectors
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ class ScenarioConfig:
                 raise DomainError(f"{self.name} requires a time grid")
             fs.guard_alpha(self.alpha_x, self.space.n_max_x, "x")
             fs.guard_alpha(self.alpha_y, self.space.n_max_y, "y")
+            if self.name == "trajectory" and self.grid.n_samples < 5:
+                raise DomainError("trajectory's cubic velocity fit needs 5 samples")
 
     # keys the runners read as given; dispersion has no initial-state keys
     sweep = property(lambda self: self.values.get("sweep"))
@@ -460,11 +462,9 @@ def run_dispersion(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
 # ---------------------------------------------------------------------------
 
 
-def _nearest_peak(peaks, target):
-    if not peaks:
-        return math.nan, math.nan
-    freq, amp = min(peaks, key=lambda fa: abs(fa[0] - target))
-    return freq, amp
+def _nearest_peak(peaks, target) -> float:
+    """Frequency of the peak nearest target; nan if there is none."""
+    return min((f for f, _ in peaks), key=lambda f: abs(f - target), default=math.nan)
 
 
 def _spectrum_tables(series: an.TimeSeries, suffix: str, frac: float):
@@ -503,7 +503,7 @@ def run_landau(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
 
     for n_level, label in ((1, "peak_n1_kHz"), (2, "peak_n2_kHz")):
         target = 2 * md.landau_level(n_level, params) / (2 * math.pi)
-        found, _ = _nearest_peak(peaks, target)
+        found = _nearest_peak(peaks, target)
         checks.append(_num_check(label, target, found, spec.resolution, "analytic"))
 
     if cfg.noise_on:
@@ -538,7 +538,7 @@ def run_landau(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
     tables.update(inset_tables)
     for n_level in (1, 2, 3, 4):
         target = 2 * md.landau_level(n_level, params) / (2 * math.pi)
-        found, _ = _nearest_peak(ipeaks, target)
+        found = _nearest_peak(ipeaks, target)
         checks.append(
             _num_check(
                 f"inset_peak_n{n_level}_kHz", target, found, ispec.resolution, "analytic"
@@ -672,14 +672,12 @@ def run_trajectory(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
             )
         )
 
-    n_fit = min(12, grid.n_samples)
-    early = slice(0, n_fit)
-    vel_p = an.fit_polynomial(
-        an.TimeSeries(grid.times[early], xp.values[early]), 3
-    ).slope_at_zero
-    vel_m = an.fit_polynomial(
-        an.TimeSeries(grid.times[early], xm.values[early]), 3
-    ).slope_at_zero
+    early = slice(0, min(12, grid.n_samples))
+    vel_p, vel_m = (
+        an.fit_polynomial(an.TimeSeries(grid.times[early], x.values[early]), 3)
+        .slope_at_zero
+        for x in (xp, xm)
+    )
     checks.append(
         _cat_check(
             "initial_velocities_opposite",

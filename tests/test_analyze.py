@@ -105,6 +105,27 @@ def test_nonuniform_grid_rejected():
         TimeSeries(t, np.zeros(4))
 
 
+# --- line sums ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_samples", [2, 15, 17, 255, 300])
+def test_line_values_match_the_direct_sum(n_samples):
+    # repeated, negative and zero frequencies, two observables, a grid that
+    # does not start at 0 and sample counts off the chunk size
+    rng = np.random.default_rng(n_samples)
+    freqs = rng.uniform(-60.0, 60.0, 9)
+    freqs = np.concatenate([freqs, freqs[:3], -freqs[:2], [0.0]])
+    amps = rng.normal(size=(2, len(freqs))) + 1j * rng.normal(size=(2, len(freqs)))
+    steady = rng.normal(size=2)
+    times = TimeGrid(0.37, 0.37 + rng.uniform(0.2, 5.0), n_samples).times
+    got = an.line_values(steady, freqs, amps, times)
+    want = steady[:, None] + np.real(amps @ np.exp(1j * np.outer(freqs, times)))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
+    none = an.line_values(steady, freqs[:0], amps[:, :0], times)
+    assert np.array_equal(none, np.repeat(steady[:, None], n_samples, axis=1))
+
+
 # --- analytic spin-z predictor ----------------------------------------------------
 
 
@@ -116,12 +137,13 @@ def _single_mode_coherent(space, alpha, spin):
 def test_predictor_stationary_states(sm_space):
     params = SimParams.from_khz(4.2, r=1.0)
     grid = TimeGrid(0.0, 0.6, 101)
+    _, vectors = md.landau_basis(sm_space, params)
     flat = an.predict_sigma_z_series(
-        md.landau_eigenstate(sm_space, 0, "zero"), params, grid
+        fs.basis_state(sm_space, "plus_z", 0, 0), params, grid
     )
     assert np.abs(flat.values - 1.0).max() < 1e-12
     zero = an.predict_sigma_z_series(
-        md.landau_eigenstate(sm_space, 1, "plus"), params, grid
+        fs.QState("pure", vectors[:, 1], sm_space), params, grid
     )
     assert np.abs(zero.values).max() < 1e-12
 
@@ -129,11 +151,11 @@ def test_predictor_stationary_states(sm_space):
 def _predicted_per_level(rho, params, t):
     """<sz(t)> from rho's overlaps with each analytic eigenstate in turn."""
     space = SpaceSpec(len(rho) // 2 - 1, 0)
-    e0 = md.landau_eigenstate(space, 0, "zero").data
+    _, vectors = md.landau_basis(space, params)
+    e0 = vectors[:, 0]
     values = np.full(len(t), np.real(e0.conj() @ rho @ e0))
     for n in range(1, space.n_max_x + 1):
-        ep = md.landau_eigenstate(space, n, "plus").data
-        em = md.landau_eigenstate(space, n, "minus").data
+        ep, em = vectors[:, n], vectors[:, space.n_max_x + n]
         cross = em.conj() @ rho @ ep
         values -= 2 * np.real(cross * np.exp(2j * md.landau_level(n, params) * t))
     return values

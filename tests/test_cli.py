@@ -191,6 +191,10 @@ INVALID_VALUES = [
     # over a million split steps per output interval: the run would not end
     ("landau", "t_end_us = 1e308"),
     ("landau", "dt_max_us = 1e-300"),
+    # the trajectory's cubic velocity fit needs five samples
+    ("trajectory", "n_samples = 4"),
+    # a grid past a million samples would exhaust memory, not fail
+    ("landau", "n_samples = 1000001"),
 ]
 
 
@@ -244,6 +248,16 @@ def test_landau_run_writes_tables(tmp_path):
     digests = {f["name"]: f["sha256"] for f in manifest["files"]}
     for fname, digest in digests.items():
         assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest
+
+
+def test_trajectory_runs_on_five_samples(tmp_path, capsys):
+    # the fewest samples its cubic velocity fit takes
+    path = tmp_path / "five.ini"
+    path.write_text("[trajectory]\nn_samples = 5\n")
+    out = tmp_path / "run"
+    code = run_cli("trajectory", "--config", path, "--out", out, "--quiet")
+    assert code == 0, capsys.readouterr().err
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 6
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -74,7 +74,7 @@ def test_zero_hamiltonian_is_constant(small_space):
 def test_zero_mode_is_stationary(sm_space):
     params = SimParams.from_khz(4.2, r=1.0)
     h = transformed_hamiltonian(sm_space, params)
-    psi0 = md.landau_eigenstate(sm_space, 0, "zero")
+    psi0 = fs.basis_state(sm_space, "plus_z", 0, 0)
     grid = TimeGrid(0.0, 0.6, 31)
     sz = dense_unitary(h, psi0, grid, {"sigma_z": pauli(sm_space, "z")})
     assert np.abs(sz["sigma_z"].values - 1.0).max() < 1e-12
@@ -150,7 +150,7 @@ def test_propagators_reject_invalid_inputs(small_space, propagate):
     with pytest.raises(DomainError):
         ev.weyl_sectors(params, sm)
     with pytest.raises(DomainError):  # single-mode state
-        propagate(sectors, md.landau_eigenstate(sm, 0), grid, {})
+        propagate(sectors, fs.basis_state(sm, "plus_z", 0, 0), grid, {})
     for monitor in ev.MONITORS:
         with pytest.raises(DomainError):
             propagate(sectors, psi0, grid, {monitor: sz})
@@ -1181,6 +1181,8 @@ def test_grid_validation():
         (0.0, nan, 5),
         (-inf, 1.0, 5),
         (0.0, inf, 5),
+        (0.0, 1.0, ev.MAX_SAMPLES + 1),
     ]:
         with pytest.raises(DomainError):
             TimeGrid(*args)
+    assert TimeGrid(0.0, 1.0, ev.MAX_SAMPLES).n_samples == ev.MAX_SAMPLES

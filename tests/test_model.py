@@ -184,7 +184,7 @@ def test_probe_vacuum_momentum_slope_vanishes(space, params):
 
 def test_transformed_zero_mode(sm_space, params):
     h = transformed_hamiltonian(sm_space, params)
-    e0 = md.landau_eigenstate(sm_space, 0, "zero")
+    e0 = fs.basis_state(sm_space, "plus_z", 0, 0)
     assert np.linalg.norm(h @ e0.data) < 1e-12
 
 
@@ -210,26 +210,29 @@ def test_transformed_small_r_limit(sm_space):
     assert np.abs(h).max() < 1e-5
 
 
-def test_landau_eigenstates(sm_space):
-    params = SimParams.from_khz(4.2, r=1.0)
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_landau_basis(sm_space, r):
+    # H V = V diag(E) with orthonormal columns; they miss only |-z n_max>
+    params = SimParams.from_khz(4.2, r=r)
     h = transformed_hamiltonian(sm_space, params)
-    for n, sign, s in ((1, "plus", 1), (1, "minus", -1), (3, "plus", 1)):
-        st = md.landau_eigenstate(sm_space, n, sign)
-        want = s * md.landau_level(n, params)
-        rayleigh = np.vdot(st.data, h @ st.data).real
-        assert abs(rayleigh - want) < 1e-10 * abs(want)
-        assert np.linalg.norm(h @ st.data - want * st.data) < 1e-9
-    sz = pauli(sm_space, "z")
-    ep = md.landau_eigenstate(sm_space, 2, "plus").data
-    em = md.landau_eigenstate(sm_space, 2, "minus").data
-    assert abs(np.vdot(ep, sz @ ep)) < 1e-14
-    assert abs(np.vdot(em, sz @ ep) + 1.0) < 1e-14
-    with pytest.raises(DomainError):
-        md.landau_eigenstate(sm_space, 0, "plus")
-    with pytest.raises(DomainError):
-        md.landau_eigenstate(sm_space, 2, "zero")
+    energies, vectors = md.landau_basis(sm_space, params)
+    assert vectors.shape == (sm_space.dim, sm_space.dim - 1)
+    scale = np.abs(energies).max()
+    assert np.abs(h @ vectors - vectors * energies).max() < 1e-12 * scale
+    assert np.abs(vectors.conj().T @ vectors - np.eye(len(energies))).max() < 1e-15
+    assert not np.any(vectors[-1])
+    # sigma_z holds |+z 0> and swaps each doublet's members with a sign
+    nmx = sm_space.n_max_x
+    sz = vectors.conj().T @ (np.repeat([1.0, -1.0], nmx + 1)[:, None] * vectors)
+    want = np.zeros_like(sz)
+    want[0, 0] = 1
+    n = np.arange(1, nmx + 1)
+    want[n, n + nmx] = want[n + nmx, n] = -1
+    assert np.abs(sz - want).max() < 1e-15
+    levels = [md.landau_level(n, params) for n in range(1, sm_space.n_max_x + 1)]
+    assert np.array_equal(energies, np.concatenate([[0], levels, np.negative(levels)]))
     with pytest.raises(DomainError):  # a two-mode space
-        md.landau_eigenstate(SpaceSpec(4, 1), 0)
+        md.landau_basis(SpaceSpec(4, 1), params)
 
 
 def test_two_mode_spectrum_contains_level_ladder():
