@@ -122,11 +122,17 @@ def line_values(steady, freqs, amps, times) -> np.ndarray:
     """steady_i + Re sum_j amps_ij exp(i freqs_j t) at every t of a uniform grid.
 
     Shapes: steady (observables,), freqs (J,), amps (observables, J); the
-    result is (observables, len(times)).  With t_(aB+b) = t_(aB) + (t_b - t_0),
-    B = LINE_CHUNK, a (J, B) table of the first B offsets, folded with every
-    observable's a_j, and a (B, J) table of B chunk starts give B^2 samples
-    from one real matrix product, in memory of order B J.
+    result is (observables, len(times)).  The lines are stable-sorted by
+    frequency and the amplitudes of equal frequencies (compared exactly)
+    summed first, so callers pass raw lines.  With t_(aB+b) = t_(aB) +
+    (t_b - t_0), B = LINE_CHUNK, a (J, B) table of the first B offsets,
+    folded with every observable's a_j, and a (B, J) table of B chunk
+    starts give B^2 samples from one real matrix product, in memory of
+    order B J.
     """
+    order = np.argsort(freqs, kind="stable")
+    first = np.flatnonzero(np.diff(freqs[order], prepend=np.nan))  # where f_j steps
+    freqs, amps = freqs[order[first]], np.add.reduceat(amps[:, order], first, axis=1)
     offsets = times[:LINE_CHUNK] - times[0]
     cols = len(amps) * len(offsets)
     # T_jb = a_j exp(i f_j t_b) per observable, shape (J, observables * B)

@@ -66,6 +66,8 @@ class TimeGrid:
             raise DomainError("t_start and t_end must be finite")
         if self.t_end <= self.t_start:
             raise DomainError("t_end must exceed t_start")
+        if not isinstance(self.n_samples, (int, np.integer)):
+            raise DomainError("n_samples must be an integer")
         if not 2 <= self.n_samples <= MAX_SAMPLES:
             raise DomainError(f"need from 2 to {MAX_SAMPLES:,} samples")
         if not self.dt_max > 0:
@@ -244,9 +246,9 @@ def _population_values(sectors: Sectors, coeffs, weights: dict, times) -> dict:
     With x_k(t) = exp(-i E_k t) c_k and E_k = (s_k, -s_k), |x_k|^2 = |c_k|^2
     and Re<x_k+, x_k-> = Re sum_i conj(c+_ki) c-_ki exp(2i s_ki t), so each
     value is sum_k w0_k |c_k|^2 + Re sum_j a_j exp(i f_j t) over
-    J = K m / 2 terms j = (k, i), a_j = w1_k conj(c+_ki) c-_ki, f_j = 2 s_ki;
-    terms of one frequency are summed first, which about halves J, because
-    the sectors at +-p_y share their s (`weyl_sectors`); `line_values` sums them.
+    J = K m / 2 terms j = (k, i), a_j = w1_k conj(c+_ki) c-_ki, f_j = 2 s_ki.
+    `line_values` sums them, merging equal frequencies first, which about
+    halves J, because the sectors at +-p_y share their s (`weyl_sectors`).
     """
     if not weights:
         return {}
@@ -256,10 +258,6 @@ def _population_values(sectors: Sectors, coeffs, weights: dict, times) -> dict:
     amps = w[:, 1, :, None] * (coeffs[:, :half].conj() * coeffs[:, half:])
     amps = amps.reshape(len(w), -1)
     freqs = 2 * sectors.evals[:, :half].ravel()
-    order = np.argsort(freqs, kind="stable")
-    freqs = freqs[order]
-    distinct = np.flatnonzero(np.concatenate([[True], freqs[1:] != freqs[:-1]]))
-    freqs, amps = freqs[distinct], np.add.reduceat(amps[:, order], distinct, axis=1)
     return dict(zip(weights, line_values(steady, freqs, amps, times)))
 
 

@@ -64,6 +64,8 @@ class SpaceSpec:
     n_max_y: int = 15
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in vars(self).values()):
+            raise DomainError("truncations must be integers")
         if self.n_max_x < 1 or self.n_max_y < 0:
             raise DomainError("truncations must satisfy n_max_x >= 1 and n_max_y >= 0")
 

@@ -13,12 +13,12 @@ conserves Q, and the free Hamiltonian (omega/sqrt(2)) (sigma_x p_x +
 sigma_y p_y) conserves p_x and p_y.  In each joint eigensector the qubit
 precesses in a fixed field, so each readout signal is a weighted sum of
 single-spin precessions over the conserved eigenvalues, exact on the
-truncated space; no operator on the full space is built.  The energy
-slope stays this closed form rather than going through
-`evolve.weyl_sectors` and `evolve.evolve_unitary` at r = 0: that path
-agrees within 3e-15 (relative) but takes 6-9 times as long per point
-(0.6 against 3.4 ms at n_max 18, 1.2 against 10.2 ms at n_max 36, warm,
-on a 2-core VM).
+truncated space: lines that `analyze.line_values` sums, with no operator
+on the full space built.  The energy slope stays this closed form rather
+than going through `evolve.weyl_sectors` and `evolve.evolve_unitary` at
+r = 0: that path agrees within 3e-15 (relative) but takes 6-9 times as
+long per point (0.6 against 3.4 ms at n_max 18, 1.2 against 10.2 ms at
+n_max 36, warm, on a 2-core VM).
 """
 
 from __future__ import annotations
@@ -49,15 +49,12 @@ _TARGETS = {
 }
 
 
-def _default_probe_grid(params, q_estimate: float) -> ev.TimeGrid:
-    t_end = PROBE_PHASE_BUDGET / (
-        math.sqrt(2) * params.omega * max(1.0, abs(q_estimate))
-    )
-    return ev.TimeGrid(0.0, t_end, PROBE_SAMPLES)
-
-
-def _fitted_slope(grid: ev.TimeGrid, values: np.ndarray, protocol: str) -> float:
-    """Slope at zero of the cubic fit to a readout signal sampled on grid."""
+def _readout_slope(grid: ev.TimeGrid, params, q, weights, protocol: str) -> float:
+    """Slope at zero of the cubic fit to -sum_k w_k sin(sqrt(2) omega q_k t)
+    on grid: lines at sqrt(2) omega q_k of amplitude i w_k (`line_values`)."""
+    rates = math.sqrt(2) * params.omega * q
+    t = grid.times - grid.t_start
+    values = an.line_values(np.zeros(1), rates, 1j * weights[None], t)[0]
     fit = an.fit_polynomial(an.TimeSeries(grid.times, values, protocol), 3)
     if fit.residual_rms > FIT_RESIDUAL_LIMIT:
         raise FitError(f"{protocol} fit residual {fit.residual_rms:.2e} too large")
@@ -108,16 +105,14 @@ def measure_quadrature(
     q, weights = _target_distribution(state, target)
     q_mean = float(weights @ q)  # window sizing only
     if probe_grid is None:
-        probe_grid = _default_probe_grid(params, q_mean)
+        scale = math.sqrt(2) * params.omega * max(1.0, abs(q_mean))
+        probe_grid = ev.TimeGrid(0.0, PROBE_PHASE_BUDGET / scale, PROBE_SAMPLES)
     angle = math.sqrt(2) * params.omega * probe_grid.t_end * abs(q_mean)
     if angle >= 0.5:
         raise RegimeError(
             f"probe window leaves the small-angle regime (phase {angle:.3f})"
         )
-    rates = math.sqrt(2) * params.omega * q
-    t = probe_grid.times - probe_grid.t_start
-    sigma_z = -np.sin(np.outer(t, rates)) @ weights
-    slope = _fitted_slope(probe_grid, sigma_z, "probe")
+    slope = _readout_slope(probe_grid, params, q, weights, "probe")
     return -slope / (math.sqrt(2) * params.omega)
 
 
@@ -157,6 +152,4 @@ def measure_energy_slope(
     amps = np.outer(wx, wy) * np.divide(
         along, size, out=np.zeros_like(size), where=size > 0
     )
-    rates = math.sqrt(2) * params.omega * size.ravel()
-    perp = -np.sin(np.outer(grid.times - grid.t_start, rates)) @ amps.ravel()
-    return -_fitted_slope(grid, perp, "energy") / 2
+    return -_readout_slope(grid, params, size.ravel(), amps.ravel(), "energy") / 2

@@ -126,6 +126,47 @@ def test_line_values_match_the_direct_sum(n_samples):
     assert np.array_equal(none, np.repeat(steady[:, None], n_samples, axis=1))
 
 
+@pytest.mark.parametrize("n_samples", [7, 300])
+def test_line_values_merge_equal_frequencies(n_samples):
+    # each line split into one to four of its frequency, shuffled: the sum
+    # equals that of the pre-merged lines within 1e-15 of its scale
+    rng = np.random.default_rng(n_samples)
+    freqs = np.concatenate([rng.uniform(-60.0, 60.0, 8), [0.0]])
+    amps = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
+    steady = rng.normal(size=2)
+    times = TimeGrid(0.0, rng.uniform(0.2, 5.0), n_samples).times
+    copies = rng.integers(1, 5, len(freqs))
+    parts = []
+    for a, n in zip(amps.T, copies):
+        split = rng.normal(size=(2, n - 1)) + 1j * rng.normal(size=(2, n - 1))
+        parts.append(np.column_stack([split, a - split.sum(axis=1)]))
+    shuffle = rng.permutation(copies.sum())
+    raw_freqs = np.repeat(freqs, copies)[shuffle]
+    raw_amps = np.concatenate(parts, axis=1)[:, shuffle]
+    got = an.line_values(steady, raw_freqs, raw_amps, times)
+    want = an.line_values(steady, freqs, amps, times)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(raw_amps).sum()
+
+
+def test_line_values_evaluate_a_merged_list_as_given():
+    # a stable-sorted list of distinct frequencies passes the merge as it
+    # is, so a raw list gives the same bits as its merge by a stable argsort
+    # and np.add.reduceat, the population path's former inline merge, and
+    # evolve_unitary's sigma_z stays bit for bit
+    rng = np.random.default_rng(5)
+    freqs = rng.choice(rng.uniform(-60.0, 60.0, 12), 40)
+    amps = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+    steady = rng.normal(size=3)
+    times = TimeGrid(0.0, 2.0, 201).times
+    order = np.argsort(freqs, kind="stable")
+    f = freqs[order]
+    distinct = np.flatnonzero(np.concatenate([[True], f[1:] != f[:-1]]))
+    merged = f[distinct], np.add.reduceat(amps[:, order], distinct, axis=1)
+    assert len(distinct) == 12
+    got = an.line_values(steady, freqs, amps, times)
+    assert np.array_equal(got, an.line_values(steady, *merged, times))
+
+
 # --- analytic spin-z predictor ----------------------------------------------------
 
 

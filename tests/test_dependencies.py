@@ -28,3 +28,32 @@ def test_numpy_is_the_only_third_party_import():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["numpy"]
+
+
+# runs every scenario through the command line and prints which of numpy's
+# lazily loaded subpackages were imported by then
+LAZY = ("numpy.random", "numpy.polynomial", "numpy.ma", "numpy.testing")
+COLD_RUN = f"""
+import sys
+from weylsim import cli
+cli.main(sys.argv[1:] + ["--quiet"])
+print(" ".join(name for name in {LAZY!r} if name in sys.modules))
+"""
+
+
+def test_a_cold_run_imports_none_of_numpys_lazy_subpackages(tmp_path):
+    # numpy loads these on first attribute access, and each costs import
+    # time in every fresh interpreter (numpy.random about 18 ms); the
+    # Gauss-Hermite nodes come from an eigensolver, not numpy.polynomial
+    config = tmp_path / "small.ini"
+    config.write_text("[dispersion]\nsweep = 0.59, 1.19\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["all", "--n-max", "6", "--config", str(config), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(weylsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_RUN, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("dispersion", "landau", "helicity", "trajectory"):
+        assert (out / name / "manifest.json").is_file(), proc.stderr
+    assert proc.stdout.split() == [], proc.stdout

@@ -1182,7 +1182,14 @@ def test_grid_validation():
         (-inf, 1.0, 5),
         (0.0, inf, 5),
         (0.0, 1.0, ev.MAX_SAMPLES + 1),
+        # counts that are not integers, which np.linspace refuses in `times`
+        (0.0, 1.0, 2.5),
+        (0.0, 1.0, 201.0),
+        (0.0, 1.0, np.float64(5)),
+        (0.0, 1.0, "201"),
     ]:
         with pytest.raises(DomainError):
             TimeGrid(*args)
     assert TimeGrid(0.0, 1.0, ev.MAX_SAMPLES).n_samples == ev.MAX_SAMPLES
+    for count in (np.int64(5), np.int32(5), np.uint8(5)):
+        assert np.array_equal(TimeGrid(0.0, 1.0, count).times, np.linspace(0, 1, 5))

@@ -219,6 +219,12 @@ def test_state_validation():
     with pytest.raises(DomainError):
         SpaceSpec(0, 0)
     assert SpaceSpec(5, 0).dim == 12  # the single-mode frame's space
+    # SpaceSpec(2.5, 3) would build with dim 28.0 and fail in coherent_state
+    for sizes in [(2.5, 3), (3, 2.0), ("3", 3), (3, None)]:
+        with pytest.raises(DomainError):
+            SpaceSpec(*sizes)
+    space = SpaceSpec(np.int64(3), np.int32(2))
+    assert fs.coherent_state(space, 0.3, 0.2).data.shape == (24,)
 
 
 def test_values_are_immutable(space):

@@ -59,6 +59,19 @@ def _grid_of(series):
     return TimeGrid(series.times[0], series.times[-1], len(series.times))
 
 
+def assert_matches_dense_sine_table(fitted, got, per_slope, rates, weights):
+    """The readout series a protocol fitted against -sum_k w_k sin(f_k t)
+    as one dense sine table, relative to the bound sum_k |w_k| of both, and
+    the protocol's estimate against per_slope times the slope at zero of
+    the cubic fit to that table."""
+    series = fitted[-1]
+    dense = -np.sin(np.outer(series.times - series.times[0], rates)) @ weights
+    assert np.abs(series.values - dense).max() <= 1e-13 * np.abs(weights).sum()
+    slope = an.fit_polynomial(an.TimeSeries(series.times, dense), 3).slope_at_zero
+    want = per_slope * slope
+    assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
+
+
 # --- quadrature protocol ---------------------------------------------------------
 
 
@@ -110,6 +123,20 @@ def test_probe_series_matches_dense_oracle(fitted):
             got = fitted[-1]
             want = probe_oracle_series(state, target, params, _grid_of(got))
             assert np.abs(got.values - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [18, 24])
+def test_probe_series_matches_the_dense_sine_table(fitted, params, n_max):
+    rng = np.random.default_rng(n_max)
+    space = SpaceSpec(n_max, n_max)
+    scale = math.sqrt(2) * params.omega
+    for spin in ("plus_z", "minus_x", "minus_z"):
+        alpha_x, alpha_y = rng.uniform(-1.2, 1.2, 2) + 1j * rng.uniform(-1.2, 1.2, 2)
+        state = fs.coherent_state(space, alpha_x, alpha_y, spin)
+        for target in TARGETS:
+            got = pr.measure_quadrature(state, target, params)
+            q, weights = pr._target_distribution(state, target)
+            assert_matches_dense_sine_table(fitted, got, -1 / scale, scale * q, weights)
 
 
 def test_vacuum_quadratures_vanish(space, params):
@@ -237,6 +264,37 @@ def test_energy_series_matches_dense_oracle(fitted, params):
         perp = {"perp": sigma_theta_perp(space, theta)}
         want = dense_unitary(h, psi0, grid, perp)["perp"].values
         assert np.abs(fitted[-1].values - want).max() < 1e-12
+
+
+def energy_readout_lines(p, theta, params, space):
+    """Rates sqrt(2) omega |b| and weights P_j Q_k (b.n_theta/|b|) of the
+    perpendicular-spin readout, over the sectors b = (p_j, p_k)."""
+    alpha_x = 1j * p * math.cos(theta) / math.sqrt(2)
+    alpha_y = 1j * p * math.sin(theta) / math.sqrt(2)
+    state = fs.coherent_state(space, alpha_x, alpha_y)
+    px, wx = pr._target_distribution(state, "px")
+    py, wy = pr._target_distribution(state, "py")
+    size = np.hypot.outer(px, py)
+    along = np.add.outer(px * math.cos(theta), py * math.sin(theta))
+    cosines = np.divide(along, size, out=np.zeros_like(size), where=size > 0)
+    weights = np.outer(wx, wy) * cosines
+    return math.sqrt(2) * params.omega * size.ravel(), weights.ravel()
+
+
+@pytest.mark.parametrize("n_max", [18, 24])
+def test_energy_series_matches_the_dense_sine_table(fitted, params, n_max):
+    # the default sweep, jittered by up to 5% as the benchmark's seeds do it,
+    # at several directions; the symmetric momentum grid repeats |b|, so the
+    # merge of equal frequencies runs
+    rng = np.random.default_rng(n_max)
+    space = SpaceSpec(n_max, n_max)
+    sweep = np.array([0.0, 0.59, 1.19, 1.78, 2.38]) * rng.uniform(0.95, 1.05, 5)
+    for p in sweep:
+        for theta in (0.0, 0.4, math.pi / 2, rng.uniform(0, 2 * math.pi)):
+            got = pr.measure_energy_slope(p, theta, params, space=space)
+            rates, weights = energy_readout_lines(p, theta, params, space)
+            assert len(np.unique(rates)) < len(rates)
+            assert_matches_dense_sine_table(fitted, got, -0.5, rates, weights)
 
 
 def test_energy_protocol_truncation_guard(params):
