@@ -13,7 +13,6 @@ from .errors import (  # noqa: F401
     NonHermitianError,
     PositivityError,
     RankError,
-    RegimeError,
     TruncationError,
     WeylSimError,
 )

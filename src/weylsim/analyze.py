@@ -17,7 +17,6 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -173,24 +172,22 @@ def predict_sigma_z_series(psi0: QState, params, grid) -> TimeSeries:
     a, b = np.nonzero(m)
     t = grid.times - grid.times[0]
     values = line_values(np.zeros(1), energies[a] - energies[b], m[a, b][None], t)
-    return TimeSeries(times=grid.times, values=values[0], label="sigma_z_predicted")
+    return TimeSeries(times=grid.times, values=values[0])
 
 
-def fit_polynomial(series: TimeSeries, order: int) -> SlopeFit:
-    """Ordinary least squares polynomial fit, with its slope and residual.
+def fit_polynomial(series: TimeSeries) -> SlopeFit:
+    """Ordinary least squares cubic fit, with its slope and residual.
 
     The fit runs in (t - t0)/span for conditioning, t0 the first sample, so
     the slope is the one at t0, not at t = 0.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    if len(series.times) <= order + 1:
-        raise RankError("series too short for the requested order")
+    if len(series.times) <= 4:
+        raise RankError("series too short for a cubic fit")
     t0 = series.times[0]
     u = (series.times - t0) / series.span
-    design = np.vander(u, order + 1, increasing=True)
+    design = np.vander(u, 4, increasing=True)
     coeffs, _, rank, _ = np.linalg.lstsq(design, series.values, rcond=None)
-    if rank < order + 1:
+    if rank < 4:
         raise RankError("degenerate design matrix")
     resid = series.values - design @ coeffs
     return SlopeFit(

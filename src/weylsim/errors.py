@@ -29,10 +29,6 @@ class FitError(WeylSimError):
     """A least-squares fit left residuals too large to trust the slope."""
 
 
-class RegimeError(WeylSimError):
-    """A measurement protocol was driven outside its small-angle regime."""
-
-
 class GridError(WeylSimError):
     """A time series is not on the uniform grid an operation requires."""
 

@@ -100,7 +100,7 @@ def _series(grid: TimeGrid, label: str, values: np.ndarray) -> TimeSeries:
     residual = np.abs(np.imag(values)).max()
     if residual > 1e-9:
         raise NonHermitianError(f"<{label}> has imaginary residual {residual:.2e}")
-    return TimeSeries(grid.times, np.real(values), label)
+    return TimeSeries(grid.times, np.real(values))
 
 
 def _checked(label: str, terms: list, space: SpaceSpec) -> list:

@@ -60,18 +60,14 @@ class SpaceSpec:
     basis index s (n_max_x + 1) + n_x.
     """
 
-    n_max_x: int = 15
-    n_max_y: int = 15
+    n_max_x: int
+    n_max_y: int
 
     def __post_init__(self):
         if not all(isinstance(n, (int, np.integer)) for n in vars(self).values()):
             raise DomainError("truncations must be integers")
         if self.n_max_x < 1 or self.n_max_y < 0:
             raise DomainError("truncations must satisfy n_max_x >= 1 and n_max_y >= 0")
-
-    @property
-    def modes(self) -> tuple[str, ...]:
-        return ("x", "y")
 
     @property
     def mode_dims(self) -> tuple[int, ...]:
@@ -145,11 +141,14 @@ def quadrature_eigenbasis(dim: int, which: str) -> tuple[np.ndarray, np.ndarray]
     """Eigenvalues and eigenvectors (columns) of one mode's quadrature on dim levels.
 
     A Hamiltonian that conserves a quadrature is diagonal in this basis, so
-    a readout under it is a weighted sum over the eigenvalues.
+    a readout under it is a weighted sum over the eigenvalues.  The
+    spectrum is symmetric, q_k = -q_(d-1-k), exactly, not only to the
+    eigensolver's rounding, so mirrored values compare equal.
     """
     if which not in ("position", "momentum"):
         raise DomainError(f"unknown quadrature {which!r}")
     values, vectors = np.linalg.eigh(mode_matrix(dim, which))
+    values = (values - values[::-1]) / 2
     return _frozen(values), _frozen(vectors)
 
 

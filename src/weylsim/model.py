@@ -3,9 +3,8 @@
 Energies are carried as angular frequencies in rad/ms throughout; a value
 quoted as "2 pi x f kHz" is stored as 2*pi*f.  The dimensionless model
 H = sigma_x p_x + sigma_y (p_y - r x) corresponds to the simulator operator
-divided by (omega / sqrt(2)); `natural_to_simulator` converts between the
-two unit systems.  The Weyl Hamiltonian itself is built only as its
-p_y-sector decomposition, `evolve.weyl_sectors`.
+divided by (omega / sqrt(2)).  The Weyl Hamiltonian itself is built only as
+its p_y-sector decomposition, `evolve.weyl_sectors`.
 """
 
 from __future__ import annotations
@@ -47,21 +46,6 @@ class SimParams:
         if not (self.tau_d_x > 0 and self.tau_d_y > 0):
             raise DomainError("dephasing times must be positive (inf for none)")
 
-    @classmethod
-    def from_khz(
-        cls,
-        omega_khz: float,
-        r: float = 0.0,
-        tau_d_x: float = math.inf,
-        tau_d_y: float = math.inf,
-    ) -> "SimParams":
-        return cls(
-            omega=khz(omega_khz),
-            r=r,
-            tau_d_x=tau_d_x,
-            tau_d_y=tau_d_y,
-        )
-
 
 def field_observables(space: SpaceSpec, params: SimParams) -> dict[str, list]:
     """The field runs' observables as sums of products (A, B), A on qubit (x)
@@ -88,16 +72,11 @@ def field_observables(space: SpaceSpec, params: SimParams) -> dict[str, list]:
 # ---------------------------------------------------------------------------
 
 
-def natural_to_simulator(energy: float, params: SimParams) -> float:
-    """Convert a dimensionless model energy to rad/ms."""
-    return energy * params.omega / math.sqrt(2)
-
-
 def landau_level(n: int, params: SimParams) -> float:
     """Energy omega sqrt(n r) of level n, sqrt(2 n r) in natural units."""
     if n < 0:
         raise DomainError("level index must be non-negative")
-    return natural_to_simulator(math.sqrt(2 * n * params.r), params)
+    return math.sqrt(2 * n * params.r) * params.omega / math.sqrt(2)
 
 
 def landau_basis(space: SpaceSpec, params: SimParams) -> tuple[np.ndarray, np.ndarray]:

@@ -30,22 +30,19 @@ import numpy as np
 from . import analyze as an
 from . import evolve as ev
 from . import fockspace as fs
-from .analyze import SlopeFit
-from .errors import DomainError, FitError, RegimeError
+from .errors import DomainError, FitError
 from .fockspace import QState, SpaceSpec
-
-__all__ = ["SlopeFit", "measure_quadrature", "measure_energy_slope"]
 
 PROBE_SAMPLES = 12
 PROBE_PHASE_BUDGET = 0.25  # max sqrt(2) omega t |<Q>| over the window
 FIT_RESIDUAL_LIMIT = 0.01
 
-# the quadrature a probe target names: (mode, kind)
+# the quadrature a probe target names: (array axis of its mode, kind)
 _TARGETS = {
-    "x": ("x", "position"),
-    "px": ("x", "momentum"),
-    "y": ("y", "position"),
-    "py": ("y", "momentum"),
+    "x": (1, "position"),
+    "px": (1, "momentum"),
+    "y": (2, "position"),
+    "py": (2, "momentum"),
 }
 
 
@@ -55,7 +52,7 @@ def _readout_slope(grid: ev.TimeGrid, params, q, weights, protocol: str) -> floa
     rates = math.sqrt(2) * params.omega * q
     t = grid.times - grid.t_start
     values = an.line_values(np.zeros(1), rates, 1j * weights[None], t)[0]
-    fit = an.fit_polynomial(an.TimeSeries(grid.times, values, protocol), 3)
+    fit = an.fit_polynomial(an.TimeSeries(grid.times, values))
     if fit.residual_rms > FIT_RESIDUAL_LIMIT:
         raise FitError(f"{protocol} fit residual {fit.residual_rms:.2e} too large")
     return fit.slope_at_zero
@@ -69,10 +66,8 @@ def _target_distribution(state: QState, target: str) -> tuple[np.ndarray, np.nda
     """
     if target not in _TARGETS:
         raise DomainError(f"unknown quadrature target {target!r}")
-    mode, kind = _TARGETS[target]
-    space = state.space
-    axis = 1 + space.modes.index(mode)
-    dims = (2, *space.mode_dims)
+    axis, kind = _TARGETS[target]
+    dims = (2, *state.space.mode_dims)
     q, vecs = fs.quadrature_eigenbasis(dims[axis], kind)
     if state.kind == "pure":
         amps = np.moveaxis(state.data.reshape(dims), axis, 0).reshape(len(q), -1)
@@ -85,34 +80,22 @@ def _target_distribution(state: QState, target: str) -> tuple[np.ndarray, np.nda
     return q, np.einsum("ak,ab,bk->k", vecs.conj(), rho_q, vecs).real
 
 
-def measure_quadrature(
-    state: QState,
-    target: str,
-    params,
-    probe_grid: ev.TimeGrid | None = None,
-) -> float:
+def measure_quadrature(state: QState, target: str, params) -> float:
     """Estimate one motional quadrature through the spin-readout protocol.
 
     The qubit of the input state is discarded (reset), so the estimate
     refers to the motional reduced state.  The reset qubit starts on +x
     and, in the eigensector Q = q_k, turns about y by sqrt(2) omega
     q_k t, so <sigma_z>(t) = -sum_k w_k sin(sqrt(2) omega q_k t)
-    with w_k the distribution of the target quadrature.  The default probe
-    window is sized from <Q> = sum_k w_k q_k to stay in the small-angle
-    regime; an explicit probe_grid overrides it, and must satisfy
-    sqrt(2) omega t_end |<Q>| < 0.5.
+    with w_k the distribution of the target quadrature.  The probe window
+    is sized from <Q> = sum_k w_k q_k, so its phase sqrt(2) omega t |<Q>|
+    stays within PROBE_PHASE_BUDGET, the small-angle regime.
     """
     q, weights = _target_distribution(state, target)
     q_mean = float(weights @ q)  # window sizing only
-    if probe_grid is None:
-        scale = math.sqrt(2) * params.omega * max(1.0, abs(q_mean))
-        probe_grid = ev.TimeGrid(0.0, PROBE_PHASE_BUDGET / scale, PROBE_SAMPLES)
-    angle = math.sqrt(2) * params.omega * probe_grid.t_end * abs(q_mean)
-    if angle >= 0.5:
-        raise RegimeError(
-            f"probe window leaves the small-angle regime (phase {angle:.3f})"
-        )
-    slope = _readout_slope(probe_grid, params, q, weights, "probe")
+    scale = math.sqrt(2) * params.omega * max(1.0, abs(q_mean))
+    grid = ev.TimeGrid(0.0, PROBE_PHASE_BUDGET / scale, PROBE_SAMPLES)
+    slope = _readout_slope(grid, params, q, weights, "probe")
     return -slope / (math.sqrt(2) * params.omega)
 
 
@@ -120,8 +103,8 @@ def measure_energy_slope(
     p: float,
     theta: float,
     params,
+    space: SpaceSpec,
     grid: ev.TimeGrid | None = None,
-    space: SpaceSpec | None = None,
 ) -> float:
     """Average energy of a free wavepacket with momentum p along theta.
 
@@ -136,8 +119,6 @@ def measure_energy_slope(
         raise DomainError("the free-particle protocol requires r = 0")
     if p < 0:
         raise DomainError("momentum magnitude must be non-negative")
-    if space is None:
-        space = SpaceSpec(18, 18)
     alpha_x = 1j * p * math.cos(theta) / math.sqrt(2)
     alpha_y = 1j * p * math.sin(theta) / math.sqrt(2)
     state = fs.coherent_state(space, alpha_x, alpha_y)  # guards both truncations

@@ -50,7 +50,7 @@ INSET_SPAN_MS = 5.0
 INSET_SAMPLES = 501
 PREDICTOR_TOL = 1e-8
 # the two-mode reference converges to PREDICTOR_TOL by n_max 40 at r = 1;
-# the check runs from n_max ceil(40 max(r, 1/r)) (at n_max 40 the gap is
+# the check runs from n_max >= 40 max(r, 1/r) (at n_max 40 the gap is
 # 8.5e-4 at r = 0.5 and 2.5e-8 at r = 2; at the scaled floor 3.3e-10, 1.0e-13)
 PREDICTOR_N_MAX_FLOOR = 40
 SLOPE_TOL = 0.02
@@ -91,7 +91,7 @@ class ScenarioConfig:
             taus = {"tau_d_x": v["tau_d_x_ms"], "tau_d_y": v["tau_d_y_ms"]}
         object.__setattr__(self, "values", MappingProxyType(v))
         object.__setattr__(
-            self, "params", SimParams.from_khz(v["omega_khz"], r=v["r"], **taus)
+            self, "params", SimParams(md.khz(v["omega_khz"]), r=v["r"], **taus)
         )
         if min(v["n_max_x"], v["n_max_y"]) < 1:
             raise DomainError("mode truncations must satisfy n_max >= 1")
@@ -516,7 +516,7 @@ def run_landau(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
         checks.append(
             _cat_check("largest_two_peaks_are_n1_n2", True, ok, "analytic")
         )
-    elif min(cfg.space.n_max_x, cfg.space.n_max_y) >= math.ceil(
+    elif min(cfg.space.n_max_x, cfg.space.n_max_y) >= (
         PREDICTOR_N_MAX_FLOOR * max(params.r, 1 / params.r)
     ):
         # cross-check of the analytic single-mode predictor against the
@@ -674,7 +674,7 @@ def run_trajectory(cfg: ScenarioConfig) -> tuple[dict, list[Check]]:
 
     early = slice(0, min(12, grid.n_samples))
     vel_p, vel_m = (
-        an.fit_polynomial(an.TimeSeries(grid.times[early], x.values[early]), 3)
+        an.fit_polynomial(an.TimeSeries(grid.times[early], x.values[early]))
         .slope_at_zero
         for x in (xp, xm)
     )

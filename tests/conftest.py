@@ -65,7 +65,7 @@ def spin_mode_operator(space, axis, mode=None, which=None):
     embedded operators is O(d^3)."""
     factors = [SPIN_MATRICES[axis]] + [
         _mode_matrix(d, which) if m == mode else np.eye(d)
-        for m, d in zip(space.modes, space.mode_dims)
+        for m, d in zip("xy", space.mode_dims)
     ]
     return _kron_all(factors)
 
@@ -179,4 +179,4 @@ def dense_unitary(h, state, grid, observables):
         for label, obs in observables.items()
     }
     values["norm_drift"] = np.abs(norms - 1.0)
-    return {label: TimeSeries(grid.times, v, label) for label, v in values.items()}
+    return {label: TimeSeries(grid.times, v) for label, v in values.items()}

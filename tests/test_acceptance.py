@@ -43,7 +43,7 @@ def _check_map(result):
 def noisy_landau():
     """Criterion-2 configuration evolved once: used by criteria 2 and 8."""
     space = SpaceSpec(10, 10)
-    params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
+    params = SimParams(md.khz(4.2), r=1.0, tau_d_x=4.0, tau_d_y=3.5)
     grid = TimeGrid(0.0, 0.6, 201)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     sz = {"sigma_z": md.field_observables(space, params)["sigma_z"]}
@@ -139,7 +139,7 @@ def test_criterion_4_analytic_spectrum_oracle():
 
 def test_criterion_5_eigenvalue_ladder():
     space = SpaceSpec(31, 0)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     evals = np.linalg.eigvalsh(transformed_hamiltonian(space, params))
     worst = 0.0
     for n in range(1, space.n_max_x // 2 + 1):
@@ -157,7 +157,7 @@ def test_criterion_5_eigenvalue_ladder():
 
 def test_criterion_6_quadrature_protocol_fidelity():
     space = SpaceSpec(15, 15)
-    params = SimParams.from_khz(4.75, r=0.0)
+    params = SimParams(md.khz(4.75), r=0.0)
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(20):

@@ -176,7 +176,7 @@ def _single_mode_coherent(space, alpha, spin):
 
 
 def test_predictor_stationary_states(sm_space):
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     grid = TimeGrid(0.0, 0.6, 101)
     _, vectors = md.landau_basis(sm_space, params)
     flat = an.predict_sigma_z_series(
@@ -212,7 +212,7 @@ def test_predictor_matches_per_level_oracle(seed):
     vecs[-1] = 0
     rho = vecs @ np.diag(rng.uniform(0.2, 1.0, 4)) @ vecs.conj().T
     rho /= np.trace(rho).real
-    params = SimParams.from_khz(4.2, r=0.7)
+    params = SimParams(md.khz(4.2), r=0.7)
     grid = TimeGrid(0.0, 0.6, 101)
     series = an.predict_sigma_z_series(fs.QState("mixed", rho, space), params, grid)
     want = _predicted_per_level(rho, params, grid.times)
@@ -222,7 +222,7 @@ def test_predictor_matches_per_level_oracle(seed):
 def test_predictor_equals_numerical_propagation(sm_space):
     # the closed form against direct propagation of the same single-mode
     # Hamiltonian; this pins the level splittings 2 omega sqrt(n r)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     grid = TimeGrid(0.0, 0.6, 201)
     psi0 = _single_mode_coherent(sm_space, 1j, "plus_z")
     predicted = an.predict_sigma_z_series(psi0, params, grid)
@@ -236,7 +236,7 @@ def test_predictor_spectrum_sits_on_level_splittings(sm_space):
     # each splitting 2 omega sqrt(n) up to n = 4 is found by a nearby peak;
     # the rectangular window also produces sinc sidelobes between them, so
     # the assertion runs from the expected lines, not from the peak list
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     grid = TimeGrid(0.0, 5.0, 501)
     psi0 = _single_mode_coherent(sm_space, 1j, "plus_z")
     series = an.predict_sigma_z_series(psi0, params, grid)
@@ -252,7 +252,7 @@ def test_predictor_mixed_state_and_phases():
     # spin +x input exercises the coherence terms; reference is a dense
     # two-mode propagation at moderate truncation
     space = SpaceSpec(20, 20)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     grid = TimeGrid(0.0, 0.6, 101)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_x")
     red = md.cyclotron_frame_state("plus_x", 1j, 0, params)
@@ -269,7 +269,7 @@ def test_predictor_rejects_leaking_state():
     # the eigenbasis misses exactly one direction, spin-down at the edge
     # level, so a spin-down state with weight there must be refused
     space = SpaceSpec(3, 0)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     psi0 = _single_mode_coherent(space, 0.86, "minus_z")
     with pytest.raises(TruncationError):
         an.predict_sigma_z_series(psi0, params, TimeGrid(0.0, 0.1, 5))
@@ -289,27 +289,27 @@ def test_cubic_fit_recovers_exact_coefficients():
         t = np.linspace(t0, t0 + 0.4, 25)
         u = t - t0
         y = coeffs[0] + coeffs[1] * u + coeffs[2] * u**2 + coeffs[3] * u**3
-        fit = an.fit_polynomial(TimeSeries(t, y), 3)
+        fit = an.fit_polynomial(TimeSeries(t, y))
         assert abs(fit.slope_at_zero - coeffs[1]) < 1e-10
         assert fit.residual_rms < 1e-12
 
 
 def test_constant_fit_slope_zero():
     t = np.linspace(0, 1, 10)
-    fit = an.fit_polynomial(TimeSeries(t, np.full(10, 2.5)), 3)
+    fit = an.fit_polynomial(TimeSeries(t, np.full(10, 2.5)))
     assert abs(fit.slope_at_zero) < 1e-12
 
 
 def test_sine_slope_extraction():
     t = np.linspace(0, 0.1, 12)
-    fit = an.fit_polynomial(TimeSeries(t, np.sin(2 * t)), 3)
+    fit = an.fit_polynomial(TimeSeries(t, np.sin(2 * t)))
     assert abs(fit.slope_at_zero - 2.0) < 1e-3
 
 
 def test_fit_rank_guard():
     t = np.linspace(0, 1, 4)
     with pytest.raises(RankError):
-        an.fit_polynomial(TimeSeries(t, np.zeros(4)), 3)
+        an.fit_polynomial(TimeSeries(t, np.zeros(4)))
 
 
 def test_linear_fit_through_origin():

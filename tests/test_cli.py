@@ -260,6 +260,19 @@ def test_trajectory_runs_on_five_samples(tmp_path, capsys):
     assert len((out / "trajectory.csv").read_text().splitlines()) == 6
 
 
+def test_landau_at_a_vanishing_field_skips_the_predictor_check(tmp_path, capsys):
+    # at r = 1e-320, 1/r is inf: the predictor floor 40 max(r, 1/r) is never
+    # reached, and the run ends on its checks rather than a traceback
+    path = tmp_path / "tiny.ini"
+    path.write_text("[landau]\nnoise = false\nn_max_x = 6\nr = 1e-320\n")
+    out = tmp_path / "run"
+    code = run_cli("landau", "--config", path, "--out", out, "--quiet")
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert code == (1 if manifest["checks_failed"] else 0)
+    assert "predictor_max_dev" not in {c["name"] for c in manifest["checks"]}
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = run_cli("landau", "--config", tmp_path / "nope.ini", "--quiet")
     assert code == 2

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -57,3 +58,24 @@ def test_a_cold_run_imports_none_of_numpys_lazy_subpackages(tmp_path):
     for name in ("dispersion", "landau", "helicity", "trajectory"):
         assert (out / name / "manifest.json").is_file(), proc.stderr
     assert proc.stdout.split() == [], proc.stdout
+
+
+def test_every_import_is_used():
+    # a name a module imports and never reads is a dead import, or a
+    # re-export that gives one thing two addresses; __init__.py is the one
+    # module whose imports are its interface
+    dead = []
+    for path in sorted(Path(weylsim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        dead.append(f"{path.name}:{node.lineno} {name}")
+    assert dead == []

@@ -72,7 +72,7 @@ def test_zero_hamiltonian_is_constant(small_space):
 
 
 def test_zero_mode_is_stationary(sm_space):
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     h = transformed_hamiltonian(sm_space, params)
     psi0 = fs.basis_state(sm_space, "plus_z", 0, 0)
     grid = TimeGrid(0.0, 0.6, 31)
@@ -110,7 +110,7 @@ def test_early_slope_matches_finite_difference_oracle(space):
 
 
 def test_unitary_norm_and_energy_conserved(space):
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.6, 61)
     # H as products (A, B) of the field observables: sigma_x pi_x + sigma_y pi_y
@@ -135,7 +135,7 @@ def test_propagators_reject_invalid_inputs(small_space, propagate):
     # both propagators take the same product observables and refuse the
     # same malformed ones before any propagation; a single-mode space has
     # no p_y sectors, and its state is not on the sectors' space
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     sectors = ev.weyl_sectors(params, small_space)
     psi0 = fs.coherent_state(small_space, 0.5, 0)
     grid = TimeGrid(0.0, 1.0, 3)
@@ -269,7 +269,7 @@ def test_sector_propagator_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     n_x, n_y = rng.choice(np.arange(4, 13), size=2, replace=False)
     space = SpaceSpec(int(n_x), int(n_y))
-    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    params = SimParams(md.khz(rng.uniform(3, 6)), r=rng.uniform(0.3, 3))
     t_start = rng.uniform(0, 0.1)
     n_samples = int(rng.integers(20, 60))
     grid = TimeGrid(t_start, t_start + rng.uniform(0.2, 0.6), n_samples)
@@ -282,7 +282,7 @@ def test_sector_propagator_matches_dense_oracle_on_far_sectors():
     # farthest from its mean, whose partners at -p it occupies: all
     # n_max_y + 1 sectors are decomposed, and the series match the dense H
     space = SpaceSpec(4, 40)
-    params = SimParams.from_khz(4.2, r=0.8)
+    params = SimParams(md.khz(4.2), r=0.8)
     psi0 = fs.coherent_state(space, 0.5 - 0.3j, 1.5j, "plus_x")
     basis = fs.quadrature_eigenbasis(space.n_max_y + 1, "momentum")[1]
     amplitudes = fs.coherent_amplitudes(1.5j, space.n_max_y + 1) @ basis.conj()
@@ -299,7 +299,7 @@ def test_sectors_rebuild_the_dense_hamiltonian(r, n_max_x, n_max_y):
     # the closed-form spin-flip blocks, decomposed and summed back over
     # p_y's projectors, give the oracle H built from the embedded operators
     space = SpaceSpec(n_max_x, n_max_y)
-    params = SimParams.from_khz(4.2, r=r)
+    params = SimParams(md.khz(4.2), r=r)
     h = weyl_hamiltonian(space, params)
     rebuilt = sector_hamiltonian(ev.weyl_sectors(params, space))
     assert np.abs(rebuilt - h).max() <= 1e-14 * np.abs(h).max()
@@ -312,7 +312,7 @@ def test_sector_basis_is_orthogonal(r, n_max):
     # is orthogonal by construction and diagonalizes H_k, rebuilt here from
     # the product terms in the qubit basis (|+z>, i|-z>)
     space = SpaceSpec(n_max, n_max)
-    params = SimParams.from_khz(4.2, r=r)
+    params = SimParams(md.khz(4.2), r=r)
     _assert_sector_basis(params, ev.weyl_sectors(params, space))
 
 
@@ -362,7 +362,7 @@ def test_paired_sectors_match_one_svd_per_sector(r, n_max_x, n_max_y):
     # other; against one SVD per sector of its own spin-flip block, with an
     # odd (p = 0 unpaired) and an even number of sectors
     space = SpaceSpec(n_max_x, n_max_y)
-    params = SimParams.from_khz(4.2, r=r)
+    params = SimParams(md.khz(4.2), r=r)
     dy, half = n_max_y + 1, n_max_x + 1
     sectors = ev.weyl_sectors(params, space)
     assert len(sectors.evals) == dy
@@ -390,7 +390,7 @@ def test_population_path_matches_product_path(seed):
     rng = np.random.default_rng(seed)
     n_x, n_y = rng.choice(np.arange(4, 13), size=2, replace=False)
     space = SpaceSpec(int(n_x), int(n_y))
-    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    params = SimParams(md.khz(rng.uniform(3, 6)), r=rng.uniform(0.3, 3))
     obs = md.field_observables(space, params)
     half, dy = space.n_max_x + 1, space.n_max_y + 1
     p_y = fs.mode_matrix(dy, "momentum")
@@ -426,7 +426,7 @@ def test_frequency_sum_matches_product_path_on_any_grid(n_samples):
     # after 0; norm_drift is |||c|| - 1| at every sample
     rng = np.random.default_rng(n_samples)
     space = SpaceSpec(7, 10)
-    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    params = SimParams(md.khz(rng.uniform(3, 6)), r=rng.uniform(0.3, 3))
     obs = md.field_observables(space, params)
     spins = [np.diag(np.repeat(rng.normal(size=2), 8)) for _ in range(2)]
     terms = {  # every one is read as a sum over transition frequencies
@@ -460,7 +460,7 @@ def test_non_finite_sectors_are_refused(field):
     # for the population and the product path alike; a NaN row of U gives
     # sector 1 NaN coefficients
     space = SpaceSpec(5, 6)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     rng = np.random.default_rng(3)
     psi0 = _random_pure(rng, space, entangled=True)
     sectors = ev.weyl_sectors(params, space)
@@ -594,7 +594,7 @@ def test_field_runner_decomposes_once(monkeypatch, name, noise):
 def test_lindblad_series_refuses_another_space():
     # evolve_lindblad, as evolve_unitary does, for a pure and a mixed
     # input; the taus come from the decomposition's own params
-    params = SimParams.from_khz(4.2, r=1.0, tau_d_x=4.0, tau_d_y=3.5)
+    params = SimParams(md.khz(4.2), r=1.0, tau_d_x=4.0, tau_d_y=3.5)
     sectors = ev.weyl_sectors(params, SpaceSpec(4, 4))
     assert sectors.params is params
     grid = TimeGrid(0.0, 0.01, 3)
@@ -608,7 +608,7 @@ def test_projection_matches_own_decomposition():
     # both spin inputs read, from one decomposition, exactly the series of
     # their own propagations; a mixed state and another space are refused
     space = SpaceSpec(6, 9)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     plus, minus = (
         fs.coherent_state(space, 0.8j, 0.5 - 0.3j, spin)
         for spin in ("plus_x", "minus_x")
@@ -649,7 +649,7 @@ def test_product_path_matches_dense_oracle(kind):
     # product path, against the dense H on the full space
     rng = np.random.default_rng(FACTOR_KINDS.index(kind))
     space = SpaceSpec(5, 8)
-    params = SimParams.from_khz(rng.uniform(3, 6), r=rng.uniform(0.3, 3))
+    params = SimParams(md.khz(rng.uniform(3, 6)), r=rng.uniform(0.3, 3))
     m, dy = 2 * (space.n_max_x + 1), space.n_max_y + 1
     a = _random_factor(rng, kind, m)
     terms = {
@@ -764,7 +764,7 @@ def _random_density(rng, space, rank):
 
 def _landau(space, **taus):
     """Landau parameters, the landau default input and its sigma_z product."""
-    params = SimParams.from_khz(4.2, r=1.0, **taus)
+    params = SimParams(md.khz(4.2), r=1.0, **taus)
     psi0 = fs.coherent_state(space, 1j, 0, "plus_z")
     sz = {"sigma_z": md.field_observables(space, params)["sigma_z"]}
     return params, psi0, sz
@@ -779,7 +779,7 @@ def test_weyl_hamiltonian_is_imaginary_in_the_gauge(r, n_max_x, n_max_y):
     # from the p_y sectors' eigenbases, is the exact exp(B b dt) for every
     # distinct U weight b
     space = SpaceSpec(n_max_x, n_max_y)
-    params = SimParams.from_khz(4.2, r=r)
+    params = SimParams(md.khz(4.2), r=r)
     phase = np.repeat(ev._gauge(space), n_max_y + 1)
     h = weyl_hamiltonian(space, params)
     h_g = phase.conj()[:, None] * h * phase
@@ -807,7 +807,7 @@ def test_split_factors_are_orthogonal(n_max):
     # factor is orthogonal by construction, and so is their sum over the
     # orthogonal projectors of p_y
     space = SpaceSpec(n_max, n_max)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     factors = ev._split_factors(ev.weyl_sectors(params, space), ev.DT_MAX_DEFAULT)
     assert factors.shape[:2] == (len(ev.U_WEIGHTS), 2)
     for u in factors.reshape(-1, *factors.shape[2:]):
@@ -831,7 +831,7 @@ def _oracle_case(seed, r, kind):
     else:
         state = _random_density(rng, space, 3)
     tau_x, tau_y = rng.uniform(1.0, 4.0, 2)
-    params = SimParams.from_khz(4.2, r=r, tau_d_x=tau_x, tau_d_y=tau_y)
+    params = SimParams(md.khz(4.2), r=r, tau_d_x=tau_x, tau_d_y=tau_y)
     obs = md.field_observables(space, params)
     return params, state, {"sigma_z": obs["sigma_z"], "x": obs["x"]}
 
@@ -1057,7 +1057,7 @@ def test_pure_dephasing_analytic_decay(tiny):
     # the exact dephasing factor exp(mask t) alone: the mode average obeys
     # <a>(t) = <a>(0) e^{-t/tau}, while the occupation stays constant
     tau = 2.0
-    mask = ev._dephasing_mask(tiny, SimParams.from_khz(4.2, tau_d_x=tau))
+    mask = ev._dephasing_mask(tiny, SimParams(md.khz(4.2), tau_d_x=tau))
     rho0 = fs.coherent_state(tiny, 0.9j, 0).to_density()
     a_op = mode_operator(tiny, "x", "lower")
     n_op = mode_operator(tiny, "x", "number")
@@ -1076,7 +1076,7 @@ def test_pure_dephasing_analytic_decay(tiny):
 def test_fock_state_invariant_under_dephasing(tiny):
     # the rates are those of the dense number operators, and they leave the
     # Fock diagonal untouched
-    params = SimParams.from_khz(4.2, tau_d_x=1.5, tau_d_y=2.5)
+    params = SimParams(md.khz(4.2), tau_d_x=1.5, tau_d_y=2.5)
     mask = ev._dephasing_mask(tiny, params)
     want = 0
     for mode, tau in (("x", 1.5), ("y", 2.5)):
@@ -1129,7 +1129,7 @@ def test_step_halving_convergence(tiny):
 
 def test_integrator_blowup_raises(tiny):
     # a wildly oversized step breaks the conservation monitors
-    params = SimParams.from_khz(40.0, r=1.0, tau_d_x=0.001, tau_d_y=0.001)
+    params = SimParams(md.khz(40.0), r=1.0, tau_d_x=0.001, tau_d_y=0.001)
     psi0 = fs.coherent_state(tiny, 1j, 0, "plus_z")
     grid = TimeGrid(0.0, 1.0, 3, dt_max=0.5)
     with pytest.raises((ConvergenceError, PositivityError)):
@@ -1139,7 +1139,7 @@ def test_integrator_blowup_raises(tiny):
 def test_nan_inputs_are_rejected(tiny):
     # a NaN compares false against every tolerance, so the checks are
     # written to fail on it, in both propagators
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     psi0 = fs.coherent_state(tiny, 0.5j, 0, "plus_z")
     grid = TimeGrid(0.0, 0.01, 3)
     (a, b), = md.field_observables(tiny, params)["sigma_z"]

@@ -94,6 +94,19 @@ def test_quadrature_eigenbasis_diagonalizes_quadrature(small_space):
         fs.quadrature_eigenbasis(d, "angle")
 
 
+@pytest.mark.parametrize("dim", [2, 7, 19, 24, 25, 80])
+def test_quadrature_spectrum_is_exactly_symmetric(dim):
+    # q_k = -q_(d-1-k) bit for bit, so the dispersion readout's mirrored
+    # rates |b| = hypot(p_j, p_k) compare equal and merge: one line per
+    # unordered pair of distinct |p|, m (m + 1) / 2 of them for m = ceil(d/2)
+    for kind in ("position", "momentum"):
+        q, _ = fs.quadrature_eigenbasis(dim, kind)
+        assert np.array_equal(q, -q[::-1])
+    m = (dim + 1) // 2
+    assert len(np.unique(np.abs(q))) == m
+    assert len(np.unique(np.hypot.outer(q, q))) == m * (m + 1) // 2
+
+
 def test_vacuum_position_mean(space):
     x = mode_operator(space, "x", "position")
     vac = fs.coherent_state(space, 0, 0, "plus_z")

@@ -30,7 +30,7 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def params():
-    return SimParams.from_khz(4.2, r=1.0)
+    return SimParams(md.khz(4.2), r=1.0)
 
 
 def weyl_matrix(space, params):
@@ -45,7 +45,7 @@ def test_kronecker_oracles_equal_embedded_products(n_max_x, n_max_y, r):
     # conftest builds its dense Hamiltonians as single Kronecker products; each
     # is bitwise the product of the embedded qubit and mode operators
     space = SpaceSpec(n_max_x, n_max_y)
-    params = SimParams.from_khz(4.2, r=r)
+    params = SimParams(md.khz(4.2), r=r)
     scale = params.omega / math.sqrt(2)
     sy, adag = pauli(space, "y"), mode_operator(space, "x", "lower").conj().T
     pi_y = mode_operator(space, "y", "momentum") - r * mode_operator(space, "x")
@@ -190,7 +190,7 @@ def test_transformed_zero_mode(sm_space, params):
 
 def test_transformed_eigenvalues_oracle(sm_space):
     # dense diagonalization against the analytic ladder omega sqrt(n r)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     h = transformed_hamiltonian(sm_space, params)
     evals = np.linalg.eigvalsh(h)
     target = md.khz(4.2)
@@ -213,7 +213,7 @@ def test_transformed_small_r_limit(sm_space):
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_landau_basis(sm_space, r):
     # H V = V diag(E) with orthonormal columns; they miss only |-z n_max>
-    params = SimParams.from_khz(4.2, r=r)
+    params = SimParams(md.khz(4.2), r=r)
     h = transformed_hamiltonian(sm_space, params)
     energies, vectors = md.landau_basis(sm_space, params)
     assert vectors.shape == (sm_space.dim, sm_space.dim - 1)
@@ -239,7 +239,7 @@ def test_two_mode_spectrum_contains_level_ladder():
     # the full two-mode operator carries the same ladder, with degeneracy
     # from the second register
     space = SpaceSpec(10, 10)
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     evals = np.linalg.eigvalsh(weyl_matrix(space, params))
     for n in range(0, 6):
         want = md.landau_level(n, params)
@@ -251,7 +251,7 @@ def test_two_mode_spectrum_contains_level_ladder():
 
 
 def test_landau_level_values():
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     assert md.landau_level(0, params) == 0.0
     # doubled splittings in kHz: 2 E1 = 8.4, 2 E2 = 11.879...
     assert abs(2 * md.landau_level(1, params) / (2 * math.pi) - 8.4) < 1e-12
@@ -268,10 +268,7 @@ def test_landau_level_errors():
 
 
 def test_unit_converters_roundtrip():
-    params = SimParams.from_khz(4.2, r=1.0)
-    e = 3.7
-    sim = md.natural_to_simulator(e, params)
-    assert abs(sim - e * params.omega / math.sqrt(2)) < 1e-12
+    params = SimParams(md.khz(4.2), r=1.0)
     # the ladder is sqrt(2 n r) in natural units
     for n in (0, 1, 3):
         natural = md.landau_level(n, params) * math.sqrt(2) / params.omega
@@ -301,7 +298,7 @@ def test_sim_params_validation():
 
 
 def test_frame_state_mean_and_trace():
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     red = md.cyclotron_frame_state("plus_z", 1j, 0, params)
     assert red.kind == "mixed"
     sm = red.space
@@ -313,7 +310,7 @@ def test_frame_state_mean_and_trace():
 def test_frame_state_general_r():
     alpha_x = 1j
     for r in (0.8, 1.2):
-        params = SimParams.from_khz(4.2, r=r)
+        params = SimParams(md.khz(4.2), r=r)
         red = md.cyclotron_frame_state("plus_z", alpha_x, 0, params)
         a1 = mode_operator(red.space, "x", "lower")
         want = (-(1 - r) * np.conj(alpha_x) + (1 + r) * alpha_x) / (
@@ -370,7 +367,7 @@ def test_noiseless_landau_leaves_numpy_polynomial_unloaded():
 
 
 def test_frame_state_keeps_spin(space):
-    params = SimParams.from_khz(4.2, r=1.0)
+    params = SimParams(md.khz(4.2), r=1.0)
     psi = fs.coherent_state(space, 1j, 0, "plus_x")
     red = md.cyclotron_frame_state("plus_x", 1j, 0, params)
     for axis in ("x", "y", "z"):
@@ -381,8 +378,8 @@ def test_frame_state_keeps_spin(space):
 
 def test_frame_state_rejects_bad_input():
     with pytest.raises(DomainError):
-        md.cyclotron_frame_state("plus_z", 1j, 0, SimParams.from_khz(4.2, r=0.0))
-    params = SimParams.from_khz(4.2, r=1.0)
+        md.cyclotron_frame_state("plus_z", 1j, 0, SimParams(md.khz(4.2), r=0.0))
+    params = SimParams(md.khz(4.2), r=1.0)
     with pytest.raises(DomainError):
         md.cyclotron_frame_state("up", 1j, 0, params)
     # |alpha_x|^2 = 30 puts about a fifth of the weight past the kept ladder
