@@ -202,10 +202,14 @@ def linear_fit_through_origin(xs, ys) -> float:
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or len(xs) == 0:
         raise DomainError("xs and ys must be equal-length non-empty 1d arrays")
+    # xs 2^-e, 2^e near max |x|, keeps sum x^2 from underflowing below about
+    # 1.5e-154; a power of two scales every rounding exactly
+    e = np.frexp(np.abs(xs).max())[1]
+    xs = np.ldexp(xs, -e)
     denom = float(xs @ xs)
     if denom == 0.0:
         raise DegenerateError("all abscissae are zero")
-    return float(xs @ ys) / denom
+    return float(np.ldexp(float(xs @ ys) / denom, -e))
 
 
 def azimuth(x: np.ndarray, y: np.ndarray):

@@ -586,8 +586,13 @@ def evolve_lindblad(
     definite, and only elsewhere (a pure input's first samples) is the
     eigenvalue computed.  a3 < 0 makes D(a3 h) anti-dissipative, so
     positivity is monitored, never repaired, and a step whose D overflows
-    raises ConvergenceError.  Each sample is read with stacked calls: one
-    trace, one hermiticity, one Cholesky and one flat dot per observable.
+    raises ConvergenceError.  Each sample forms its Hermitian parts
+    (rho_aa + rho_aa^dag) / 2 in one buffer allocated before the loop, from
+    which (in the coherent layout if rho_+- evolves) come one trace, one
+    Cholesky factorization and one flat dot per observable; `hermiticity`
+    is one more pass over rho_aa - rho_aa^dag.  For a real state that
+    difference is exactly antisymmetric, so its max is max |.|, and an
+    observable real in the gauge is dotted in real arithmetic.
     """
     space, params = sectors.space, sectors.params
     if state.space != space:
@@ -621,14 +626,18 @@ def evolve_lindblad(
             f"tau_d_x = {params.tau_d_x:g} ms, tau_d_y = {params.tau_d_y:g} ms"
         )
 
-    # Tr(O p) = sum_ij O^T_ij p_ij: one flat dot per observable and sample
+    # Tr(O p) = sum_ij O^T_ij p_ij: one flat dot per observable and sample.
+    # An observable that is real in the gauge stays real on a real state, so
+    # its dot casts nothing to complex
+    real = r.shape[1] == 1
     views = [np.concatenate(blocks)] if coherent else blocks
-    ops = {
-        label: np.array([_gauged_block(t, space, w, w).T for w in views]).ravel()
-        for label, t in observables.items()
-    }
-    values = {label: np.empty(grid.n_samples, dtype=complex) for label in observables}
+    ops = {}
+    for label, t in observables.items():
+        op = np.array([_gauged_block(t, space, w, w).T for w in views]).ravel()
+        ops[label] = op.real if real and not np.any(op.imag) else op
+    values = {label: np.empty(grid.n_samples, op.dtype) for label, op in ops.items()}
     values |= {m: np.empty(grid.n_samples) for m in MONITORS if m != "norm_drift"}
+    herm = np.empty((2, r.shape[-1], r.shape[-1]), float if real else complex)
     for k in range(grid.n_samples):
         if k:
             for _ in range(n_sub):
@@ -639,7 +648,8 @@ def evolve_lindblad(
         current = r[:, 0] + 1j * r[:, 1] if r.shape[1] == 2 else r[:, 0]
         diagonal = current[:2]
         adjoint = diagonal.conj().swapaxes(1, 2)
-        parts = (diagonal + adjoint) / 2
+        parts = np.add(diagonal, adjoint, out=herm)
+        parts *= 0.5
         if coherent:
             off = current[2]
             parts = np.block([[parts[0], off], [off.conj().T, parts[1]]])[None]
@@ -649,7 +659,9 @@ def evolve_lindblad(
             raise ConvergenceError(f"trace drift {drift:.2e} at sample {k}")
         values["min_eig"][k] = _min_eig(parts, k)
         values["trace_drift"][k] = drift
-        values["hermiticity"][k] = np.abs(diagonal - adjoint).max()
+        # a real rho_aa - rho_aa^T is exactly antisymmetric: its max is max |.|
+        skew = diagonal - adjoint
+        values["hermiticity"][k] = skew.max() if real else np.abs(skew).max()
         flat = parts.ravel()
         for label, op in ops.items():
             values[label][k] = op @ flat / trace

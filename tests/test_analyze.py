@@ -320,6 +320,18 @@ def test_linear_fit_through_origin():
         an.linear_fit_through_origin([0.0, 0.0], [1.0, 2.0])
 
 
+def test_linear_fit_through_origin_is_scale_free():
+    # sum x^2 underflows below |x| ~ 1.5e-154; the fit scales the abscissae
+    # by a power of two, which leaves an ordinary sweep's slope bit for bit
+    slope = an.linear_fit_through_origin([1e-300, 3e-300], [2.0, 6.0])
+    assert abs(slope / 2e300 - 1) <= 1e-15
+    rng = np.random.default_rng(5)
+    for scale in (1e-3, 0.59, 1.0, 3.7, 1e4):
+        xs = scale * rng.uniform(0.1, 1.2, 7)
+        ys = 3.36 * xs + rng.normal(scale=1e-3, size=7)
+        assert an.linear_fit_through_origin(xs, ys) == float(xs @ ys) / float(xs @ xs)
+
+
 # --- geometry -------------------------------------------------------------------
 
 

@@ -860,10 +860,13 @@ def _run_landau_n7(dt_max=ev.DT_MAX_DEFAULT):
 @pytest.mark.parametrize("case", ["landau_n7", *ORACLE_CASES])
 def test_min_eig_is_the_clipped_least_eigenvalue(monkeypatch, case):
     # the Cholesky-first monitor against eigvalsh on every block of every
-    # sample; its worst value over the run is eigvalsh's, clipped at 0
+    # sample; its worst value over the run is eigvalsh's, clipped at 0.
+    # Each stack it gets is Hermitian bit for bit: LAPACK reads only one
+    # triangle of it, so a raw block would certify another matrix
     monitor, seen = ev._min_eig, []
 
     def checked(parts, sample):
+        assert np.array_equal(parts, parts.conj().swapaxes(1, 2))
         value = monitor(parts, sample)
         want = [min(np.linalg.eigvalsh(p).min(), 0.0) for p in parts]
         for p, w in zip(parts, want):
@@ -881,6 +884,76 @@ def test_min_eig_is_the_clipped_least_eigenvalue(monkeypatch, case):
         series = ev.evolve_lindblad(sectors, state, TimeGrid(0.0, 0.1, 11), ops)
     assert len(seen) == len(series["min_eig"].values)
     assert abs(series["min_eig"].values.min() - min(seen)) <= 1e-13
+
+
+def _stacked_readout(sectors, state, grid, observables):
+    """`evolve_lindblad`'s series, stepped with its own factors and stages,
+    with each sample read by stacked formulas on fresh arrays: a new
+    (rho_aa + rho_aa^dag) / 2, |rho_aa - rho_aa^dag| and a complex flat dot
+    per observable."""
+    space = sectors.space
+    blocks = ev._blocks(space)
+    coherent = any(
+        np.any(ev._gauged_block(t, space, *blocks)) for t in observables.values()
+    )
+    left, right = np.array([(0, 0), (1, 1)] + [(0, 1)] * coherent).T
+    rows, cols = np.array(blocks)[left, :, None], np.array(blocks)[right, None, :]
+    r = ev._gauged_pieces(state, rows, cols)
+    n_sub = ev._substeps(grid)
+    dt = (grid.times[1] - grid.times[0]) / n_sub
+    factors = ev._split_factors(sectors, dt)[:, :, None]
+    u, v = factors[:, left], factors[:, right].swapaxes(-1, -2).copy()
+    mask = ev._dephasing_mask(space, sectors.params)[rows, cols][:, None]
+    damping = np.exp(np.multiply.outer(ev.D_WEIGHTS, mask * dt))
+    views = [np.concatenate(blocks)] if coherent else blocks
+    ops = {
+        label: np.array([ev._gauged_block(t, space, w, w).T for w in views]).ravel()
+        for label, t in observables.items()
+    }
+    values = {label: [] for label in [*ops, "trace_drift", "hermiticity", "min_eig"]}
+    for k in range(grid.n_samples):
+        if k:
+            for _ in range(n_sub):
+                r *= damping[0]
+                for i, j in ev.STAGES:
+                    r = u[i] @ r @ v[i]
+                    r *= damping[j]
+        current = r[:, 0] + 1j * r[:, 1] if r.shape[1] == 2 else r[:, 0]
+        diagonal = current[:2]
+        adjoint = diagonal.conj().swapaxes(1, 2)
+        parts = (diagonal + adjoint) / 2
+        if coherent:
+            off = current[2]
+            parts = np.block([[parts[0], off], [off.conj().T, parts[1]]])[None]
+        trace = np.trace(parts, axis1=1, axis2=2).real.sum()
+        values["trace_drift"].append(abs(trace - 1.0))
+        values["hermiticity"].append(np.abs(diagonal - adjoint).max())
+        values["min_eig"].append(ev._min_eig(parts, k))
+        for label, op in ops.items():
+            values[label].append((op @ parts.ravel() / trace).real)
+    return {label: np.array(v) for label, v in values.items()}
+
+
+@pytest.mark.parametrize("case", ["landau_n7", *ORACLE_CASES])
+def test_in_place_readout_matches_the_stacked_formulas(case):
+    # real and complex gauged inputs, pinched (sigma_z) and coherent (with
+    # the P-odd x): the observables within 1e-15 and the monitors' margins
+    # bit for bit
+    if case == "landau_n7":
+        params, state, sz = _landau(SpaceSpec(7, 7), tau_d_x=4.0, tau_d_y=3.5)
+        grid, runs = TimeGrid(0.0, 0.6, 201), [sz]
+    else:
+        params, state, ops = _oracle_case(*case)
+        grid, runs = TimeGrid(0.0, 0.1, 11), [{"sigma_z": ops["sigma_z"]}, ops]
+    sectors = ev.weyl_sectors(params, state.space)
+    for obs in runs:
+        got = ev.evolve_lindblad(sectors, state, grid, obs)
+        want = _stacked_readout(sectors, state, grid, obs)
+        assert set(got) == set(want)
+        for label in obs:
+            assert np.abs(got[label].values - want[label]).max() <= 1e-15, label
+        for label in ("trace_drift", "hermiticity", "min_eig"):
+            assert np.array_equal(got[label].values, want[label]), label
 
 
 def test_min_eig_gate():
