@@ -364,6 +364,12 @@ def _one_blas_thread():
     after each threaded call.  The count is process-wide, so runs that
     overlap on several threads share one hold: the first to enter saves
     the count and sets 1, and the last to leave restores it.
+
+    Importing weylsim first loads numpy's OpenBLAS on one thread already
+    (see `weylsim/__init__.py`), and then the hold changes nothing.  It
+    remains for the processes where numpy was loaded before weylsim, or
+    with a thread count from the environment: a host program, or a test
+    session whose conftest imports numpy first.
     """
     global _blas_runs, _blas_previous
     limit = _blas_thread_limit()
