@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import os
@@ -32,6 +31,16 @@ from .scenarios import (
     ScenarioResult,
     build_config,
 )
+
+# the manifest's digests; CPython's own SHA-256 spares every run hashlib's
+# load of OpenSSL's libcrypto (3.5 MB of resident memory) for ~20 files
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without the module
+        from hashlib import sha256
 
 
 def _read_overrides(path, name: str) -> dict:
@@ -106,7 +115,7 @@ def _atomic_write(path: Path, text: str) -> dict:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return {"name": path.name, "sha256": hashlib.sha256(data).hexdigest()}
+    return {"name": path.name, "sha256": sha256(data).hexdigest()}
 
 
 def _csv_text(columns: dict[str, np.ndarray]) -> str:

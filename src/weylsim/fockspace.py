@@ -174,7 +174,10 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
 
 def guard_alpha(alpha: complex, n_max: int, mode: str):
     weight = abs(alpha) * abs(alpha)  # inf for a huge alpha, where ** overflows
-    if weight > n_max / 4:
+    # written as `not <=` so that a NaN fails the check
+    if not weight <= n_max / 4:
+        if not np.isfinite(alpha):
+            raise DomainError(f"alpha = {alpha} on mode {mode} is not finite")
         raise TruncationError(
             f"|alpha|^2 = {weight:.3f} exceeds n_max/4 = {n_max/4:.3f} "
             f"on mode {mode}; raise the truncation"

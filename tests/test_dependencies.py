@@ -1,4 +1,7 @@
 import ast
+import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -73,14 +76,21 @@ def test_weylsim_loads_numpys_openblas_without_a_worker_unless_told(count):
 
 
 # runs every scenario through the command line, then prints which of
-# numpy's lazily loaded subpackages were imported by then and the CPU
-# seconds of every thread but the main one
+# numpy's lazily loaded subpackages were imported by then, which parts of
+# OpenSSL were loaded (hashlib's module, a mapping of its library) and the
+# CPU seconds of every thread but the main one
 LAZY = ("numpy.random", "numpy.polynomial", "numpy.ma", "numpy.testing")
 COLD_RUN = f"""
-import resource, sys
+import os, resource, sys
 from weylsim import cli
 cli.main(sys.argv[1:] + ["--quiet"])
 print(" ".join(name for name in {LAZY!r} if name in sys.modules))
+maps = ""
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        maps = fh.read()
+openssl = {{"_hashlib": "_hashlib" in sys.modules, "libcrypto": "libcrypto" in maps}}
+print(" ".join(name for name, loaded in openssl.items() if loaded))
 if hasattr(resource, "RUSAGE_THREAD"):
     whole = resource.getrusage(resource.RUSAGE_SELF)
     main = resource.getrusage(resource.RUSAGE_THREAD)
@@ -117,13 +127,57 @@ def test_a_cold_run_imports_none_of_numpys_lazy_subpackages(cold_run):
     assert cold_run[0] == "", cold_run
 
 
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="needs CPython's built-in SHA-256",
+)
+def test_a_cold_run_loads_no_openssl(cold_run):
+    # the manifest's digests come from CPython's own SHA-256; hashlib would
+    # map OpenSSL's libcrypto, 3.5 MB of resident memory, for about 20 files
+    assert cold_run[1] == "", cold_run
+
+
 def test_a_cold_run_spends_no_cpu_off_the_main_thread(cold_run):
     # numpy's OpenBLAS loaded on two threads starts a worker that spins for
     # about 0.13 s of CPU, its tail while the first scenario runs; weylsim
     # loads it on one thread, so only the main thread ever runs
-    if not cold_run[1] or scenarios._blas_thread_limit() is None:
+    if not cold_run[2] or scenarios._blas_thread_limit() is None:
         pytest.skip("needs per-thread rusage and numpy's OpenBLAS")
-    assert float(cold_run[1]) <= 0.02, cold_run
+    assert float(cold_run[2]) <= 0.02, cold_run
+
+
+# one small run on an interpreter without the built-in SHA-256, where the
+# digests come from hashlib; prints whether hashlib's OpenSSL module loaded
+FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from weylsim import cli
+cli.main(sys.argv[1:] + ["--quiet"])
+print("_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_hashlib") is None, reason="needs hashlib's OpenSSL"
+)
+def test_the_hashlib_fallback_writes_the_same_digests(tmp_path):
+    config = tmp_path / "small.ini"
+    config.write_text("[dispersion]\nsweep = 0.59, 1.19\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["dispersion", "--n-max", "5", "--config", str(config), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", FALLBACK, *args],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+    files = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"]
+    assert [f["name"] for f in files] == ["dispersion.csv", "checks.csv"]
+    for f in files:
+        digest = hashlib.sha256((out / f["name"]).read_bytes()).hexdigest()
+        assert f["sha256"] == digest, f["name"]
 
 
 def test_every_import_is_used():

@@ -167,6 +167,9 @@ def test_coherent_occupation_oracle(space):
 def test_coherent_guard_and_leakage(space):
     with pytest.raises(TruncationError):
         fs.coherent_state(space, 2.1, 0)  # |alpha|^2 = 4.41 > 15/4
+    for alpha in (complex(math.nan, 1), complex(1, math.inf), math.nan):
+        with pytest.raises(DomainError, match="not finite"):
+            fs.coherent_state(space, 0, alpha)
     # strongest in-range amplitude keeps the discarded tail tiny: the
     # Poisson weight of |alpha|^2 beyond Fock level n_max
     mean = 1.68**2

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from weylsim import scenarios as sc
-from weylsim.errors import DomainError
+from weylsim.errors import ConfigError, DomainError
 
 try:
     import resource
@@ -50,6 +50,14 @@ def test_dispersion_requires_sweep_and_free_model():
             "landau",
             landau.values | {"t_end_us": 600.0, "n_samples": 11, "sweep": (1.0,)},
         )  # sweep is dispersion-only
+    # a NaN fails the coherent-amplitude guard instead of reaching the run
+    for name, overrides in [
+        ("dispersion", {"sweep": (math.nan,)}),
+        ("dispersion", {"sweep": (1.0, math.nan)}),
+        ("landau", {"alpha_x": complex(math.nan, 1)}),
+    ]:
+        with pytest.raises(ConfigError, match="not finite"):
+            sc.build_config(name, overrides)
 
 
 def test_landau_scenario_noiseless_small():
