@@ -146,6 +146,52 @@ def test_a_cold_run_spends_no_cpu_off_the_main_thread(cold_run):
     assert float(cold_run[2]) <= 0.02, cold_run
 
 
+# page faults of writing an 8 MB array that was just written and freed,
+# after the CLI's malloc set-up
+REUSE = """
+import resource
+import numpy as np
+from weylsim import cli
+cli._steady_malloc()
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(1 << 20)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="needs glibc's malloc")
+@pytest.mark.parametrize("threshold", [None, "131072"])
+def test_a_run_reuses_freed_memory_unless_the_environment_sets_malloc(threshold):
+    # with glibc's dynamic thresholds the same op faulted 542 or 2,284
+    # pages, depending on the order of earlier frees; fixed thresholds
+    # reuse the freed block, and a MALLOC_* variable is left to glibc
+    env = {
+        k: v for k, v in _child_env().items()
+        if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"
+    }
+    if threshold is not None:
+        env["MALLOC_MMAP_THRESHOLD_"] = threshold
+    proc = subprocess.run(
+        [sys.executable, "-c", REUSE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    if threshold is None:
+        assert faults <= 8, faults
+    else:  # every 8 MB block is mapped afresh
+        assert faults >= 100, faults
+
+
 # one small run on an interpreter without the built-in SHA-256, where the
 # digests come from hashlib; prints whether hashlib's OpenSSL module loaded
 FALLBACK = """
