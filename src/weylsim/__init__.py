@@ -2,19 +2,21 @@
 magnetic field, built on a qubit coupled to two truncated oscillator modes."""
 
 import os as _os
+import sys as _sys
 
-# numpy's OpenBLAS reads its thread count once, when it loads, and at two or
-# more threads starts a worker that spins idle for about 0.13 s of CPU; every
-# scenario run holds BLAS to one thread (`scenarios._one_blas_thread`), so that
-# worker would do no work.  Unless the environment names a count, numpy is
-# loaded here on one thread, and the environment is left as it was found.
+# OpenBLAS reads its thread count once, when numpy loads it, and at two or more
+# threads starts a worker that spins idle for about 0.13 s of CPU.  Unless the
+# environment names a count or numpy is loaded already, numpy loads here on one
+# thread; BLAS_THREADS, which every manifest records, is then 1, else None.
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if not any(name in _os.environ for name in _THREAD_VARIABLES):
+BLAS_THREADS = None
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VARIABLES):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy as _numpy  # noqa: F401
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
+    BLAS_THREADS = 1
 
 __version__ = "0.1.0"
 

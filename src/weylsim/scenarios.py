@@ -5,30 +5,25 @@ dispersion of the free particle, the discrete level spectrum in a synthetic
 field, helicity conservation, and the opposite-chirality trajectories of
 the two spin orientations.  Each runner consumes a declarative config; its
 body computes columnar tables and a list of checks (each naming the basis
-its expected value rests on), and one wrapper, `_runner`, runs the body on
-one OpenBLAS thread, times it and returns them with the run's manifest.
+its expected value rests on), and one wrapper, `_runner`, times the body
+and returns them with the run's manifest.
 Every field grid starts at 0, the sample of the prepared state.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
-import ctypes
 import functools
 import math
-import os
-import threading
 import time
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREADS, __version__
 from . import analyze as an
 from . import evolve as ev
 from . import fockspace as fs
@@ -187,6 +182,23 @@ FIELDS = {
     "sweep": _parse_sweep,
 }
 
+
+def _read_back(key: str, value):
+    """`value` as FIELDS[key] parses its config-file text (as a manifest records
+    it), or DomainError unless that is `value` itself: "no" for `noise`, say."""
+    if key not in FIELDS:
+        return value  # for ScenarioConfig to name
+    text = _encode(value)
+    text = ", ".join(map(str, text)) if isinstance(text, list) else str(text)
+    try:
+        parsed = FIELDS[key](text)
+        if parsed == value:
+            return parsed
+    except ValueError:
+        pass
+    raise DomainError(f"bad value for {key}: {value!r}")
+
+
 # per-scenario defaults; "n_max" is (noiseless, noisy), and a scenario
 # without "t_end_us" has no time grid
 _DEFAULTS = {
@@ -234,9 +246,11 @@ def build_config(name: str, overrides: dict) -> ScenarioConfig:
 
     The defaults follow the overrides: `noise` picks the dephasing times
     and landau's truncation, and `n_max_x` sets `n_max_y` unless that is
-    given too.  Any invalid key or value raises ConfigError.
+    given too.  Each value must be one the config file could give
+    (`_read_back`).  Any invalid key or value raises ConfigError.
     """
     try:
+        overrides = {k: _read_back(k, v) for k, v in overrides.items()}
         values = _default_values(name, overrides.get("n_max_x"), overrides.get("noise"))
         return ScenarioConfig(name, values | overrides)
     except WeylSimError as exc:
@@ -318,93 +332,17 @@ def _propagator(cfg: ScenarioConfig):
     return ev.evolve_lindblad if cfg.noise_on else ev.evolve_unitary
 
 
-@functools.cache
-def _blas_thread_limit():
-    """`openblas_set_num_threads_local` of the OpenBLAS that numpy loaded,
-    or None if there is none.
-
-    numpy's wheels carry their OpenBLAS in numpy.libs (Linux) or
-    numpy/.dylibs (macOS); each candidate is opened with RTLD_NOLOAD, which
-    finds a copy already loaded and never loads a second one.  The function
-    sets the thread count of the calling thread's BLAS calls and returns
-    the previous count.  An OpenBLAS built on pthreads, as numpy's wheels
-    are, keeps one count for the whole process: while it is set, the calls
-    of every thread run on that many threads.
-    """
-    noload = getattr(os, "RTLD_NOLOAD", None)
-    if noload is None:
-        return None
-    package = Path(np.__file__).parent
-    for folder in (package.parent / "numpy.libs", package / ".dylibs"):
-        names = sorted(os.listdir(folder)) if folder.is_dir() else []
-        for name in (n for n in names if "openblas" in n):
-            try:
-                lib = ctypes.CDLL(str(folder / name), mode=noload)
-                limit = lib.openblas_set_num_threads_local
-            except (OSError, AttributeError):  # not loaded, or an older OpenBLAS
-                continue
-            limit.argtypes, limit.restype = [ctypes.c_int], ctypes.c_int
-            return limit
-    return None
-
-
-_blas_lock = threading.Lock()
-_blas_runs = 0  # runs holding OpenBLAS to one thread
-_blas_previous = None  # the count the first of them found
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread for the block, then restore the previous
-    count, also if the block raises; yields the limit, or None if unbound.
-
-    A scenario's BLAS and LAPACK calls are small (matrices of tens to a
-    few hundred rows at the defaults) and gain little or nothing from a
-    second thread, whose worker then spins idle for about 0.13 s of CPU
-    after each threaded call.  The count is process-wide, so runs that
-    overlap on several threads share one hold: the first to enter saves
-    the count and sets 1, and the last to leave restores it.
-
-    Importing weylsim first loads numpy's OpenBLAS on one thread already
-    (see `weylsim/__init__.py`), and then the hold changes nothing.  It
-    remains for the processes where numpy was loaded before weylsim, or
-    with a thread count from the environment: a host program, or a test
-    session whose conftest imports numpy first.
-    """
-    global _blas_runs, _blas_previous
-    limit = _blas_thread_limit()
-    if limit is None:
-        yield None
-        return
-    with _blas_lock:
-        if _blas_runs == 0:
-            _blas_previous = limit(1)
-        _blas_runs += 1
-    try:
-        yield 1
-    finally:
-        with _blas_lock:
-            _blas_runs -= 1
-            if _blas_runs == 0:
-                limit(_blas_previous)
-
-
 def _runner(body):
-    """A scenario runner from a body that returns its (tables, checks).
-
-    The runner runs the body on one OpenBLAS thread (`_one_blas_thread`),
-    times it and records the run in the manifest: the resolved config, the
-    version, the timestamps, the thread limit (`blas_threads`, None where
-    no OpenBLAS binding was found), the check counts and every check as
-    `check.record()`.
-    """
+    """A scenario runner from a body that returns its (tables, checks): it
+    times the body and records the run in the manifest (the resolved config,
+    the version, the timestamps, `weylsim.BLAS_THREADS` as `blas_threads`,
+    the check counts and every check as `check.record()`)."""
 
     @functools.wraps(body)
     def run(cfg: ScenarioConfig) -> ScenarioResult:
         started = datetime.now(timezone.utc).isoformat()
         t0 = time.perf_counter()
-        with _one_blas_thread() as blas_threads:
-            tables, checks = body(cfg)
+        tables, checks = body(cfg)
         manifest = {
             "scenario": cfg.name,
             "config": config_dict(cfg),
@@ -412,7 +350,7 @@ def _runner(body):
             "started_utc": started,
             "finished_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": round(time.perf_counter() - t0, 3),
-            "blas_threads": blas_threads,
+            "blas_threads": BLAS_THREADS,
             "checks_passed": sum(c.passed for c in checks),
             "checks_failed": sum(not c.passed for c in checks),
             "checks": [c.record() for c in checks],

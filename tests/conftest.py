@@ -7,6 +7,8 @@ products.  Tests import them with `from conftest import ...`.
 
 import math
 
+# first, so that numpy loads on the command line's one BLAS thread
+import weylsim  # noqa: F401, I001
 import numpy as np
 import pytest
 

@@ -10,18 +10,32 @@ from pathlib import Path
 import pytest
 
 import weylsim
-from weylsim import scenarios
-
-# the variables that name a BLAS thread count; weylsim sets none of its own
-# while any of them is set
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _child_env(**extra) -> dict:
     """This interpreter's environment with weylsim on the path and no BLAS
     thread count, plus `extra`."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env = {
+        k: v for k, v in os.environ.items() if k not in weylsim._THREAD_VARIABLES
+    }
     return env | {"PYTHONPATH": str(Path(weylsim.__file__).parents[1])} | extra
+
+
+def _numpy_has_openblas() -> bool:
+    """Whether numpy was built against OpenBLAS, as its wheels are."""
+    import numpy as np
+
+    try:
+        return "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+
+
+# the tests that count OpenBLAS's worker thread
+needs_worker_count = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or not _numpy_has_openblas(),
+    reason="needs /proc/self/task and numpy's OpenBLAS",
+)
 
 # imports every weylsim module and prints the top-level packages that this
 # added to sys.modules; what the interpreter loaded at start-up (site's .pth
@@ -56,10 +70,7 @@ print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")
 """
 
 
-@pytest.mark.skipif(
-    not Path("/proc/self/task").is_dir() or scenarios._blas_thread_limit() is None,
-    reason="needs /proc/self/task and numpy's OpenBLAS",
-)
+@needs_worker_count
 @pytest.mark.parametrize("count", [None, "2"])
 def test_weylsim_loads_numpys_openblas_without_a_worker_unless_told(count):
     # with no count in the environment the process keeps its one thread and
@@ -73,6 +84,44 @@ def test_weylsim_loads_numpys_openblas_without_a_worker_unless_told(count):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == (["1", "None"] if count is None else ["2", count])
+
+
+# a host program's own BLAS threads: numpy loaded before weylsim, or a count
+# from the environment, then one small scenario run through the command
+# line; prints the process's threads and the run's manifest entry
+HOST = """
+import json, os, sys
+if sys.argv[1] == "numpy first":
+    import numpy
+from weylsim import cli
+cli.main(["landau", "--no-noise", "--n-max", "6", "--out", sys.argv[2], "--quiet"])
+with open(os.path.join(sys.argv[2], "manifest.json"), encoding="utf-8") as fh:
+    manifest = json.load(fh)
+print(len(os.listdir("/proc/self/task")), manifest["blas_threads"])
+"""
+
+
+@needs_worker_count
+@pytest.mark.parametrize(
+    "order, count",
+    [("numpy first", "2"), ("weylsim first", "2"), ("numpy first", None)],
+)
+def test_a_host_keeps_its_blas_threads_and_the_manifest_says_so(tmp_path, order, count):
+    # weylsim sets no thread count where the host's stands: the OpenBLAS
+    # worker lives through the run, and the manifest records null
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts no worker on one core")
+    env = _child_env() if count is None else _child_env(OPENBLAS_NUM_THREADS=count)
+    proc = subprocess.run(
+        [sys.executable, "-c", HOST, order, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads, blas_threads = proc.stdout.split()
+    assert blas_threads == "None"
+    assert int(threads) == 2 if count == "2" else int(threads) > 1
 
 
 # runs every scenario through the command line, then prints which of
@@ -141,7 +190,7 @@ def test_a_cold_run_spends_no_cpu_off_the_main_thread(cold_run):
     # numpy's OpenBLAS loaded on two threads starts a worker that spins for
     # about 0.13 s of CPU, its tail while the first scenario runs; weylsim
     # loads it on one thread, so only the main thread ever runs
-    if not cold_run[2] or scenarios._blas_thread_limit() is None:
+    if not cold_run[2] or not _numpy_has_openblas():
         pytest.skip("needs per-thread rusage and numpy's OpenBLAS")
     assert float(cold_run[2]) <= 0.02, cold_run
 

@@ -1,20 +1,13 @@
 import math
 import os
-import sys
-import threading
-import time
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import weylsim
 from weylsim import scenarios as sc
 from weylsim.errors import ConfigError, DomainError
-
-try:
-    import resource
-except ImportError:  # not on Windows
-    resource = None
 
 
 def _passed(result):
@@ -38,6 +31,13 @@ def test_dispersion_with_zero_momentum_row():
     assert all(c.passed for c in res.checks)
 
 
+NAN_AMPLITUDES = [
+    ("dispersion", {"sweep": (math.nan,)}),
+    ("dispersion", {"sweep": (1.0, math.nan)}),
+    ("landau", {"alpha_x": complex(math.nan, 1)}),
+]
+
+
 def test_dispersion_requires_sweep_and_free_model():
     cfg = sc.build_config("dispersion", {})
     with pytest.raises(DomainError):
@@ -50,14 +50,37 @@ def test_dispersion_requires_sweep_and_free_model():
             "landau",
             landau.values | {"t_end_us": 600.0, "n_samples": 11, "sweep": (1.0,)},
         )  # sweep is dispersion-only
-    # a NaN fails the coherent-amplitude guard instead of reaching the run
-    for name, overrides in [
-        ("dispersion", {"sweep": (math.nan,)}),
-        ("dispersion", {"sweep": (1.0, math.nan)}),
-        ("landau", {"alpha_x": complex(math.nan, 1)}),
-    ]:
-        with pytest.raises(ConfigError, match="not finite"):
-            sc.build_config(name, overrides)
+    # a NaN fails the coherent-amplitude guard instead of reaching the run;
+    # build_config refuses it before (test below)
+    for name, overrides in NAN_AMPLITUDES:
+        with pytest.raises(DomainError, match="not finite"):
+            sc.ScenarioConfig(name, sc.build_config(name, {}).values | overrides)
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("landau", {"noise": "no"}),  # a non-empty string, which reads as true
+        ("landau", {"noise": math.nan}),
+        ("trajectory", {"dt_max_us": (math.nan,)}),
+        ("landau", {"r": complex(math.nan, 0)}),
+        *NAN_AMPLITUDES,
+    ],
+)
+def test_build_config_refuses_values_the_config_file_could_not_give(name, overrides):
+    # a library caller's value must read back from its config-file text as
+    # itself; these were taken as given or escaped as a bare TypeError
+    with pytest.raises(ConfigError, match="bad value for"):
+        sc.build_config(name, overrides)
+
+
+def test_build_config_takes_library_values_as_the_config_file_gives_them():
+    # an int for a float, a float for a complex amplitude and an int for a
+    # boolean read back as the parser's value
+    cfg = sc.build_config("landau", {"r": 1, "alpha_x": 0.5, "noise": 0})
+    assert cfg.values["r"] == 1.0 and isinstance(cfg.values["r"], float)
+    assert cfg.values["alpha_x"] == 0.5 + 0j and isinstance(cfg.values["alpha_x"], complex)
+    assert cfg.values["noise"] is False and not cfg.noise_on
 
 
 def test_landau_scenario_noiseless_small():
@@ -151,131 +174,19 @@ def test_manifest_carries_resolved_config():
     assert m["config"]["sweep"] == [0.59, 1.19, 1.78, 2.38]
     assert m["checks_failed"] == 0
     assert m["wall_time_s"] >= 0
-    # 1 where numpy's OpenBLAS was found, None where runs keep its default
-    assert m["blas_threads"] == (None if sc._blas_thread_limit() is None else 1)
+    # what importing weylsim did: 1 if it loaded numpy on one BLAS thread
+    assert m["blas_threads"] == weylsim.BLAS_THREADS
     assert all(c.basis in ("analytic", "identity", "oracle") for c in res.checks)
 
 
-@pytest.fixture
-def blas_count(monkeypatch):
-    """OpenBLAS's thread count, 3 at first, behind a fake binding."""
-    count = [3]
-
-    def fake_limit(n):
-        previous, count[0] = count[0], n
-        return previous
-
-    monkeypatch.setattr(sc, "_blas_thread_limit", lambda: fake_limit)
-    return count
-
-
-def test_runner_holds_one_blas_thread_and_restores_it(blas_count):
-    # with a fake binding: 1 during the body, the previous count after it
-    # returns and after it raises
-    cfg = sc.build_config("dispersion", {"n_max_x": 12})
-    seen = []
-
-    @sc._runner
-    def body(cfg):
-        seen.append(blas_count[0])
-        if len(seen) == 2:
-            raise RuntimeError("body failed")
-        return {}, []
-
-    assert body(cfg).manifest["blas_threads"] == 1
-    assert blas_count == [3]
-    with pytest.raises(RuntimeError, match="body failed"):
-        body(cfg)
-    assert seen == [1, 1] and blas_count == [3]
-
-
-@pytest.mark.parametrize("ends_first", ["first", "second"])
-def test_overlapping_runs_share_one_blas_thread_hold(blas_count, ends_first):
-    # two runs overlap on two threads of one host program and end in either
-    # order: OpenBLAS reads 1 while either runs and its old count after both
-    cfg = sc.build_config("dispersion", {"n_max_x": 12})
-    order = ("first", "second")
-    entered = {key: threading.Event() for key in order}
-    release = {key: threading.Event() for key in order}
-    seen = []
-
-    def body_of(key):
-        @sc._runner
-        def body(cfg):
-            entered[key].set()
-            seen.append(blas_count[0])
-            release[key].wait(10)
-            seen.append(blas_count[0])
-            return {}, []
-
-        return body
-
-    threads = {k: threading.Thread(target=body_of(k), args=(cfg,)) for k in order}
-    for key in order:
-        threads[key].start()
-        assert entered[key].wait(10)
-    ends_last = "second" if ends_first == "first" else "first"
-    release[ends_first].set()
-    threads[ends_first].join(10)
-    assert not threads[ends_first].is_alive()
-    assert blas_count == [1]  # the other run still holds one thread
-    release[ends_last].set()
-    threads[ends_last].join(10)
-    assert not threads[ends_last].is_alive()
-    assert seen == [1, 1, 1, 1] and blas_count == [3]
-
-
-def test_many_overlapping_runs_restore_the_blas_thread_count(blas_count):
-    # more runs than cores, switching threads often: a lost update of the
-    # run count would leave OpenBLAS at one thread or restore it mid-run
-    cfg = sc.build_config("dispersion", {"n_max_x": 12})
-    seen = []
-
-    @sc._runner
-    def body(cfg):
-        seen.append(blas_count[0])
-        return {}, []
-
-    def runs():
-        for _ in range(200):
-            body(cfg)
-
-    threads = [threading.Thread(target=runs) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert seen == [1] * 1600 and blas_count == [3]
-
-
-def _other_threads_cpu() -> float:
-    """CPU seconds of every thread of this process but the calling one."""
-    whole = resource.getrusage(resource.RUSAGE_SELF)
-    this = resource.getrusage(resource.RUSAGE_THREAD)
-    return whole.ru_utime + whole.ru_stime - this.ru_utime - this.ru_stime
-
-
 @pytest.mark.skipif(
-    sc._blas_thread_limit() is None
-    or not hasattr(resource, "RUSAGE_THREAD")
-    or os.cpu_count() == 1,
-    reason="needs numpy's OpenBLAS, per-thread rusage and a second core",
+    any(name in os.environ for name in weylsim._THREAD_VARIABLES),
+    reason="the environment names a BLAS thread count",
 )
-def test_scenario_run_leaves_no_blas_worker_spinning():
-    # a threaded BLAS call leaves OpenBLAS's idle worker spinning for about
-    # 0.13 s of CPU; noiseless landau at n_max 40 makes several (its 41x41
-    # SVDs, its products, the frame's eigh of 80) unless held to one thread
-    time.sleep(0.3)  # let a spin from earlier work settle
-    before = _other_threads_cpu()
-    sc.run_landau(sc.build_config("landau", {"noise": False}))
-    time.sleep(0.3)
-    assert _other_threads_cpu() - before <= 0.02
+def test_the_session_runs_on_one_blas_thread():
+    # conftest imports weylsim before numpy, as the command line does, so
+    # numpy's OpenBLAS loaded on one thread and every manifest says so
+    assert weylsim.BLAS_THREADS == 1
 
 
 @pytest.mark.parametrize("name", sc.SCENARIO_NAMES)
